@@ -5,8 +5,9 @@ any of the analyses, and prints exact integer results.  Vertex labels in
 files are 1-based; all internal indices are 0-based.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
-input, 3 invalid or non-digraphic input where the command needs it, 4 the
-oracle cross-check disagreed with the fast path.
+input or an invalid ``SPLITKIT_ORACLE_MAX_N``, 3 invalid or non-digraphic
+input where the command needs it, 4 the oracle cross-check disagreed with
+the fast path.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from .oracle import (
     brute_splittance,
 )
 from .sequences import IntegerPairSequence, validate
-from .splittance import (
-    digraph_splittance,
-    fulkerson_slack,
-    is_digraphic,
-    is_split_sequence,
-    maximal_sequences,
-    split_partitions,
-    splittance_matrix,
-)
+from .splittance import Analysis
 
 EXIT_SPLIT = 0
 EXIT_NOT_SPLIT = 1
@@ -133,11 +126,26 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+@dataclass(frozen=True)
+class Ending:
+    """How a command ends after its output: exit code and stderr notes."""
+
+    code: int
+    notes: tuple[str, ...] = ()
+
+
 def _oracle_budget() -> EnumerationBudget:
     override = os.environ.get("SPLITKIT_ORACLE_MAX_N")
     if override is None:
         return DEFAULT_BUDGET
-    bound = int(override)
+    try:
+        bound = int(override)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise InputParseError(
+            f"SPLITKIT_ORACLE_MAX_N must be a non-negative integer, got {override!r}"
+        )
     return EnumerationBudget(
         max_vertices=bound,
         max_realize_vertices=bound,
@@ -145,105 +153,109 @@ def _oracle_budget() -> EnumerationBudget:
     )
 
 
-def _oracle_check_sequence(seq: IntegerPairSequence, digraphic: bool) -> list[str]:
-    """Cross-validate digraphicality and splittance; return disagreements."""
-    budget = _oracle_budget()
-    failures = []
+def _oracle_check_sequence(
+    a: Analysis, budget: EnumerationBudget
+) -> tuple[list[str], list[str]]:
+    """Cross-validate digraphicality and splittance: (skip notes, disagreements)."""
+    seq = a.seq
+    skipped, failures = [], []
     if seq.n <= budget.max_realize_vertices:
         realization = brute_realize(seq, budget)
-        if (realization is not None) != digraphic:
+        if (realization is not None) != a.digraphic:
             failures.append(
                 f"oracle disagreement: realization search says "
-                f"{realization is not None}, inequality test says {digraphic}"
+                f"{realization is not None}, inequality test says {a.digraphic}"
             )
     else:
-        print(
-            f"oracle: realization check skipped (N={seq.n} over budget)",
-            file=sys.stderr,
-        )
-    if digraphic:
+        skipped.append(f"oracle: realization check skipped (N={seq.n} over budget)")
+    if a.digraphic:
         if 4**seq.n <= budget.max_partitions:
             brute = brute_min_partition_measure(seq, budget)
-            fast = digraph_splittance(seq)
-            if brute != fast:
+            if brute != a.splittance:
                 failures.append(
                     f"oracle disagreement: partition sweep gives {brute}, "
-                    f"matrix minimum gives {fast}"
+                    f"matrix minimum gives {a.splittance}"
                 )
         else:
-            print(
-                f"oracle: partition sweep skipped (N={seq.n} over budget)",
-                file=sys.stderr,
-            )
-    return failures
+            skipped.append(f"oracle: partition sweep skipped (N={seq.n} over budget)")
+    return skipped, failures
 
 
-def cmd_check(doc: InputDocument, fmt: str, oracle: bool) -> int:
+def _oracle_check_repair(
+    g: Digraph, size: int, budget: EnumerationBudget
+) -> tuple[list[str], list[str]]:
+    """Cross-validate the edit count: (skip notes, disagreements)."""
+    if g.n > budget.max_vertices:
+        return [f"oracle: edit search skipped (n={g.n} over budget)"], []
+    brute = brute_splittance(g, budget)
+    if brute != size:
+        return [], [f"oracle disagreement: edit search gives {brute}, repair gives {size}"]
+    return [], []
+
+
+def _end(code: int, budget: EnumerationBudget | None, oracle) -> Ending:
+    """End with ``code``, the fast answer, unless ``oracle(budget)`` disagrees.
+
+    The oracle runs only with a budget.  Its skip notes go to stderr, then
+    its first disagreement, which turns the exit code into 4.
+    """
+    if budget is None:
+        return Ending(code)
+    skipped, failures = oracle(budget)
+    if failures:
+        return Ending(EXIT_ORACLE_DISAGREEMENT, (*skipped, failures[0]))
+    return Ending(code, tuple(skipped))
+
+
+def _end_sequence(a: Analysis, budget: EnumerationBudget | None) -> Ending:
+    if not a.digraphic:
+        code = EXIT_INVALID_INPUT
+    else:
+        code = EXIT_SPLIT if a.split else EXIT_NOT_SPLIT
+    return _end(code, budget, lambda b: _oracle_check_sequence(a, b))
+
+
+def cmd_check(doc: InputDocument, fmt: str, budget: EnumerationBudget | None) -> Ending:
     # Out-of-range entries are merely non-digraphic here; check still reports.
-    seq = doc.as_sequence()
-    digraphic = is_digraphic(seq)
-    if not digraphic:
-        if fmt == "csv":
-            print("digraphic,split,splittance")
-            print("false,,")
-        else:
-            print("digraphic=false")
-        if oracle:
-            for failure in _oracle_check_sequence(seq, digraphic):
-                print(failure, file=sys.stderr)
-                return EXIT_ORACLE_DISAGREEMENT
-        return EXIT_INVALID_INPUT
-    split = is_split_sequence(seq)
-    splittance = digraph_splittance(seq)
+    a = Analysis(doc.as_sequence())
+    ending = _end_sequence(a, budget)
     if fmt == "csv":
         print("digraphic,split,splittance")
-        print(f"true,{_bool(split)},{splittance}")
-    else:
+        print(f"true,{_bool(a.split)},{a.splittance}" if a.digraphic else "false,,")
+    elif a.digraphic:
         print("digraphic=true")
-        print(f"split={_bool(split)}")
-        print(f"splittance={splittance}")
-    if oracle:
-        for failure in _oracle_check_sequence(seq, digraphic):
-            print(failure, file=sys.stderr)
-            return EXIT_ORACLE_DISAGREEMENT
-    return EXIT_SPLIT if split else EXIT_NOT_SPLIT
+        print(f"split={_bool(a.split)}")
+        print(f"splittance={a.splittance}")
+    else:
+        print("digraphic=false")
+    return ending
 
 
-def cmd_matrix(doc: InputDocument, fmt: str, oracle: bool, extras: bool) -> int:
-    seq = doc.as_sequence()
-    validate(seq)
-    sigma = splittance_matrix(seq)
-    for row in sigma.entries:
+def cmd_matrix(
+    doc: InputDocument, budget: EnumerationBudget | None, extras: bool
+) -> Ending:
+    a = Analysis(doc.as_sequence())
+    for row in a.matrix.entries:
         print(",".join(str(value) for value in row))
     if extras:
-        slack = fulkerson_slack(seq)
-        maximal = maximal_sequences(seq)
-        print("sbar," + ",".join(str(s) for s in slack.s_bar))
-        print("sunder," + ",".join(str(s) for s in slack.s_under))
-        print("mbar," + ",".join(str(m) for m in maximal.m_bar))
-        print("munder," + ",".join(str(m) for m in maximal.m_under))
-    digraphic = is_digraphic(seq)
-    if oracle:
-        for failure in _oracle_check_sequence(seq, digraphic):
-            print(failure, file=sys.stderr)
-            return EXIT_ORACLE_DISAGREEMENT
-    if not digraphic:
-        return EXIT_INVALID_INPUT
-    return EXIT_SPLIT if is_split_sequence(seq) else EXIT_NOT_SPLIT
+        print("sbar," + ",".join(str(s) for s in a.slack.s_bar))
+        print("sunder," + ",".join(str(s) for s in a.slack.s_under))
+        print("mbar," + ",".join(str(m) for m in a.maximal.m_bar))
+        print("munder," + ",".join(str(m) for m in a.maximal.m_under))
+    return _end_sequence(a, budget)
 
 
-def cmd_partitions(doc: InputDocument, fmt: str, oracle: bool) -> int:
-    seq = doc.as_sequence()
-    validate(seq)
-    digraphic = is_digraphic(seq)
-    if not digraphic:
+def cmd_partitions(
+    doc: InputDocument, fmt: str, budget: EnumerationBudget | None
+) -> Ending:
+    a = Analysis(doc.as_sequence())
+    if not a.digraphic:
+        validate(a.seq)  # entries beyond N - 1 are reported as such
         print("error: sequence is not digraphic", file=sys.stderr)
-        if oracle:
-            for failure in _oracle_check_sequence(seq, digraphic):
-                print(failure, file=sys.stderr)
-                return EXIT_ORACLE_DISAGREEMENT
-        return EXIT_INVALID_INPUT
-    parts = split_partitions(seq)
+        return _end_sequence(a, budget)
+    ending = _end_sequence(a, budget)
+    parts = a.partitions
+    del a  # release the matrix before the output is formatted
     if fmt == "csv":
         print("k,l,pm,plus,minus,zero")
         for part in parts:
@@ -261,17 +273,13 @@ def cmd_partitions(doc: InputDocument, fmt: str, oracle: bool) -> int:
                 f"plus={_labels(part.plus)} minus={_labels(part.minus)} "
                 f"zero={_labels(part.zero)}"
             )
-    if oracle:
-        for failure in _oracle_check_sequence(seq, digraphic):
-            print(failure, file=sys.stderr)
-            return EXIT_ORACLE_DISAGREEMENT
-    return EXIT_SPLIT if parts else EXIT_NOT_SPLIT
+    return ending
 
 
-def cmd_repair(doc: InputDocument, fmt: str, oracle: bool) -> int:
+def cmd_repair(doc: InputDocument, fmt: str, budget: EnumerationBudget | None) -> Ending:
     if doc.digraph is None:
         print("error: repair needs a digraph input", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return Ending(EXIT_INVALID_INPUT)
     g = doc.digraph
     edits, _ = repair(g)
     if fmt == "csv":
@@ -285,23 +293,8 @@ def cmd_repair(doc: InputDocument, fmt: str, oracle: bool) -> int:
             print(f"+ {u + 1} {v + 1}")
         for u, v in sorted(edits.remove):
             print(f"- {u + 1} {v + 1}")
-    if oracle:
-        budget = _oracle_budget()
-        if g.n <= budget.max_vertices:
-            brute = brute_splittance(g, budget)
-            if brute != edits.size:
-                print(
-                    f"oracle disagreement: edit search gives {brute}, "
-                    f"repair gives {edits.size}",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE_DISAGREEMENT
-        else:
-            print(
-                f"oracle: edit search skipped (n={g.n} over budget)",
-                file=sys.stderr,
-            )
-    return EXIT_SPLIT if edits.size == 0 else EXIT_NOT_SPLIT
+    code = EXIT_SPLIT if edits.size == 0 else EXIT_NOT_SPLIT
+    return _end(code, budget, lambda b: _oracle_check_repair(g, edits.size, b))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,6 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        budget = _oracle_budget() if args.oracle else None
+    except InputParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    try:
         if args.file == "-":
             text = sys.stdin.read()
         else:
@@ -360,18 +358,19 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "check":
-            return cmd_check(doc, args.format, args.oracle)
-        if args.command == "matrix":
-            return cmd_matrix(doc, args.format, args.oracle, args.extras)
-        if args.command == "partitions":
-            return cmd_partitions(doc, args.format, args.oracle)
-        return cmd_repair(doc, args.format, args.oracle)
-    except SequenceValidationError as exc:
+            ending = cmd_check(doc, args.format, budget)
+        elif args.command == "matrix":
+            ending = cmd_matrix(doc, budget, args.extras)
+        elif args.command == "partitions":
+            ending = cmd_partitions(doc, args.format, budget)
+        else:
+            ending = cmd_repair(doc, args.format, budget)
+    except (SequenceValidationError, NotDigraphicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except NotDigraphicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    for note in ending.notes:
+        print(note, file=sys.stderr)
+    return ending.code
 
 
 def main() -> None:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .sequences import IntegerPairSequence
-from .splittance import (
-    QuadPartition,
-    induced_partition,
-    proper_order,
-    splittance_matrix,
-)
+from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
 
@@ -136,14 +131,6 @@ def repair(g: Digraph) -> tuple[EditSet, QuadPartition]:
     """
     if g.n == 0:
         return EditSet(), QuadPartition(0)
-    seq = degree_sequence(g)
-    ordering = proper_order(seq)
-    sigma = splittance_matrix(seq)
-    best_cell = None
-    best_value = None
-    for k, l, value in sigma.nontrivial_cells():
-        if best_value is None or value < best_value:
-            best_cell = (k, l)
-            best_value = value
-    part = induced_partition(seq, ordering, *best_cell)
+    analysis = Analysis(degree_sequence(g))
+    part = induced_partition(analysis.seq, analysis.ordering, *analysis.best_cell)
     return edit_set(g, part), part

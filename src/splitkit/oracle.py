@@ -16,8 +16,14 @@ from typing import Iterator
 
 from .digraphs import Digraph
 from .errors import BudgetExceededError, OutOfRangeError
-from .sequences import IntegerPairSequence, validate
-from .splittance import QuadPartition, partition_measure
+from .sequences import IntegerPairSequence, proper_order, validate
+from .splittance import (
+    QuadPartition,
+    SplittanceMatrix,
+    _measure_out,
+    induced_partition,
+    partition_measure,
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,20 @@ def brute_min_partition_measure(
         if best is None or measure < best:
             best = measure
     return 0 if best is None else best
+
+
+def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
+    """Literal per-cell evaluation; an independent check of the fast path."""
+    ordering = proper_order(seq)
+    n = seq.n
+    rows = []
+    for k in range(n + 1):
+        row = tuple(
+            _measure_out(seq, induced_partition(seq, ordering, k, l))
+            for l in range(n + 1)
+        )
+        rows.append(row)
+    return SplittanceMatrix(tuple(rows))
 
 
 def brute_realize(
@@ -252,31 +272,3 @@ def enumerate_digraphs(
     rng = random.Random(f"{budget.sample_seed}:{n}")
     for _ in range(budget.sample_size):
         yield _digraph_from_mask(n, rng.getrandbits(len(slots)), slots)
-
-
-def _realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:
-    """Greedy constructive realization of an undirected degree sequence.
-
-    Repeatedly wires the highest-degree vertex to the next-highest ones;
-    succeeds exactly when the sequence is graphic.  Internal helper for the
-    undirected test suite.
-    """
-    remaining = [[d, i] for i, d in enumerate(degrees)]
-    if any(d < 0 or d > len(degrees) - 1 for d, _ in remaining):
-        return None
-    edges: set[frozenset[int]] = set()
-    if not remaining:
-        return edges
-    while True:
-        remaining.sort(key=lambda pair: -pair[0])
-        top, u = remaining[0]
-        if top == 0:
-            return edges
-        if top > len(remaining) - 1:
-            return None
-        remaining[0][0] = 0
-        for slot in remaining[1 : top + 1]:
-            if slot[0] == 0:
-                return None
-            slot[0] -= 1
-            edges.add(frozenset((u, slot[1])))

@@ -17,32 +17,6 @@ from .errors import NegativeDegreeError, OutOfRangeError
 Pair = tuple[int, int]
 
 
-def compare_pos(a: Pair, b: Pair) -> int:
-    """Three-way comparator for the out-major non-increasing order.
-
-    Returns a negative value when ``a`` precedes ``b`` (larger out-degree,
-    in-degree breaking ties), positive when it follows, zero when equal.
-    """
-    if a[0] != b[0]:
-        return -1 if a[0] > b[0] else 1
-    if a[1] != b[1]:
-        return -1 if a[1] > b[1] else 1
-    return 0
-
-
-def compare_neg(a: Pair, b: Pair) -> int:
-    """Three-way comparator for the in-major non-increasing order.
-
-    Same contract as :func:`compare_pos` with the coordinates swapped:
-    in-degree decides first, out-degree breaks ties.
-    """
-    if a[1] != b[1]:
-        return -1 if a[1] > b[1] else 1
-    if a[0] != b[0]:
-        return -1 if a[0] > b[0] else 1
-    return 0
-
-
 @dataclass(frozen=True)
 class IntegerPairSequence:
     """A sequence of ``(out_degree, in_degree)`` pairs, indexed from zero."""

@@ -8,12 +8,14 @@ edits a digraph with the given degree sequence needs before the partition
 satisfies all block constraints.  Tabulating the measure over every
 partition induced by the two degree orderings yields the splittance matrix,
 whose minimum away from two trivial corner cells is the digraph splittance.
+The public functions are views over one ``Analysis`` of their sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable
 
 from .errors import NotDigraphicError, OutOfRangeError, UnbalancedSequenceError
 from .sequences import (
@@ -23,13 +25,6 @@ from .sequences import (
     reorder,
     validate,
 )
-
-# Role tokens for QuadPartition.assignment()
-ROLE_PM = "PM"
-ROLE_PLUS = "P"
-ROLE_MINUS = "M"
-ROLE_ZERO = "Z"
-
 
 @dataclass(frozen=True)
 class QuadPartition:
@@ -59,40 +54,6 @@ class QuadPartition:
             *blocks
         ) != frozenset(range(self.n)):
             raise ValueError("blocks must partition range(n)")
-
-    @classmethod
-    def from_assignment(cls, assignment: Mapping[int, str]) -> "QuadPartition":
-        """Build from a vertex -> role map using the PM/P/M/Z tokens."""
-        groups: dict[str, set[int]] = {
-            ROLE_PM: set(),
-            ROLE_PLUS: set(),
-            ROLE_MINUS: set(),
-            ROLE_ZERO: set(),
-        }
-        for vertex, role in assignment.items():
-            if role not in groups:
-                raise ValueError(f"unknown role {role!r} for vertex {vertex}")
-            groups[role].add(vertex)
-        return cls(
-            len(assignment),
-            groups[ROLE_PM],
-            groups[ROLE_PLUS],
-            groups[ROLE_MINUS],
-            groups[ROLE_ZERO],
-        )
-
-    def assignment(self) -> dict[int, str]:
-        """Vertex -> role map using the PM/P/M/Z tokens."""
-        out: dict[int, str] = {}
-        for role, block in (
-            (ROLE_PM, self.pm),
-            (ROLE_PLUS, self.plus),
-            (ROLE_MINUS, self.minus),
-            (ROLE_ZERO, self.zero),
-        ):
-            for vertex in block:
-                out[vertex] = role
-        return out
 
     @property
     def k(self) -> int:
@@ -213,17 +174,10 @@ class SplittanceMatrix:
             yield k, l, value
 
 
-def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:
-    """Compute the full matrix in O(N^2) via prefix sums.
-
-    Entry (k, l) equals ``k*l - |overlap| + (in-degree mass outside the top-l
-    in-major prefix) - (out-degree mass of the top-k out-major prefix)``,
-    which agrees with the per-partition measure on every cell.
-    """
-    validate(seq)
-    ordering = proper_order(seq)
+def _splittance_matrix(
+    seq: IntegerPairSequence, ordering: ProperOrdering
+) -> SplittanceMatrix:
     n = seq.n
-
     pos_pairs = reorder(seq, ordering.pos_perm)
     neg_pairs = reorder(seq, ordering.neg_perm)
 
@@ -251,21 +205,6 @@ def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:
     return SplittanceMatrix(tuple(rows))
 
 
-def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
-    """Literal per-cell evaluation; kept as an independent check of the fast path."""
-    validate(seq)
-    ordering = proper_order(seq)
-    n = seq.n
-    rows = []
-    for k in range(n + 1):
-        row = tuple(
-            _measure_out(seq, induced_partition(seq, ordering, k, l))
-            for l in range(n + 1)
-        )
-        rows.append(row)
-    return SplittanceMatrix(tuple(rows))
-
-
 @dataclass(frozen=True)
 class MaximalSequences:
     """Turning points of the matrix rows and columns.
@@ -279,21 +218,10 @@ class MaximalSequences:
     m_under: tuple[int, ...]
 
 
-def maximal_sequences(
-    seq: IntegerPairSequence, ordering: ProperOrdering | None = None
+def _maximal_sequences(
+    seq: IntegerPairSequence, ordering: ProperOrdering
 ) -> MaximalSequences:
-    """Locate the row/column minima of the splittance matrix.
-
-    ``m_under[k]`` is the largest 1-based position j in the in-major order
-    whose in-degree is at least k - 1, where equality additionally requires
-    the entry to sit inside the top-k out-major prefix (0 when no position
-    qualifies); ``m_bar[l]`` is symmetric.
-    """
-    validate(seq)
-    if ordering is None:
-        ordering = proper_order(seq)
     n = seq.n
-
     m_under = []
     for k in range(n + 1):
         top_out = ordering.pos_prefix(k)
@@ -334,10 +262,7 @@ class SlackPair:
     s_under: tuple[int, ...]
 
 
-def fulkerson_slack(seq: IntegerPairSequence) -> SlackPair:
-    """Evaluate both inequality families for k = 0..N."""
-    validate(seq)
-    ordering = proper_order(seq)
+def _fulkerson_slack(seq: IntegerPairSequence, ordering: ProperOrdering) -> SlackPair:
     n = seq.n
     pos_pairs = reorder(seq, ordering.pos_perm)
     neg_pairs = reorder(seq, ordering.neg_perm)
@@ -359,25 +284,119 @@ def fulkerson_slack(seq: IntegerPairSequence) -> SlackPair:
     return SlackPair(tuple(s_bar), tuple(s_under))
 
 
+class Analysis:
+    """What the library derives from one pair sequence, each part at most once.
+
+    Every part is computed on first use and cached on the object; the public
+    functions below build a new analysis per call, so nothing is kept
+    between calls.  Computing the ordering validates the sequence, which
+    every other part needs first.
+    """
+
+    def __init__(self, seq: IntegerPairSequence):
+        self.seq = seq
+
+    @cached_property
+    def ordering(self) -> ProperOrdering:
+        return proper_order(self.seq)
+
+    @cached_property
+    def slack(self) -> SlackPair:
+        return _fulkerson_slack(self.seq, self.ordering)
+
+    @cached_property
+    def matrix(self) -> SplittanceMatrix:
+        return _splittance_matrix(self.seq, self.ordering)
+
+    @cached_property
+    def maximal(self) -> MaximalSequences:
+        return _maximal_sequences(self.seq, self.ordering)
+
+    @cached_property
+    def digraphic(self) -> bool:
+        try:
+            self.ordering  # validates the sequence; negative entries raise
+        except OutOfRangeError:
+            return False
+        if not self.seq.is_balanced:
+            return False
+        return min(self.slack.s_bar + self.slack.s_under) >= 0
+
+    def _require_digraphic(self) -> None:
+        if not self.digraphic:
+            raise NotDigraphicError(f"sequence {self.seq.pairs} is not digraphic")
+
+    @cached_property
+    def split(self) -> bool:
+        self._require_digraphic()
+        n = self.seq.n
+        return n < 2 or min(self.slack.s_bar[1:n] + self.slack.s_under[1:n]) == 0
+
+    @cached_property
+    def best_cell(self) -> tuple[int, int]:
+        """Row-major first cell away from the trivial corners (0, N) and
+        (N, 0) that holds the matrix minimum; needs N >= 1."""
+        n = self.seq.n
+        best = None
+        for k, row in enumerate(self.matrix.entries):
+            lo, hi = (1 if k == n else 0), (n if k == 0 else n + 1)
+            value = min(row[lo:hi])
+            if best is None or value < best[2]:
+                best = (k, row.index(value, lo, hi), value)
+        return best[0], best[1]
+
+    @cached_property
+    def splittance(self) -> int:
+        self._require_digraphic()
+        if self.seq.n == 0:
+            return 0
+        return self.matrix[self.best_cell]
+
+    @cached_property
+    def partitions(self) -> list[QuadPartition]:
+        self._require_digraphic()
+        if self.seq.n == 0:
+            return [QuadPartition(0)]
+        return [
+            induced_partition(self.seq, self.ordering, k, l)
+            for k, l, value in self.matrix.nontrivial_cells()
+            if value == 0
+        ]
+
+
+def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:
+    """Compute the full matrix in O(N^2) via prefix sums.
+
+    Entry (k, l) equals ``k*l - |overlap| + (in-degree mass outside the top-l
+    in-major prefix) - (out-degree mass of the top-k out-major prefix)``,
+    which agrees with the per-partition measure on every cell.
+    """
+    return Analysis(seq).matrix
+
+
+def maximal_sequences(seq: IntegerPairSequence) -> MaximalSequences:
+    """Locate the row/column minima of the splittance matrix.
+
+    ``m_under[k]`` is the largest 1-based position j in the in-major order
+    whose in-degree is at least k - 1, where equality additionally requires
+    the entry to sit inside the top-k out-major prefix (0 when no position
+    qualifies); ``m_bar[l]`` is symmetric.
+    """
+    return Analysis(seq).maximal
+
+
+def fulkerson_slack(seq: IntegerPairSequence) -> SlackPair:
+    """Evaluate both inequality families for k = 0..N."""
+    return Analysis(seq).slack
+
+
 def is_digraphic(seq: IntegerPairSequence) -> bool:
     """True when some simple loopless digraph has this degree sequence.
 
     Entries beyond N - 1 are unrealizable and simply yield False; negative
     entries raise.
     """
-    try:
-        validate(seq)
-    except OutOfRangeError:
-        return False
-    if not seq.is_balanced:
-        return False
-    slack = fulkerson_slack(seq)
-    return all(s >= 0 for s in slack.s_bar) and all(s >= 0 for s in slack.s_under)
-
-
-def _require_digraphic(seq: IntegerPairSequence) -> None:
-    if not is_digraphic(seq):
-        raise NotDigraphicError(f"sequence {seq.pairs} is not digraphic")
+    return Analysis(seq).digraphic
 
 
 def digraph_splittance(seq: IntegerPairSequence) -> int:
@@ -389,41 +408,20 @@ def digraph_splittance(seq: IntegerPairSequence) -> int:
     Raises:
         NotDigraphicError: the sequence is not digraphic.
     """
-    _require_digraphic(seq)
-    if seq.n == 0:
-        return 0
-    sigma = splittance_matrix(seq)
-    return min(value for _, _, value in sigma.nontrivial_cells())
+    return Analysis(seq).splittance
 
 
 def is_split_sequence(seq: IntegerPairSequence) -> bool:
     """True when every realization of the (digraphic) sequence is split.
 
     Recognized through the slack sequences: some interior entry (indices
-    1..N-1 of either family) must vanish.  For N < 2 there are no interior
-    entries and the matrix recognition is used directly; for N >= 2 the two
-    recognitions are cross-checked.
+    1..N-1 of either family) must vanish.  Sequences with N < 2 have no
+    interior entries and are split.
 
     Raises:
         NotDigraphicError: the sequence is not digraphic.
     """
-    _require_digraphic(seq)
-    n = seq.n
-    if n == 0:
-        return True
-    sigma = splittance_matrix(seq)
-    by_matrix = any(value == 0 for _, _, value in sigma.nontrivial_cells())
-    if n < 2:
-        return by_matrix
-    slack = fulkerson_slack(seq)
-    interior = slack.s_bar[1:n] + slack.s_under[1:n]
-    by_slack = min(interior) == 0
-    if by_slack != by_matrix:
-        raise RuntimeError(
-            f"internal inconsistency: slack recognition says {by_slack}, "
-            f"matrix recognition says {by_matrix} for {seq.pairs}"
-        )
-    return by_slack
+    return Analysis(seq).split
 
 
 def split_partitions(seq: IntegerPairSequence) -> list[QuadPartition]:
@@ -436,13 +434,4 @@ def split_partitions(seq: IntegerPairSequence) -> list[QuadPartition]:
     Raises:
         NotDigraphicError: the sequence is not digraphic.
     """
-    _require_digraphic(seq)
-    if seq.n == 0:
-        return [QuadPartition(0)]
-    ordering = proper_order(seq)
-    sigma = splittance_matrix(seq)
-    return [
-        induced_partition(seq, ordering, k, l)
-        for k, l, value in sigma.nontrivial_cells()
-        if value == 0
-    ]
+    return Analysis(seq).partitions

@@ -155,16 +155,4 @@ def is_split_undirected(d: Degrees) -> bool:
     Raises:
         NotGraphicError: the sequence is not graphic.
     """
-    seq = _as_sequence(d)
-    splittance = undirected_splittance(seq)
-    if seq.n > 0:
-        # The splittance and slack recognitions must agree; a mismatch would
-        # mean a broken formula, not bad input.
-        m = corrected_durfee(seq)
-        slack_m = eg_slack(seq)[m]
-        if slack_m != 2 * splittance:
-            raise RuntimeError(
-                f"internal inconsistency: slack at the Durfee index is "
-                f"{slack_m}, expected {2 * splittance}"
-            )
-    return splittance == 0
+    return undirected_splittance(d) == 0

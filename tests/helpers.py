@@ -9,6 +9,33 @@ from itertools import combinations
 from splitkit import Digraph, IntegerPairSequence, QuadPartition
 
 
+# The order spec that proper_order's sort keys implement.
+def compare_pos(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Three-way comparator for the out-major non-increasing order.
+
+    Returns a negative value when ``a`` precedes ``b`` (larger out-degree,
+    in-degree breaking ties), positive when it follows, zero when equal.
+    """
+    if a[0] != b[0]:
+        return -1 if a[0] > b[0] else 1
+    if a[1] != b[1]:
+        return -1 if a[1] > b[1] else 1
+    return 0
+
+
+def compare_neg(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Three-way comparator for the in-major non-increasing order.
+
+    Same contract as :func:`compare_pos` with the coordinates swapped:
+    in-degree decides first, out-degree breaks ties.
+    """
+    if a[1] != b[1]:
+        return -1 if a[1] > b[1] else 1
+    if a[0] != b[0]:
+        return -1 if a[0] > b[0] else 1
+    return 0
+
+
 def random_valid_pairs(rng: random.Random, n: int) -> IntegerPairSequence:
     """Uniform entries in [0, n-1]; not necessarily balanced or digraphic."""
     if n == 0:
@@ -144,3 +171,30 @@ def undirected_edit_distance(n: int, edges: set[frozenset[int]]) -> int:
             if toggled in masks:
                 return radius
     raise AssertionError("unreachable: complete graphs are split")
+
+
+def realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:
+    """Greedy constructive realization of an undirected degree sequence.
+
+    Repeatedly wires the highest-degree vertex to the next-highest ones;
+    succeeds exactly when the sequence is graphic.
+    """
+    remaining = [[d, i] for i, d in enumerate(degrees)]
+    if any(d < 0 or d > len(degrees) - 1 for d, _ in remaining):
+        return None
+    edges: set[frozenset[int]] = set()
+    if not remaining:
+        return edges
+    while True:
+        remaining.sort(key=lambda pair: -pair[0])
+        top, u = remaining[0]
+        if top == 0:
+            return edges
+        if top > len(remaining) - 1:
+            return None
+        remaining[0][0] = 0
+        for slot in remaining[1 : top + 1]:
+            if slot[0] == 0:
+                return None
+            slot[0] -= 1
+            edges.add(frozenset((u, slot[1])))

@@ -147,7 +147,7 @@ def test_criterion_4_exhaustive_splittance_agreement():
 
 def test_criterion_5_exhaustive_digraphicality_agreement():
     start = time.perf_counter()
-    total = 0
+    total = digraphic = 0
     for n in (1, 2, 3, 4):
         entries = list(product(range(n), repeat=2))
         for combo in product(entries, repeat=n):
@@ -156,13 +156,19 @@ def test_criterion_5_exhaustive_digraphicality_agreement():
             assert is_digraphic(seq) == (found is not None), combo
             if found is not None:
                 assert degree_sequence(found).pairs == seq.pairs
+                # The slack recognition agrees with the matrix one.
+                cells = splittance_matrix(seq).nontrivial_cells()
+                assert is_split_sequence(seq) == any(v == 0 for *_, v in cells), combo
+                digraphic += 1
             total += 1
     elapsed = time.perf_counter() - start
     assert total == 1 + 16 + 729 + 65536
+    assert digraphic == 2724
     assert elapsed < 60
     print(
         f"\nPASS criterion 5: realizability agreement on all {total} "
-        f"pair sequences, n in 1..4 ({elapsed:.1f} s)"
+        f"pair sequences, split recognitions agree on the {digraphic} "
+        f"digraphic ones, n in 1..4 ({elapsed:.1f} s)"
     )
 
 

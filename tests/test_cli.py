@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -260,12 +261,79 @@ class TestOracleFlag:
         assert code == 0
         assert "skipped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", fixture("ex1.seq")],
+            ["matrix", fixture("ex1.seq")],
+            ["partitions", fixture("ex1.seq")],
+            ["repair", fixture("ex1_realization.digraph")],
+        ],
+    )
+    def test_invalid_budget_env_var_exits_2(self, argv, value, capsys, monkeypatch):
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", value)
+        assert run([*argv, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SPLITKIT_ORACLE_MAX_N ")
+        assert captured.err.count("\n") == 1
+
+    def test_budget_env_var_ignored_without_oracle(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "abc")
+        assert run(["check", fixture("ex1.seq")]) == 0
+        assert capsys.readouterr().out == read_fixture("ex1_check.kv")
+
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # Force the oracle to lie so the loud-failure path is exercised.
         monkeypatch.setattr(cli, "brute_realize", lambda seq, budget: None)
         code = run(["check", fixture("ex1.seq"), "--oracle"])
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
+
+
+class TestOnePassPerInput:
+    # Each routine is wrapped with a counter in every splitkit module that
+    # binds it, the way the benchmark's tracer patches module attributes.
+    ROUTINES = (
+        ("sequences", "proper_order"),
+        ("splittance", "_fulkerson_slack"),
+        ("splittance", "_splittance_matrix"),
+    )
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["check", fixture("ex1.seq")], (1, 1, 1)),
+            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 1)),
+            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1)),
+            (["partitions", fixture("ex1.seq")], (1, 1, 1)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 0, 1)),
+        ],
+    )
+    def test_ordering_slack_and_matrix_at_most_once(
+        self, argv, passes, capsys, monkeypatch
+    ):
+        counts = Counter()
+        modules = [
+            module
+            for name, module in sys.modules.items()
+            if name == "splitkit" or name.startswith("splitkit.")
+        ]
+        for module_name, attr in self.ROUTINES:
+            original = getattr(sys.modules[f"splitkit.{module_name}"], attr)
+
+            def counted(*args, _attr=attr, _original=original):
+                counts[_attr] += 1
+                return _original(*args)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert tuple(counts[attr] for _, attr in self.ROUTINES) == passes
 
 
 class TestConsoleScript:

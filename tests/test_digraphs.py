@@ -12,6 +12,7 @@ from splitkit import (
     edit_set,
     partition_measure,
     repair,
+    splittance_matrix,
     verify_split_partition,
 )
 
@@ -174,11 +175,18 @@ class TestRepair:
         assert part.n == 0
 
     def test_count_always_equals_splittance(self):
+        # The partition comes from the row-major first cell holding the
+        # matrix minimum.
         rng = random.Random(75025)
         for _ in range(200):
             g = random_digraph(rng, rng.randint(1, 6))
-            edits, _ = repair(g)
-            assert edits.size == digraph_splittance(degree_sequence(g))
+            edits, part = repair(g)
+            seq = degree_sequence(g)
+            assert edits.size == digraph_splittance(seq)
+            cells = splittance_matrix(seq).nontrivial_cells()
+            assert (part.k, part.l) == next(
+                (k, l) for k, l, v in cells if v == edits.size
+            )
 
     def test_count_is_invariant_under_relabeling(self):
         # Permuting vertex labels permutes the degree sequence; the repair

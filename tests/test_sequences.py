@@ -9,14 +9,12 @@ from splitkit import (
     IntegerPairSequence,
     NegativeDegreeError,
     OutOfRangeError,
-    compare_neg,
-    compare_pos,
     proper_order,
     reorder,
     validate,
 )
 
-from helpers import random_valid_pairs
+from helpers import compare_neg, compare_pos, random_valid_pairs
 
 
 def pair_sequences(max_n=10):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitkit import (
+    Digraph,
     IntegerPairSequence,
     NotDigraphicError,
     QuadPartition,
     UnbalancedSequenceError,
     brute_realize,
+    degree_sequence,
     digraph_splittance,
     fulkerson_slack,
     induced_partition,
@@ -21,15 +23,17 @@ from splitkit import (
     proper_order,
     split_partitions,
     splittance_matrix,
-    splittance_matrix_bruteforce,
     splittance_sequence,
+    verify_split_partition,
 )
+from splitkit.oracle import splittance_matrix_bruteforce
 from splitkit.splittance import _measure_in, _measure_out
 
 from conftest import DIREXT_MATRIX, EX1_MATRIX
 from helpers import (
     induced_inequality_checks,
     random_balanced_pairs,
+    random_digraph,
     random_quad_partition,
     random_valid_pairs,
     rebalance,
@@ -151,7 +155,7 @@ class TestInducedPartition:
         # The sending side is a prefix of the out-major order, so each of
         # its entries outranks every entry outside it; dually for the
         # receiving side under the in-major order.
-        from splitkit import compare_neg, compare_pos
+        from helpers import compare_neg, compare_pos
 
         ordering = proper_order(seq)
         rng = random.Random(seq.n * 17 + 3)
@@ -423,6 +427,35 @@ class TestIsSplitSequence:
     def test_degenerate_sizes(self):
         assert is_split_sequence(IntegerPairSequence([]))
         assert is_split_sequence(IntegerPairSequence([(0, 0)]))
+
+    def test_agrees_with_matrix_zero_cells_at_large_n(self):
+        # The slack recognition against the matrix one at N in the hundreds:
+        # random digraphs at three densities, then a planted split digraph.
+        rng = random.Random(317811)
+        graphs = [
+            random_digraph(rng, rng.randint(200, 300), p)
+            for p in (0.05, 0.3, 0.7)
+            for _ in range(7)
+        ]
+        n = 250
+        part = random_quad_partition(rng, n)
+        senders, receivers = part.pm | part.plus, part.pm | part.minus
+        silenced, protected = part.minus | part.zero, part.plus | part.zero
+        planted = Digraph(n, [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v
+            and not (u in silenced and v in protected)
+            and (u in senders and v in receivers or rng.random() < 0.5)
+        ])
+        assert verify_split_partition(planted, part)
+        graphs.append(planted)
+        for g in graphs:
+            seq = degree_sequence(g)
+            cells = splittance_matrix(seq).nontrivial_cells()
+            assert is_split_sequence(seq) == any(v == 0 for *_, v in cells)
+        assert is_split_sequence(degree_sequence(planted))
 
 
 class TestSplitPartitions:

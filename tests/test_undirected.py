@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -14,9 +14,7 @@ from splitkit import (
     splittance_sequence,
     undirected_splittance,
 )
-from splitkit.oracle import _realize_undirected
-
-from helpers import is_split_graph, undirected_edit_distance
+from helpers import is_split_graph, realize_undirected, undirected_edit_distance
 
 BASELINE = (4, 3, 3, 3, 3)
 
@@ -85,6 +83,18 @@ class TestSlack:
             m = corrected_durfee(degs)
             assert 2 * splittance_sequence(degs)[m] == eg_slack(degs)[m]
 
+    def test_doubled_splittance_equals_slack_at_durfee_when_graphic(self):
+        # The slack recognition of split sequences agrees with the
+        # splittance one on every graphic non-increasing sequence, n <= 7.
+        checked = 0
+        for n in range(1, 8):
+            for degs in combinations_with_replacement(range(n - 1, -1, -1), n):
+                if is_graphic(degs):
+                    m = corrected_durfee(degs)
+                    assert 2 * undirected_splittance(degs) == eg_slack(degs)[m], degs
+                    checked += 1
+        assert checked == 493
+
 
 class TestIsGraphic:
     def test_baseline(self):
@@ -99,7 +109,7 @@ class TestIsGraphic:
     def test_exhaustive_against_realization(self):
         for n in range(1, 7):
             for degs in product(range(n), repeat=n):
-                built = _realize_undirected(degs)
+                built = realize_undirected(degs)
                 assert is_graphic(degs) == (built is not None), degs
                 if built is not None:
                     counts = [0] * n
@@ -125,7 +135,7 @@ class TestUndirectedSplittance:
             for degs in product(range(n), repeat=n):
                 if not is_graphic(degs):
                     continue
-                edges = _realize_undirected(degs)
+                edges = realize_undirected(degs)
                 assert undirected_splittance(degs) == undirected_edit_distance(
                     n, edges
                 ), degs
@@ -141,7 +151,7 @@ class TestUndirectedSplittance:
             if not is_graphic(degs):
                 continue
             done += 1
-            edges = _realize_undirected(degs)
+            edges = realize_undirected(degs)
             best = None
             for bits in range(1 << n):
                 clique = [v for v in range(n) if bits >> v & 1]
@@ -180,5 +190,5 @@ class TestIsSplitUndirected:
             for degs in product(range(n), repeat=n):
                 if not is_graphic(degs):
                     continue
-                edges = _realize_undirected(degs)
+                edges = realize_undirected(degs)
                 assert is_split_undirected(degs) == is_split_graph(n, edges), degs
