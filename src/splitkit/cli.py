@@ -5,9 +5,10 @@ any of the analyses, and prints exact integer results.  Vertex labels in
 files are 1-based; all internal indices are 0-based.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
-input or an invalid ``SPLITKIT_ORACLE_MAX_N``, 3 invalid or non-digraphic
-input where the command needs it, 4 the oracle cross-check disagreed with
-the fast path.
+input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
+in memory (such as a ``digraph N`` header with a huge N), 3 invalid or
+non-digraphic input where the command needs it, 4 the oracle cross-check
+disagreed with the fast path.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ EXIT_NOT_SPLIT = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ORACLE_DISAGREEMENT = 4
+
+# A sweep over 4^N partitions could never finish beyond this many vertices,
+# so larger SPLITKIT_ORACLE_MAX_N values give the same budget; the cap keeps
+# 4^bound a small integer.
+MAX_SWEEP_VERTICES = 32
 
 
 class InputParseError(SplitkitError):
@@ -149,7 +155,7 @@ def _oracle_budget() -> EnumerationBudget:
     return EnumerationBudget(
         max_vertices=bound,
         max_realize_vertices=bound,
-        max_partitions=4**bound,
+        max_partitions=4 ** min(bound, MAX_SWEEP_VERTICES),
     )
 
 
@@ -255,7 +261,6 @@ def cmd_partitions(
         return _end_sequence(a, budget)
     ending = _end_sequence(a, budget)
     parts = a.partitions
-    del a  # release the matrix before the output is formatted
     if fmt == "csv":
         print("k,l,pm,plus,minus,zero")
         for part in parts:
@@ -368,6 +373,9 @@ def run(argv: list[str] | None = None) -> int:
     except (SequenceValidationError, NotDigraphicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except MemoryError:
+        print("error: input too large to analyze: out of memory", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     for note in ending.notes:
         print(note, file=sys.stderr)
     return ending.code

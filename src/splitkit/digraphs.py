@@ -125,9 +125,11 @@ def edit_set(g: Digraph, part: QuadPartition) -> EditSet:
 def repair(g: Digraph) -> tuple[EditSet, QuadPartition]:
     """Cheapest arc repair turning ``g`` into a split digraph.
 
-    Scans the splittance matrix of the degree sequence for its minimum away
-    from the trivial corners (row-major on ties), induces that partition,
-    and returns its edit set; the edit count equals the digraph splittance.
+    Takes the row-major first cell of the splittance matrix of the degree
+    sequence that holds its minimum away from the trivial corners, found
+    from the slacks and one matrix row without building the matrix, induces
+    that partition, and returns its edit set; the edit count equals the
+    digraph splittance.
     """
     if g.n == 0:
         return EditSet(), QuadPartition(0)

@@ -16,9 +16,11 @@ from typing import Iterator
 
 from .digraphs import Digraph
 from .errors import BudgetExceededError, OutOfRangeError
-from .sequences import IntegerPairSequence, proper_order, validate
+from .sequences import IntegerPairSequence, proper_order, reorder, validate
 from .splittance import (
+    MaximalSequences,
     QuadPartition,
+    SlackPair,
     SplittanceMatrix,
     _measure_out,
     induced_partition,
@@ -118,6 +120,69 @@ def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
         )
         rows.append(row)
     return SplittanceMatrix(tuple(rows))
+
+
+def fulkerson_slack_quadratic(seq: IntegerPairSequence) -> SlackPair:
+    """Both slack families summed literally, O(N^2); a check of the O(N) pass."""
+    ordering = proper_order(seq)
+    n = seq.n
+    families = []
+    for perm, demand_at, cap_at in ((ordering.pos_perm, 0, 1), (ordering.neg_perm, 1, 0)):
+        pairs = reorder(seq, perm)
+        family = []
+        for k in range(n + 1):
+            head = sum(min(pairs[i][cap_at], k - 1) for i in range(k))
+            tail = sum(min(pairs[i][cap_at], k) for i in range(k, n))
+            demand = sum(pairs[i][demand_at] for i in range(k))
+            family.append(head + tail - demand)
+        families.append(tuple(family))
+    return SlackPair(*families)
+
+
+def maximal_sequences_quadratic(seq: IntegerPairSequence) -> MaximalSequences:
+    """Turning points found by scanning each prefix pair, O(N^2)."""
+    ordering = proper_order(seq)
+    n = seq.n
+
+    def turning_point(k, prefix, perm, at):
+        top = prefix(k)
+        for j in range(n, 0, -1):
+            origin = perm[j - 1]
+            degree = seq.pairs[origin][at]
+            if degree > k - 1 or (degree == k - 1 and origin in top):
+                return j
+        return 0
+
+    return MaximalSequences(
+        m_bar=tuple(
+            turning_point(l, ordering.neg_prefix, ordering.pos_perm, 0)
+            for l in range(n + 1)
+        ),
+        m_under=tuple(
+            turning_point(k, ordering.pos_prefix, ordering.neg_perm, 1)
+            for k in range(n + 1)
+        ),
+    )
+
+
+def _nontrivial_cells(matrix: SplittanceMatrix) -> Iterator[tuple[int, int, int]]:
+    n = matrix.n
+    for k, row in enumerate(matrix.entries):
+        for l, value in enumerate(row):
+            if (k, l) not in ((0, n), (n, 0)):
+                yield k, l, value
+
+
+def best_cell_by_scan(matrix: SplittanceMatrix) -> tuple[int, int]:
+    """Row-major first cell away from the trivial corners holding the
+    minimum, by scanning every cell; needs N >= 1."""
+    best = min(_nontrivial_cells(matrix), key=lambda cell: cell[2])
+    return best[0], best[1]
+
+
+def zero_cells_by_scan(matrix: SplittanceMatrix) -> list[tuple[int, int]]:
+    """Every zero cell away from the trivial corners, in row-major order."""
+    return [(k, l) for k, l, value in _nontrivial_cells(matrix) if value == 0]
 
 
 def brute_realize(

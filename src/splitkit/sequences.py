@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import NegativeDegreeError, OutOfRangeError
 
@@ -139,3 +140,36 @@ def proper_order(seq: IntegerPairSequence) -> ProperOrdering:
 def reorder(seq: IntegerPairSequence, perm: tuple[int, ...]) -> tuple[Pair, ...]:
     """Pairs of ``seq`` rearranged so position ``r`` holds entry ``perm[r]``."""
     return tuple(seq.pairs[i] for i in perm)
+
+
+def at_least_counts(values: Sequence[int]) -> list[int]:
+    """``#{i : values[i] >= v}`` for v = 0..N; every value must lie in [0, N]."""
+    counts = [0] * (len(values) + 1)
+    for value in values:
+        counts[value] += 1
+    return list(accumulate(reversed(counts)))[::-1]
+
+
+def capped_slack(demand: Sequence[int], capacity: Sequence[int]) -> tuple[int, ...]:
+    """Surplus of the capped-sum inequality at every split point k = 0..N.
+
+    Entry k is ``sum_{i<k} min(c_i, k-1) + sum_{i>=k} min(c_i, k) -
+    sum_{i<k} a_i`` for demands ``a`` and capacities ``c`` listed in the
+    order the inequality ranks them; every capacity must lie in [0, N].
+    Computed in O(N) as ``sum_i min(c_i, k)`` (whose step from k - 1 to k
+    is the number of capacities at least k) minus the head correction
+    ``#{i < k : c_i >= k}`` (entry i counts for k in [i + 1, c_i], one
+    difference-array interval) minus the prefix demand.
+    """
+    n = len(capacity)
+    head = [0] * (n + 2)
+    for i, c in enumerate(capacity):
+        if c > i:
+            head[i + 1] += 1
+            head[c + 1] -= 1
+    capped = accumulate(at_least_counts(capacity)[1:], initial=0)
+    demanded = accumulate(demand, initial=0)
+    return tuple(
+        total - correction - need
+        for total, correction, need in zip(capped, accumulate(head), demanded)
+    )

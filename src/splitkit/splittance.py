@@ -8,7 +8,9 @@ edits a digraph with the given degree sequence needs before the partition
 satisfies all block constraints.  Tabulating the measure over every
 partition induced by the two degree orderings yields the splittance matrix,
 whose minimum away from two trivial corner cells is the digraph splittance.
-The public functions are views over one ``Analysis`` of their sequence.
+The public functions are views over one ``Analysis`` of their sequence,
+which reads everything but the matrix itself off the two slack families
+and the orderings, in O(N) after the sort.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .errors import NotDigraphicError, OutOfRangeError, UnbalancedSequenceError
 from .sequences import (
     IntegerPairSequence,
     ProperOrdering,
+    at_least_counts,
+    capped_slack,
     proper_order,
     reorder,
     validate,
@@ -159,50 +163,31 @@ class SplittanceMatrix:
         k, l = cell
         return self.entries[k][l]
 
-    def cells(self):
-        """Iterate (k, l, value) in row-major order."""
-        for k, row in enumerate(self.entries):
-            for l, value in enumerate(row):
-                yield k, l, value
 
-    def nontrivial_cells(self):
-        """Row-major (k, l, value) skipping the two trivial corners (0, N), (N, 0)."""
-        n = self.n
-        for k, l, value in self.cells():
-            if (k, l) == (0, n) or (k, l) == (n, 0):
-                continue
-            yield k, l, value
+def _splittance_row(
+    seq: IntegerPairSequence, ordering: ProperOrdering, k: int
+) -> list[int]:
+    # Row k in O(N): column 0 holds the in-degree mass less the out-degree
+    # of the top-k out-major prefix; then the in-major entries join the
+    # receiving side one at a time.
+    pairs = seq.pairs
+    pos_rank = ordering.pos_rank
+    value = seq.sum_in - sum(pairs[i][0] for i in ordering.pos_perm[:k])
+    row = [value]
+    for j in ordering.neg_perm:
+        # k new sender slots, less j's own loop slot when j sends, less the
+        # in-degree of j, which the receiving side now covers.
+        value += k - (pos_rank[j] < k) - pairs[j][1]
+        row.append(value)
+    return row
 
 
 def _splittance_matrix(
     seq: IntegerPairSequence, ordering: ProperOrdering
 ) -> SplittanceMatrix:
-    n = seq.n
-    pos_pairs = reorder(seq, ordering.pos_perm)
-    neg_pairs = reorder(seq, ordering.neg_perm)
-
-    pos_out_prefix = [0] * (n + 1)
-    for i, (out_deg, _) in enumerate(pos_pairs):
-        pos_out_prefix[i + 1] = pos_out_prefix[i] + out_deg
-    neg_in_prefix = [0] * (n + 1)
-    for j, (_, in_deg) in enumerate(neg_pairs):
-        neg_in_prefix[j + 1] = neg_in_prefix[j] + in_deg
-    total_in = neg_in_prefix[n]
-
-    neg_rank = ordering.neg_rank
-    overlap = [0] * (n + 1)  # overlap[l] = |top-k pos prefix  ∩  top-l neg prefix|
-    rows = []
-    for k in range(n + 1):
-        if k > 0:
-            threshold = neg_rank[ordering.pos_perm[k - 1]] + 1
-            for l in range(threshold, n + 1):
-                overlap[l] += 1
-        row = tuple(
-            k * l - overlap[l] + (total_in - neg_in_prefix[l]) - pos_out_prefix[k]
-            for l in range(n + 1)
-        )
-        rows.append(row)
-    return SplittanceMatrix(tuple(rows))
+    return SplittanceMatrix(
+        tuple(tuple(_splittance_row(seq, ordering, k)) for k in range(seq.n + 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -218,35 +203,28 @@ class MaximalSequences:
     m_under: tuple[int, ...]
 
 
+def _turning_points(degrees: tuple[int, ...], rank: tuple[int, ...]) -> tuple[int, ...]:
+    # ``degrees`` (per vertex) lead one ordering; ``rank`` is each vertex's
+    # place in the other.  For turning point k, the first ordering lists
+    # the degrees >= k, then the block of degree k - 1, whose qualifying
+    # members are those the other ordering ranks below k.  They form a
+    # prefix of the block, since both orderings break ties between equal
+    # first keys alike.  So the turning point is #{degree >= k} plus
+    # inside[k] = #{degree == k - 1 and rank < k}.
+    inside = [0] * (len(degrees) + 1)
+    for degree, r in zip(degrees, rank):
+        if r <= degree:
+            inside[degree + 1] += 1
+    return tuple(a + b for a, b in zip(at_least_counts(degrees), inside))
+
+
 def _maximal_sequences(
     seq: IntegerPairSequence, ordering: ProperOrdering
 ) -> MaximalSequences:
-    n = seq.n
-    m_under = []
-    for k in range(n + 1):
-        top_out = ordering.pos_prefix(k)
-        best = 0
-        for j in range(n, 0, -1):
-            origin = ordering.neg_perm[j - 1]
-            in_deg = seq.pairs[origin][1]
-            if in_deg > k - 1 or (in_deg == k - 1 and origin in top_out):
-                best = j
-                break
-        m_under.append(best)
-
-    m_bar = []
-    for l in range(n + 1):
-        top_in = ordering.neg_prefix(l)
-        best = 0
-        for i in range(n, 0, -1):
-            origin = ordering.pos_perm[i - 1]
-            out_deg = seq.pairs[origin][0]
-            if out_deg > l - 1 or (out_deg == l - 1 and origin in top_in):
-                best = i
-                break
-        m_bar.append(best)
-
-    return MaximalSequences(tuple(m_bar), tuple(m_under))
+    return MaximalSequences(
+        m_bar=_turning_points(seq.out_degrees, ordering.neg_rank),
+        m_under=_turning_points(seq.in_degrees, ordering.pos_rank),
+    )
 
 
 @dataclass(frozen=True)
@@ -263,25 +241,12 @@ class SlackPair:
 
 
 def _fulkerson_slack(seq: IntegerPairSequence, ordering: ProperOrdering) -> SlackPair:
-    n = seq.n
     pos_pairs = reorder(seq, ordering.pos_perm)
     neg_pairs = reorder(seq, ordering.neg_perm)
-
-    s_bar = []
-    for k in range(n + 1):
-        head = sum(min(pos_pairs[i][1], k - 1) for i in range(k))
-        tail = sum(min(pos_pairs[i][1], k) for i in range(k, n))
-        demand = sum(pos_pairs[i][0] for i in range(k))
-        s_bar.append(head + tail - demand)
-
-    s_under = []
-    for k in range(n + 1):
-        head = sum(min(neg_pairs[i][0], k - 1) for i in range(k))
-        tail = sum(min(neg_pairs[i][0], k) for i in range(k, n))
-        demand = sum(neg_pairs[i][1] for i in range(k))
-        s_under.append(head + tail - demand)
-
-    return SlackPair(tuple(s_bar), tuple(s_under))
+    return SlackPair(
+        s_bar=capped_slack([p[0] for p in pos_pairs], [p[1] for p in pos_pairs]),
+        s_under=capped_slack([p[1] for p in neg_pairs], [p[0] for p in neg_pairs]),
+    )
 
 
 class Analysis:
@@ -290,7 +255,8 @@ class Analysis:
     Every part is computed on first use and cached on the object; the public
     functions below build a new analysis per call, so nothing is kept
     between calls.  Computing the ordering validates the sequence, which
-    every other part needs first.
+    every other part needs first.  Everything except ``matrix`` costs O(N)
+    after the sort, or, for ``partitions``, O(N) per row holding a zero cell.
     """
 
     def __init__(self, seq: IntegerPairSequence):
@@ -327,45 +293,65 @@ class Analysis:
             raise NotDigraphicError(f"sequence {self.seq.pairs} is not digraphic")
 
     @cached_property
-    def split(self) -> bool:
+    def splittance(self) -> int:
+        """The smallest interior slack.
+
+        The slacks are the row and column minima of the matrix.  Every cell
+        away from the trivial corners lies in an interior row or column,
+        except (0, 0) and (N, N), which are never below (0, N - 1) and
+        (N, 1) on a balanced sequence.
+        """
         self._require_digraphic()
         n = self.seq.n
-        return n < 2 or min(self.slack.s_bar[1:n] + self.slack.s_under[1:n]) == 0
+        return min(self.slack.s_bar[1:n] + self.slack.s_under[1:n]) if n >= 2 else 0
+
+    @cached_property
+    def split(self) -> bool:
+        return self.splittance == 0
+
+    @cached_property
+    def row_minima(self) -> tuple[int, ...]:
+        """Minimum of each matrix row over the cells away from the trivial
+        corners (0, N) and (N, 0); needs N >= 1.
+
+        Rows 1..N-1 have ``s_bar`` as minima.  Row 0 falls to the smallest
+        in-degree at column N - 1; row N never falls, so its minimum is at
+        column 1: N - 1 less the largest in-degree, shifted by the imbalance.
+        """
+        seq, n = self.seq, self.seq.n
+        in_degrees = seq.in_degrees
+        last = n - 1 - max(in_degrees) + seq.sum_in - seq.sum_out
+        return (min(in_degrees), *self.slack.s_bar[1:n], last)
 
     @cached_property
     def best_cell(self) -> tuple[int, int]:
         """Row-major first cell away from the trivial corners (0, N) and
         (N, 0) that holds the matrix minimum; needs N >= 1."""
-        n = self.seq.n
-        best = None
-        for k, row in enumerate(self.matrix.entries):
-            lo, hi = (1 if k == n else 0), (n if k == 0 else n + 1)
-            value = min(row[lo:hi])
-            if best is None or value < best[2]:
-                best = (k, row.index(value, lo, hi), value)
-        return best[0], best[1]
-
-    @cached_property
-    def splittance(self) -> int:
-        self._require_digraphic()
-        if self.seq.n == 0:
-            return 0
-        return self.matrix[self.best_cell]
+        minima = self.row_minima
+        k = minima.index(min(minima))
+        row = _splittance_row(self.seq, self.ordering, k)
+        return k, row.index(minima[k], 1 if k == self.seq.n else 0)
 
     @cached_property
     def partitions(self) -> list[QuadPartition]:
+        """Induced partitions of the zero cells away from the trivial corners,
+        in row-major order; only rows whose minimum is zero hold any."""
         self._require_digraphic()
-        if self.seq.n == 0:
+        n = self.seq.n
+        if n == 0:
             return [QuadPartition(0)]
+        corners = ((0, n), (n, 0))
         return [
             induced_partition(self.seq, self.ordering, k, l)
-            for k, l, value in self.matrix.nontrivial_cells()
-            if value == 0
+            for k, minimum in enumerate(self.row_minima)
+            if minimum == 0
+            for l, value in enumerate(_splittance_row(self.seq, self.ordering, k))
+            if value == 0 and (k, l) not in corners
         ]
 
 
 def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:
-    """Compute the full matrix in O(N^2) via prefix sums.
+    """Compute the full matrix in O(N^2), row by row; nothing else needs it.
 
     Entry (k, l) equals ``k*l - |overlap| + (in-degree mass outside the top-l
     in-major prefix) - (out-degree mass of the top-k out-major prefix)``,
@@ -403,7 +389,8 @@ def digraph_splittance(seq: IntegerPairSequence) -> int:
     """Minimum arc edits taking any realization to a split digraph.
 
     Equals the matrix minimum over all cells except the trivial corners
-    (0, N) and (N, 0).  The empty sequence is assigned splittance 0.
+    (0, N) and (N, 0), and is computed as the smallest interior slack.  The
+    empty sequence is assigned splittance 0.
 
     Raises:
         NotDigraphicError: the sequence is not digraphic.

@@ -17,6 +17,7 @@ from .errors import (
     NotGraphicError,
     OutOfRangeError,
 )
+from .sequences import capped_slack
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,11 @@ def eg_slack(d: Degrees) -> list[int]:
     sum_{i<=k} d_i`` over the non-increasing arrangement.  Non-negativity of
     every entry (with an even degree total) characterizes graphic sequences,
     and the k-th entry vanishing at the corrected Durfee number
-    characterizes split sequences.
+    characterizes split sequences.  O(N) after the sort, as for the digraph
+    slacks.
     """
-    seq = validate_degrees(d)
-    ordered = seq.sorted_desc()
-    n = seq.n
-    slack = []
-    for k in range(n + 1):
-        head = sum(min(ordered[i], k - 1) for i in range(k))
-        tail = sum(min(ordered[i], k) for i in range(k, n))
-        slack.append(head + tail - sum(ordered[:k]))
-    return slack
+    ordered = validate_degrees(d).sorted_desc()
+    return list(capped_slack(ordered, ordered))
 
 
 def is_graphic(d: Degrees) -> bool:

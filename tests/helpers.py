@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from splitkit import Digraph, IntegerPairSequence, QuadPartition
+from splitkit import Digraph, IntegerPairSequence, QuadPartition, SplittanceMatrix
 
 
 # The order spec that proper_order's sort keys implement.
@@ -34,6 +34,21 @@ def compare_neg(a: tuple[int, int], b: tuple[int, int]) -> int:
     if a[0] != b[0]:
         return -1 if a[0] > b[0] else 1
     return 0
+
+
+def cells(matrix: SplittanceMatrix):
+    """Iterate (k, l, value) in row-major order."""
+    for k, row in enumerate(matrix.entries):
+        for l, value in enumerate(row):
+            yield k, l, value
+
+
+def nontrivial_cells(matrix: SplittanceMatrix):
+    """Row-major (k, l, value) skipping the two trivial corners (0, N), (N, 0)."""
+    n = matrix.n
+    for k, l, value in cells(matrix):
+        if (k, l) != (0, n) and (k, l) != (n, 0):
+            yield k, l, value
 
 
 def random_valid_pairs(rng: random.Random, n: int) -> IntegerPairSequence:
@@ -93,6 +108,36 @@ def random_quad_partition(rng: random.Random, n: int) -> QuadPartition:
     for v in range(n):
         blocks[rng.randrange(4)].append(v)
     return QuadPartition(n, *blocks)
+
+
+def planted_split_digraph(
+    rng: random.Random, n: int
+) -> tuple[Digraph, QuadPartition]:
+    """A random quad partition and a digraph it splits: every forced arc,
+    no forbidden one, each free arc with probability 1/2."""
+    part = random_quad_partition(rng, n)
+    senders, receivers = part.pm | part.plus, part.pm | part.minus
+    silenced, protected = part.minus | part.zero, part.plus | part.zero
+    g = Digraph(n, [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v
+        and not (u in silenced and v in protected)
+        and (u in senders and v in receivers or rng.random() < 0.5)
+    ])
+    return g, part
+
+
+def gnp_degree_sequence(rng: random.Random, n: int, p: float) -> IntegerPairSequence:
+    """Degree sequence of a G(n, p) digraph, without building the digraph."""
+    outs, ins = [0] * n, [0] * n
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < p:
+                outs[u] += 1
+                ins[v] += 1
+    return IntegerPairSequence(zip(outs, ins))
 
 
 def induced_inequality_checks(
@@ -171,6 +216,19 @@ def undirected_edit_distance(n: int, edges: set[frozenset[int]]) -> int:
             if toggled in masks:
                 return radius
     raise AssertionError("unreachable: complete graphs are split")
+
+
+def eg_slack_quadratic(degrees) -> list[int]:
+    """The graphicality slacks summed literally, O(N^2); the reference for
+    ``eg_slack``."""
+    ordered = sorted(degrees, reverse=True)
+    n = len(ordered)
+    slack = []
+    for k in range(n + 1):
+        head = sum(min(ordered[i], k - 1) for i in range(k))
+        tail = sum(min(ordered[i], k) for i in range(k, n))
+        slack.append(head + tail - sum(ordered[:k]))
+    return slack
 
 
 def realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:

@@ -38,7 +38,9 @@ from splitkit.splittance import _measure_in, _measure_out
 
 from conftest import DIREXT_MATRIX, DIREXT_PAIRS, EX1_MATRIX, EX1_PAIRS
 from helpers import (
+    cells,
     induced_inequality_checks,
+    nontrivial_cells,
     random_balanced_pairs,
     random_quad_partition,
     random_valid_pairs,
@@ -53,7 +55,7 @@ def test_criterion_1_matrix_reproduction_example_1():
     def compute():
         ordering = proper_order(seq)
         sigma = splittance_matrix(seq)
-        zeros = [(k, l) for k, l, v in sigma.nontrivial_cells() if v == 0]
+        zeros = [(k, l) for k, l, v in nontrivial_cells(sigma) if v == 0]
         part = induced_partition(seq, ordering, 2, 3)
         return ordering, sigma, zeros, part
 
@@ -157,8 +159,8 @@ def test_criterion_5_exhaustive_digraphicality_agreement():
             if found is not None:
                 assert degree_sequence(found).pairs == seq.pairs
                 # The slack recognition agrees with the matrix one.
-                cells = splittance_matrix(seq).nontrivial_cells()
-                assert is_split_sequence(seq) == any(v == 0 for *_, v in cells), combo
+                nontrivial = nontrivial_cells(splittance_matrix(seq))
+                assert is_split_sequence(seq) == any(v == 0 for *_, v in nontrivial), combo
                 digraphic += 1
             total += 1
     elapsed = time.perf_counter() - start
@@ -189,7 +191,7 @@ def test_criterion_6_slack_matrix_property_suite():
         corners = {(0, 0), (0, n), (n, 0), (n, n)}
         interior = slack.s_bar[1:n] + slack.s_under[1:n]
         if min(interior) != min(
-            v for k, l, v in sigma.cells() if (k, l) not in corners
+            v for k, l, v in cells(sigma) if (k, l) not in corners
         ):
             violations += 1
 

@@ -245,6 +245,23 @@ class TestRepair:
         assert run(["repair", fixture("ex1.seq")]) == 3
         assert "digraph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    def test_huge_vertex_count_exits_2(self, command, tmp_path, capsys, monkeypatch):
+        # The degree extraction is what would allocate per vertex; make it
+        # fail the way it would, without allocating anything.
+        def out_of_memory(g):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "degree_sequence", out_of_memory)
+        monkeypatch.setattr(splitkit.digraphs, "degree_sequence", out_of_memory)
+        path = tmp_path / "huge.digraph"
+        path.write_text("digraph 3000000000\n")
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input too large")
+        assert captured.err.count("\n") == 1
+
 
 class TestOracleFlag:
     def test_agreement_keeps_exit_code(self, capsys):
@@ -279,6 +296,18 @@ class TestOracleFlag:
         assert captured.err.startswith("error: SPLITKIT_ORACLE_MAX_N ")
         assert captured.err.count("\n") == 1
 
+    def test_huge_budget_env_var_is_capped(self, capsys, monkeypatch):
+        # Values beyond the sweep cap change no decision an N <= 32 input
+        # could see, and the budget stays a small integer.
+        outputs = []
+        for value in ("8", "1000000000"):
+            monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", value)
+            code = run(["check", fixture("ex1.seq"), "--oracle"])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        assert cli._oracle_budget().max_partitions.bit_length() <= 65
+
     def test_budget_env_var_ignored_without_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "abc")
         assert run(["check", fixture("ex1.seq")]) == 0
@@ -295,25 +324,15 @@ class TestOracleFlag:
 class TestOnePassPerInput:
     # Each routine is wrapped with a counter in every splitkit module that
     # binds it, the way the benchmark's tracer patches module attributes.
+    # Only the matrix command builds the matrix; the rest read the slacks.
     ROUTINES = (
         ("sequences", "proper_order"),
         ("splittance", "_fulkerson_slack"),
         ("splittance", "_splittance_matrix"),
     )
 
-    @pytest.mark.parametrize(
-        "argv, passes",
-        [
-            (["check", fixture("ex1.seq")], (1, 1, 1)),
-            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 1)),
-            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1)),
-            (["partitions", fixture("ex1.seq")], (1, 1, 1)),
-            (["repair", fixture("ex1_realization.digraph")], (1, 0, 1)),
-        ],
-    )
-    def test_ordering_slack_and_matrix_at_most_once(
-        self, argv, passes, capsys, monkeypatch
-    ):
+    def passes(self, argv, monkeypatch, capsys) -> tuple[int, tuple[int, ...]]:
+        """Exit code of ``run(argv)`` and how often each routine ran."""
         counts = Counter()
         modules = [
             module
@@ -331,9 +350,32 @@ class TestOnePassPerInput:
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
-        assert run(argv) == 0
+        code = run(argv)
         capsys.readouterr()
-        assert tuple(counts[attr] for _, attr in self.ROUTINES) == passes
+        return code, tuple(counts[attr] for _, attr in self.ROUTINES)
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["check", fixture("ex1.seq")], (1, 1, 0)),
+            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 0)),
+            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1)),
+            (["partitions", fixture("ex1.seq")], (1, 1, 0)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0)),
+        ],
+    )
+    def test_ordering_slack_and_matrix_at_most_once(
+        self, argv, passes, capsys, monkeypatch
+    ):
+        assert self.passes(argv, monkeypatch, capsys) == (0, passes)
+
+    def test_non_split_partitions_read_the_slacks_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "cycle.seq"
+        path.write_text("seq\n" + "1 1\n" * 4)
+        argv = ["partitions", str(path)]
+        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 0))
 
 
 class TestConsoleScript:

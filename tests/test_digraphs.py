@@ -16,7 +16,7 @@ from splitkit import (
     verify_split_partition,
 )
 
-from helpers import random_digraph, random_quad_partition
+from helpers import nontrivial_cells, random_digraph, random_quad_partition
 
 
 class TestDigraph:
@@ -183,9 +183,9 @@ class TestRepair:
             edits, part = repair(g)
             seq = degree_sequence(g)
             assert edits.size == digraph_splittance(seq)
-            cells = splittance_matrix(seq).nontrivial_cells()
+            nontrivial = nontrivial_cells(splittance_matrix(seq))
             assert (part.k, part.l) == next(
-                (k, l) for k, l, v in cells if v == edits.size
+                (k, l) for k, l, v in nontrivial if v == edits.size
             )
 
     def test_count_is_invariant_under_relabeling(self):

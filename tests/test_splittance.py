@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitkit import (
-    Digraph,
     IntegerPairSequence,
     NotDigraphicError,
     QuadPartition,
@@ -31,7 +30,10 @@ from splitkit.splittance import _measure_in, _measure_out
 
 from conftest import DIREXT_MATRIX, EX1_MATRIX
 from helpers import (
+    cells,
     induced_inequality_checks,
+    nontrivial_cells,
+    planted_split_digraph,
     random_balanced_pairs,
     random_digraph,
     random_quad_partition,
@@ -110,7 +112,7 @@ class TestPartitionMeasure:
         seq = IntegerPairSequence([(2, 0), (2, 2), (0, 2)])
         assert not is_digraphic(seq)
         sigma = splittance_matrix(seq)
-        cheapest = min(v for _, _, v in sigma.cells())
+        cheapest = min(v for _, _, v in cells(sigma))
         assert cheapest < 0
 
     def test_size_mismatch_rejected(self, ex1):
@@ -205,7 +207,7 @@ class TestSplittanceMatrix:
     def test_cells_equal_measures_of_induced_partitions(self, ex1):
         ordering = proper_order(ex1)
         sigma = splittance_matrix(ex1)
-        for k, l, value in sigma.cells():
+        for k, l, value in cells(sigma):
             part = induced_partition(ex1, ordering, k, l)
             assert partition_measure(ex1, part) == value
 
@@ -337,7 +339,7 @@ class TestSlackMatrixIdentities:
             corners = {(0, 0), (0, n), (n, 0), (n, n)}
             interior = slack.s_bar[1:n] + slack.s_under[1:n]
             assert min(interior) == min(
-                v for k, l, v in sigma.cells() if (k, l) not in corners
+                v for k, l, v in cells(sigma) if (k, l) not in corners
             )
 
     @given(valid_sequences())
@@ -437,24 +439,13 @@ class TestIsSplitSequence:
             for p in (0.05, 0.3, 0.7)
             for _ in range(7)
         ]
-        n = 250
-        part = random_quad_partition(rng, n)
-        senders, receivers = part.pm | part.plus, part.pm | part.minus
-        silenced, protected = part.minus | part.zero, part.plus | part.zero
-        planted = Digraph(n, [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v
-            and not (u in silenced and v in protected)
-            and (u in senders and v in receivers or rng.random() < 0.5)
-        ])
+        planted, part = planted_split_digraph(rng, 250)
         assert verify_split_partition(planted, part)
         graphs.append(planted)
         for g in graphs:
             seq = degree_sequence(g)
-            cells = splittance_matrix(seq).nontrivial_cells()
-            assert is_split_sequence(seq) == any(v == 0 for *_, v in cells)
+            nontrivial = nontrivial_cells(splittance_matrix(seq))
+            assert is_split_sequence(seq) == any(v == 0 for *_, v in nontrivial)
         assert is_split_sequence(degree_sequence(planted))
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -14,7 +14,12 @@ from splitkit import (
     splittance_sequence,
     undirected_splittance,
 )
-from helpers import is_split_graph, realize_undirected, undirected_edit_distance
+from helpers import (
+    eg_slack_quadratic,
+    is_split_graph,
+    realize_undirected,
+    undirected_edit_distance,
+)
 
 BASELINE = (4, 3, 3, 3, 3)
 
@@ -94,6 +99,32 @@ class TestSlack:
                     assert 2 * undirected_splittance(degs) == eg_slack(degs)[m], degs
                     checked += 1
         assert checked == 493
+
+    def test_linear_pass_matches_literal_sums_exhaustively(self):
+        # Every non-increasing in-range sequence with n <= 7, the 493
+        # graphic ones among them.
+        graphic = 0
+        for n in range(8):
+            for degs in combinations_with_replacement(range(n - 1, -1, -1), n):
+                assert eg_slack(degs) == eg_slack_quadratic(degs), degs
+                graphic += is_graphic(degs)
+        assert graphic == 1 + 493
+
+    def test_linear_pass_matches_literal_sums_at_large_n(self):
+        # Random sequences and degree sequences of random graphs, N in the
+        # hundreds; shuffled, since eg_slack sorts internally.
+        rng = random.Random(2011)
+        for n in (200, 333, 500):
+            degs = [rng.randrange(n) for _ in range(n)]
+            assert eg_slack(degs) == eg_slack_quadratic(degs)
+            for p in (0.05, 0.3, 0.7):
+                degs = [0] * n
+                for u, v in combinations(range(n), 2):
+                    if rng.random() < p:
+                        degs[u] += 1
+                        degs[v] += 1
+                assert is_graphic(degs)
+                assert eg_slack(degs) == eg_slack_quadratic(degs)
 
 
 class TestIsGraphic:
