@@ -8,7 +8,14 @@ Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
 in memory (such as a ``digraph N`` header with a huge N), 3 invalid or
 non-digraphic input where the command needs it, 4 the oracle cross-check
-disagreed with the fast path.
+disagreed with the fast path, 5 an internal error (a fault in splitkit,
+reported as one ``error: internal error: ...`` line naming the exception
+and the file and line that raised it).
+
+``SPLITKIT_ORACLE_MAX_N`` sets the vertex budgets of ``--oracle``; the edit
+search of ``repair --oracle`` stays capped at ``MAX_EDIT_SEARCH_VERTICES``
+(5) and the partition sweep at ``MAX_SWEEP_VERTICES`` (32), and a check over
+its budget is skipped with an ``oracle: ... skipped`` note.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from operator import eq, itemgetter, methodcaller
+from typing import NoReturn
 
 from .digraphs import Digraph, degree_sequence, repair
 from .errors import NotDigraphicError, SequenceValidationError, SplitkitError
@@ -35,11 +44,15 @@ EXIT_NOT_SPLIT = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ORACLE_DISAGREEMENT = 4
+EXIT_INTERNAL_ERROR = 5
 
 # A sweep over 4^N partitions could never finish beyond this many vertices,
 # so larger SPLITKIT_ORACLE_MAX_N values give the same budget; the cap keeps
 # 4^bound a small integer.
 MAX_SWEEP_VERTICES = 32
+# The edit search tabulates all 2^(n(n-1)) digraphs on n vertices, one byte
+# each: 1 MiB at this cap, 4 TiB at 7 vertices.
+MAX_EDIT_SEARCH_VERTICES = 5
 
 
 class InputParseError(SplitkitError):
@@ -67,11 +80,10 @@ def parse_document(text: str) -> InputDocument:
     followed by one ``u v`` arc per line with 1-based labels.  Blank lines
     and ``#`` comments are ignored.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    rows = text.splitlines()
+    if "#" in text:
+        rows = map(itemgetter(0), map(methodcaller("partition", "#"), rows))
+    lines = list(filter(None, map(str.strip, rows)))
     if not lines:
         raise InputParseError("empty input: expected a 'seq' or 'digraph N' header")
 
@@ -103,25 +115,60 @@ def parse_document(text: str) -> InputDocument:
             raise InputParseError(f"non-integer vertex count {header[1]!r}") from None
         if n < 0:
             raise InputParseError(f"negative vertex count {n}")
-        arcs = set()
-        for line in body:
-            fields = line.split()
-            if len(fields) != 2:
-                raise InputParseError(f"expected 'u v' arc, got {line!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise InputParseError(f"non-integer label in line {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
-            if u == v:
-                raise InputParseError(f"loop at vertex {u} not allowed")
-            if (u - 1, v - 1) in arcs:
-                raise InputParseError(f"duplicate arc ({u}, {v})")
-            arcs.add((u - 1, v - 1))
-        return InputDocument(digraph=Digraph(n, arcs))
+        g = _bulk_arcs(body, n)
+        if g is None:
+            _raise_first_arc_error(body, n)
+        return InputDocument(digraph=g)
 
     raise InputParseError(f"unknown header {lines[0]!r}: expected 'seq' or 'digraph N'")
+
+
+def _bulk_arcs(body: list[str], n: int) -> Digraph | None:
+    """The digraph on the arc lines ``body``, or None when a line is at fault.
+
+    Every check is one pass over all lines at once: two fields per line,
+    integer labels (each distinct token converted once), labels in [1, n],
+    no loop, and no repeated arc (distinct arcs set distinct bits, so a
+    repeat shows as a bit count short of the line count).
+    """
+    if not set(map(len, map(str.split, body))) <= {2}:
+        return None
+    tokens = " ".join(body).split()
+    try:
+        vertex = {token: int(token) - 1 for token in set(tokens)}
+    except ValueError:
+        return None
+    if vertex and not (0 <= min(vertex.values()) and max(vertex.values()) < n):
+        return None
+    vertices = list(map(vertex.__getitem__, tokens))
+    sources, targets = vertices[0::2], vertices[1::2]
+    if any(map(eq, sources, targets)):
+        return None
+    g = Digraph.from_lists(n, sources, targets)
+    if sum(map(int.bit_count, g.succ.values())) != len(sources):
+        return None
+    return g
+
+
+def _raise_first_arc_error(body: list[str], n: int) -> NoReturn:
+    """Word the first faulty arc line, checking one line at a time."""
+    arcs = set()
+    for line in body:
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputParseError(f"expected 'u v' arc, got {line!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputParseError(f"non-integer label in line {line!r}") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
+        if u == v:
+            raise InputParseError(f"loop at vertex {u} not allowed")
+        if (u - 1, v - 1) in arcs:
+            raise InputParseError(f"duplicate arc ({u}, {v})")
+        arcs.add((u - 1, v - 1))
+    raise AssertionError("the bulk arc checks failed on lines the loop accepts")
 
 
 def _labels(vertices) -> str:
@@ -153,7 +200,7 @@ def _oracle_budget() -> EnumerationBudget:
             f"SPLITKIT_ORACLE_MAX_N must be a non-negative integer, got {override!r}"
         )
     return EnumerationBudget(
-        max_vertices=bound,
+        max_vertices=min(bound, MAX_EDIT_SEARCH_VERTICES),
         max_realize_vertices=bound,
         max_partitions=4 ** min(bound, MAX_SWEEP_VERTICES),
     )
@@ -341,6 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        return _run(args)
+    except MemoryError:
+        print("error: input too large to analyze: out of memory", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except Exception as exc:  # a fault of splitkit, never an answer
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"error: internal error: {exc!r} at {where}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
         budget = _oracle_budget() if args.oracle else None
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -373,9 +435,6 @@ def run(argv: list[str] | None = None) -> int:
     except (SequenceValidationError, NotDigraphicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except MemoryError:
-        print("error: input too large to analyze: out of memory", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     for note in ending.notes:
         print(note, file=sys.stderr)
     return ending.code

@@ -8,7 +8,11 @@ into ``plus | zero``.  Everything else is unconstrained.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Iterable
 
 from .sequences import IntegerPairSequence
@@ -16,27 +20,83 @@ from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
 
+# Maps the digits of format(mask, "b") to bytes that are false for "0".
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits of a non-negative ``mask``, ascending."""
+    flags = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
+    return compress(range(len(flags)), flags)
+
+
+def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
+    """The arc u -> v for every set bit v of each ``(u, mask)`` row."""
+    return [(u, v) for u, mask in rows if mask for v in _bits(mask)]
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(map((1).__lshift__, vertices))
+
 
 @dataclass(frozen=True)
 class Digraph:
-    """A simple loopless digraph on vertices 0..n-1; arc (u, v) points u -> v."""
+    """A simple loopless digraph on vertices 0..n-1; arc (u, v) points u -> v.
+
+    The store is one out-neighbour bitset per vertex that has out-arcs (bit
+    v of ``succ[u]`` is set when u -> v) and the in-degree of every vertex
+    that has in-arcs (``indegree``); nothing is kept for other vertices.
+    ``arcs``, the frozenset of (u, v) tuples, is built on first use.
+    """
 
     n: int
-    arcs: frozenset[Arc]
+    succ: dict[int, int]
+    indegree: Counter[int]
 
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
         n = int(n)
-        arc_set = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arc_set:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
+        pairs = list(dict.fromkeys((int(u), int(v)) for u, v in arcs))
+        sources = list(map(itemgetter(0), pairs))
+        targets = list(map(itemgetter(1), pairs))
+        if any(map(eq, sources, targets)):
+            u = next(u for u, v in pairs if u == v)
+            raise ValueError(f"loop at vertex {u} not allowed")
+        if pairs and not (
+            0 <= min(min(sources), min(targets))
+            and max(max(sources), max(targets)) < n
+        ):
+            u, v = next((u, v) for u, v in pairs if not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
+        self._fill(n, sources, targets)
+
+    @classmethod
+    def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
+        """The digraph with arcs ``sources[i] -> targets[i]``, unchecked: the
+        caller guarantees labels in [0, n), no loop and no repeated arc."""
+        g = cls.__new__(cls)
+        g._fill(n, sources, targets)
+        return g
+
+    def _fill(self, n: int, sources: list[int], targets: list[int]) -> None:
+        # The one build routine: one pass over the arcs, in-degrees by one
+        # count of the targets.
+        succ: dict[int, int] = {}
+        get = succ.get
+        for u, v in zip(sources, targets):
+            succ[u] = get(u, 0) | 1 << v
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arc_set)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "indegree", Counter(targets))
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.succ.items())))
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(_arcs(self.succ.items()))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return v >= 0 and self.succ.get(u, 0) >> v & 1 == 1
 
     def apply(self, edits: "EditSet") -> "Digraph":
         """New digraph with the additions inserted and the removals deleted."""
@@ -70,31 +130,18 @@ class EditSet:
 def degree_sequence(g: Digraph) -> IntegerPairSequence:
     """Per-vertex (out-degree, in-degree) pairs."""
     outs = [0] * g.n
+    for u, mask in g.succ.items():
+        outs[u] = mask.bit_count()
     ins = [0] * g.n
-    for u, v in g.arcs:
-        outs[u] += 1
-        ins[v] += 1
+    for v, count in g.indegree.items():
+        ins[v] = count
     return IntegerPairSequence(zip(outs, ins))
 
 
 def verify_split_partition(g: Digraph, part: QuadPartition) -> bool:
     """True when ``part`` is non-trivial and both arc families hold in ``g``."""
-    if part.n != g.n:
-        raise ValueError(f"partition covers {part.n} vertices, digraph has {g.n}")
-    if not part.non_trivial:
-        return False
-    senders = part.pm | part.plus
-    receivers = part.pm | part.minus
-    for u in senders:
-        for v in receivers:
-            if u != v and (u, v) not in g.arcs:
-                return False
-    silenced = part.minus | part.zero
-    protected = part.plus | part.zero
-    for u, v in g.arcs:
-        if u in silenced and v in protected:
-            return False
-    return True
+    edits = edit_set(g, part)
+    return part.non_trivial and edits.size == 0
 
 
 def edit_set(g: Digraph, part: QuadPartition) -> EditSet:
@@ -102,22 +149,19 @@ def edit_set(g: Digraph, part: QuadPartition) -> EditSet:
 
     Adds every missing sender-to-receiver arc and removes every present arc
     from ``minus | zero`` into ``plus | zero``; the total count equals the
-    partition measure of the graph's degree sequence.
+    partition measure of the graph's degree sequence.  Each sender and each
+    silenced vertex costs one bitset operation, plus the edits written.
     """
     if part.n != g.n:
         raise ValueError(f"partition covers {part.n} vertices, digraph has {g.n}")
-    senders = part.pm | part.plus
-    receivers = part.pm | part.minus
-    add = frozenset(
-        (u, v)
-        for u in senders
-        for v in receivers
-        if u != v and (u, v) not in g.arcs
+    succ = g.succ
+    receivers = _mask(part.pm | part.minus)
+    add = _arcs(
+        (u, receivers & ~succ.get(u, 0) & ~(1 << u)) for u in part.pm | part.plus
     )
-    silenced = part.minus | part.zero
-    protected = part.plus | part.zero
-    remove = frozenset(
-        (u, v) for u, v in g.arcs if u in silenced and v in protected
+    protected = _mask(part.plus | part.zero)
+    remove = _arcs(
+        (u, succ[u] & protected) for u in part.minus | part.zero if u in succ
     )
     return EditSet(add, remove)
 

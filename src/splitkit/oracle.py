@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .digraphs import Digraph
+from .digraphs import Digraph, EditSet
 from .errors import BudgetExceededError, OutOfRangeError
 from .sequences import IntegerPairSequence, proper_order, reorder, validate
 from .splittance import (
@@ -183,6 +183,25 @@ def best_cell_by_scan(matrix: SplittanceMatrix) -> tuple[int, int]:
 def zero_cells_by_scan(matrix: SplittanceMatrix) -> list[tuple[int, int]]:
     """Every zero cell away from the trivial corners, in row-major order."""
     return [(k, l) for k, l, value in _nontrivial_cells(matrix) if value == 0]
+
+
+def edit_set_by_scan(g: Digraph, part: QuadPartition) -> EditSet:
+    """The edit set by testing every sender-receiver pair and every arc
+    against the arc set, O(k * l + |A|); a check of the bitset path."""
+    senders = part.pm | part.plus
+    receivers = part.pm | part.minus
+    add = frozenset(
+        (u, v)
+        for u in senders
+        for v in receivers
+        if u != v and (u, v) not in g.arcs
+    )
+    silenced = part.minus | part.zero
+    protected = part.plus | part.zero
+    remove = frozenset(
+        (u, v) for u, v in g.arcs if u in silenced and v in protected
+    )
+    return EditSet(add, remove)
 
 
 def brute_realize(

@@ -256,3 +256,36 @@ def realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:
                 return None
             slot[0] -= 1
             edges.add(frozenset((u, slot[1])))
+
+
+def parse_digraph_by_lines(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """The line-at-a-time digraph parser the bulk parser replaced: the
+    vertex count and the 0-based arc set, or the same ``InputParseError``
+    for the first faulty line."""
+    from splitkit.cli import InputParseError
+
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append(stripped)
+    header = lines[0].split()
+    assert header[0] == "digraph" and len(header) == 2
+    n = int(header[1])
+    arcs = set()
+    for line in lines[1:]:
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputParseError(f"expected 'u v' arc, got {line!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputParseError(f"non-integer label in line {line!r}") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
+        if u == v:
+            raise InputParseError(f"loop at vertex {u} not allowed")
+        if (u - 1, v - 1) in arcs:
+            raise InputParseError(f"duplicate arc ({u}, {v})")
+        arcs.add((u - 1, v - 1))
+    return n, arcs

@@ -1,5 +1,6 @@
 import importlib.metadata
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import splitkit
 import splitkit.cli as cli
 from splitkit import splittance_matrix
 from splitkit.cli import InputParseError, parse_document, run
+
+from helpers import parse_digraph_by_lines
 
 try:
     import tomllib
@@ -75,6 +78,132 @@ class TestParseDocument:
     def test_malformed_documents(self, text):
         with pytest.raises(InputParseError):
             parse_document(text)
+
+
+class TestBulkParser:
+    """The bulk arc checks of ``parse_document`` against the line-at-a-time
+    parser they replaced: same arcs, same first error, exit code 2."""
+
+    N = 12
+    # One faulty arc line per class, for a 12-vertex digraph.
+    FAULTS = {
+        "one field": "3",
+        "three fields": "1 2 3",
+        "non-integer": "1 x",
+        "decimal point": "1.0 2",
+        "double underscore": "1__0 2",
+        "zero label": "0 2",
+        "label n + 1": "2 13",
+        "negative label": "-1 2",
+        "huge label": "5 " + "9" * 30,
+        "loop": "4 4",
+        "signed loop": "+4 04",
+        "form feed": "1\f2",
+    }
+    # Labels that int() accepts, so the line parser accepted them too.
+    ODD_LABELS = ["+1", "1_0", "\u0661", "\uff12", "007", "+0_5"]
+
+    def noisy(self, rng: random.Random, arcs: list[str]) -> str:
+        """A digraph file over ``arcs`` with comments, blank lines, CRLF,
+        tabs and other separators mixed in."""
+        lines = [f"# a file {rng.random()}", f"digraph {self.N}"]
+        for arc in arcs:
+            u, _, v = arc.partition(" ")
+            if v:
+                arc = u + rng.choice([" ", "\t", "  ", " \t ", "\xa0"]) + v
+            lines.append(
+                rng.choice(["", " ", "\t"]) + arc + rng.choice(["", " ", "  # c", "\t#"])
+            )
+            if rng.random() < 0.2:
+                lines.append(rng.choice(["", "   ", "# only a comment", "\t"]))
+        ending = rng.choice(["\n", "\r\n"])
+        return ending.join(lines) + rng.choice(["", ending])
+
+    def valid_arcs(self, rng: random.Random, count: int) -> list[str]:
+        pairs = rng.sample(
+            [(u, v) for u in range(1, self.N + 1) for v in range(1, self.N + 1) if u != v],
+            count,
+        )
+        return [f"{u} {v}" for u, v in pairs]
+
+    def assert_same_outcome(self, text: str, tmp_path, capsys) -> None:
+        try:
+            n, arcs = parse_digraph_by_lines(text)
+        except InputParseError as exc:
+            expected = str(exc)
+            with pytest.raises(InputParseError) as raised:
+                parse_document(text)
+            assert str(raised.value) == expected
+            path = tmp_path / "faulty.digraph"
+            path.write_bytes(text.encode())
+            assert run(["repair", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+            return
+        g = parse_document(text).digraph
+        assert (g.n, g.arcs) == (n, frozenset(arcs))
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_each_fault_anywhere(self, fault, tmp_path, capsys):
+        rng = random.Random(fault)
+        for position in ("first", "middle", "last"):
+            arcs = self.valid_arcs(rng, 9)
+            at = {"first": 0, "middle": 4, "last": 9}[position]
+            arcs.insert(at, self.FAULTS[fault])
+            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+
+    @pytest.mark.parametrize("position", [0, 3, 8])
+    def test_duplicate_anywhere(self, position, tmp_path, capsys):
+        rng = random.Random(position)
+        arcs = self.valid_arcs(rng, 9)
+        u, v = arcs[position].split()
+        arcs.insert(position + 1 + rng.randrange(9 - position), f"+{u} 0{v}")
+        text = self.noisy(rng, arcs)
+        with pytest.raises(InputParseError, match=rf"^duplicate arc \({u}, {v}\)$"):
+            parse_document(text)
+        self.assert_same_outcome(text, tmp_path, capsys)
+
+    def test_messages_are_worded_as_before(self):
+        cases = {
+            "1 2 3": "expected 'u v' arc, got '1 2 3'",
+            "1 x": "non-integer label in line '1 x'",
+            "0 2": "arc (0, 2) outside labels [1, 12]",
+            "2 13": "arc (2, 13) outside labels [1, 12]",
+            "+4 04": "loop at vertex 4 not allowed",
+        }
+        for line, message in cases.items():
+            with pytest.raises(InputParseError) as raised:
+                parse_document(f"digraph 12\n1 2\n{line}\n3 4\n")
+            assert str(raised.value) == message
+
+    def test_first_of_several_faults_wins(self, tmp_path, capsys):
+        rng = random.Random(31337)
+        faults = sorted(self.FAULTS.values())
+        for _ in range(150):
+            arcs = self.valid_arcs(rng, rng.randint(0, 12))
+            for fault in rng.sample(faults, rng.randint(2, 4)):
+                arcs.insert(rng.randint(0, len(arcs)), fault)
+            if arcs and rng.random() < 0.5:
+                arcs.insert(rng.randint(0, len(arcs)), rng.choice(arcs))
+            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+
+    def test_random_valid_files_give_the_same_arcs(self, tmp_path, capsys):
+        rng = random.Random(8128)
+        for _ in range(200):
+            arcs = self.valid_arcs(rng, rng.randint(0, 40))
+            for i in range(len(arcs)):
+                if rng.random() < 0.2:
+                    u, v = arcs[i].split()
+                    arcs[i] = f"{rng.choice(['+', '0', '']) + u} {v}"
+            if arcs and rng.random() < 0.3:
+                arcs[0] = f"{rng.choice(self.ODD_LABELS)} 12"
+            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+
+    def test_odd_labels_parse_as_int_reads_them(self):
+        g = parse_document(
+            "digraph 12\n+1 2\n1_0 3\n\u0661 4\n\uff12 5\n007 8\n+0_5 6\n"
+        ).digraph
+        assert g.arcs == frozenset({(0, 1), (9, 2), (0, 3), (1, 4), (6, 7), (4, 5)})
 
 
 class TestCheck:
@@ -263,6 +392,44 @@ class TestRepair:
         assert captured.err.count("\n") == 1
 
 
+class TestEndings:
+    def test_out_of_memory_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The arc store is what the parser allocates; fail it the way it
+        # would fail, without allocating anything.
+        def out_of_memory(cls, n, sources, targets):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.Digraph, "from_lists", classmethod(out_of_memory))
+        path = tmp_path / "cycle.digraph"
+        path.write_text("digraph 4\n1 2\n2 3\n3 4\n4 1\n")
+        assert run(["repair", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input too large to analyze: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "argv, attribute",
+        [
+            (["check", fixture("ex1.seq")], "Analysis"),
+            (["repair", fixture("ex1_realization.digraph")], "repair"),
+            (["repair", fixture("ex1_realization.digraph")], "_bulk_arcs"),
+            (["partitions", fixture("ex1.seq"), "--oracle"], "brute_realize"),
+        ],
+    )
+    def test_unexpected_exception_exits_5(self, argv, attribute, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken\non two lines")
+
+        monkeypatch.setattr(cli, attribute, broken)
+        assert run(argv) == cli.EXIT_INTERNAL_ERROR == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error: RuntimeError(")
+        assert "broken" in captured.err
+        assert captured.err.endswith(f" at test_cli.py:{broken.__code__.co_firstlineno + 1}\n")
+        assert captured.err.count("\n") == 1
+
+
 class TestOracleFlag:
     def test_agreement_keeps_exit_code(self, capsys):
         assert run(["check", fixture("ex1.seq"), "--oracle"]) == 0
@@ -307,6 +474,31 @@ class TestOracleFlag:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
         assert cli._oracle_budget().max_partitions.bit_length() <= 65
+
+    def test_edit_search_capped_at_five_vertices(self, tmp_path, capsys, monkeypatch):
+        # 2^(7 * 6) table bytes would be needed at 7 vertices; the search
+        # must not start.
+        def no_search(g, budget):
+            raise AssertionError("edit search ran beyond its cap")
+
+        path = tmp_path / "cycle7.digraph"
+        path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
+        assert run(["repair", str(path)]) == 1
+        fast = capsys.readouterr()
+        monkeypatch.setattr(cli, "brute_splittance", no_search)
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "7")
+        assert cli._oracle_budget().max_vertices == cli.MAX_EDIT_SEARCH_VERTICES == 5
+        assert run(["repair", str(path), "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == fast.out
+        assert captured.err == "oracle: edit search skipped (n=7 over budget)\n"
+
+    def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cycle5.digraph"
+        path.write_text("digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "7")
+        assert run(["repair", str(path), "--oracle"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_budget_env_var_ignored_without_oracle(self, capsys, monkeypatch):
         monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "abc")
@@ -362,12 +554,39 @@ class TestOnePassPerInput:
             (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1)),
             (["partitions", fixture("ex1.seq")], (1, 1, 0)),
             (["repair", fixture("ex1_realization.digraph")], (1, 1, 0)),
+            (["check", fixture("ex1_realization.digraph")], (1, 1, 0)),
         ],
     )
     def test_ordering_slack_and_matrix_at_most_once(
         self, argv, passes, capsys, monkeypatch
     ):
         assert self.passes(argv, monkeypatch, capsys) == (0, passes)
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0)),
+            (["repair", fixture("ex1_realization.digraph"), "--format", "csv"], (1, 1, 0)),
+            (["check", fixture("ex1_realization.digraph")], (1, 1, 0)),
+            (["partitions", fixture("ex1_realization.digraph")], (1, 1, 0)),
+            (["matrix", fixture("ex1_realization.digraph")], (1, 1, 1)),
+        ],
+    )
+    def test_digraph_input_never_builds_the_arc_tuples(
+        self, argv, passes, capsys, monkeypatch
+    ):
+        # The commands read the bitset store; only ``arcs`` builds tuples.
+        docs = []
+
+        def recording(text, _parse=cli.parse_document):
+            docs.append(_parse(text))
+            return docs[-1]
+
+        monkeypatch.setattr(cli, "parse_document", recording)
+        assert self.passes(argv, monkeypatch, capsys) == (0, passes)
+        (doc,) = docs
+        assert doc.digraph.n == 5 and doc.digraph.succ
+        assert "arcs" not in vars(doc.digraph)
 
     def test_non_split_partitions_read_the_slacks_only(
         self, tmp_path, capsys, monkeypatch

@@ -1,10 +1,11 @@
-"""Differential tests: each O(N) analysis path against the quadratic code
-it replaced, kept in ``splitkit.oracle``.
+"""Differential tests: each fast path against the code it replaced, kept
+in ``splitkit.oracle``.
 
 The paths are the two slack families, the splittance, the witness cell
 that ``repair`` uses, the zero cells behind ``split_partitions`` (with
-their row-major order) and the turning points.  Exhaustive for n <= 4,
-then seeded digraphs with N in the hundreds.
+their row-major order) and the turning points, and on the digraph store
+the edit set, the partition check and the degrees.  Exhaustive for small
+n, then seeded digraphs with N in the hundreds.
 """
 
 import random
@@ -12,16 +13,31 @@ from itertools import product
 
 import pytest
 
-from splitkit import Digraph, IntegerPairSequence, degree_sequence
+from splitkit import (
+    Digraph,
+    IntegerPairSequence,
+    QuadPartition,
+    degree_sequence,
+    edit_set,
+    enumerate_digraphs,
+    repair,
+    verify_split_partition,
+)
 from splitkit.oracle import (
     best_cell_by_scan,
+    edit_set_by_scan,
     fulkerson_slack_quadratic,
     maximal_sequences_quadratic,
     zero_cells_by_scan,
 )
 from splitkit.splittance import Analysis
 
-from helpers import gnp_degree_sequence, planted_split_digraph
+from helpers import (
+    gnp_degree_sequence,
+    planted_split_digraph,
+    random_digraph,
+    random_quad_partition,
+)
 
 
 def in_range_sequences(max_n: int):
@@ -120,3 +136,124 @@ class TestSeededLarge:
         assert_matches_quadratic(seq)
         if family in ("planted", "empty", "complete"):
             assert Analysis(seq).split
+
+
+def every_partition(n: int):
+    """Every quad partition of n vertices, trivial ones included."""
+    for roles in product(range(4), repeat=n):
+        blocks = [[v for v in range(n) if roles[v] == role] for role in range(4)]
+        yield QuadPartition(n, *blocks)
+
+
+def literal_degrees(g: Digraph) -> tuple[tuple[int, int], ...]:
+    outs, ins = [0] * g.n, [0] * g.n
+    for u, v in g.arcs:
+        outs[u] += 1
+        ins[v] += 1
+    return tuple(zip(outs, ins))
+
+
+def assert_store_matches_scan(g: Digraph, part: QuadPartition) -> None:
+    """Bitset edit set, partition check and degrees against the scans."""
+    scan = edit_set_by_scan(g, part)
+    assert edit_set(g, part) == scan
+    assert verify_split_partition(g, part) == (part.non_trivial and scan.size == 0)
+    assert degree_sequence(g).pairs == literal_degrees(g)
+
+
+class TestDigraphStore:
+    def test_every_small_digraph_and_partition(self):
+        # n <= 3: 1 + 1 + 4 + 64 digraphs, each against all 4^n partitions.
+        checked = 0
+        for n in range(4):
+            partitions = list(every_partition(n))
+            for g in enumerate_digraphs(n):
+                for part in partitions:
+                    assert_store_matches_scan(g, part)
+                    checked += 1
+        assert checked == 1 + 4 + 4 * 16 + 64 * 64
+
+    def test_sampled_four_vertex_digraphs(self):
+        rng = random.Random(4444)
+        digraphs = list(enumerate_digraphs(4))
+        partitions = list(every_partition(4))
+        for g in rng.sample(digraphs, 200):
+            for part in rng.sample(partitions, 20):
+                assert_store_matches_scan(g, part)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            ("gnp0.05", 500),
+            ("gnp0.3", 300),
+            ("gnp0.7", 200),
+            ("planted", 250),
+            ("planted-flipped", 200),
+            ("empty", 400),
+            ("complete", 350),
+        ],
+    )
+    def test_seeded_large_digraphs(self, family, n):
+        rng = random.Random(f"store:{family}:{n}")
+        planted = None
+        if family.startswith("gnp"):
+            g = random_digraph(rng, n, float(family[3:]))
+        elif family == "empty":
+            g = Digraph(n)
+        elif family == "complete":
+            g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        else:
+            g, planted = planted_split_digraph(rng, n)
+            if family == "planted-flipped":
+                g = _flipped(rng, g, max(2, n // 100))
+                planted = None
+        edits, part = repair(g)
+        assert_store_matches_scan(g, part)
+        assert verify_split_partition(g.apply(edits), part)
+        if planted is not None:
+            assert verify_split_partition(g, planted)
+            assert_store_matches_scan(g, planted)
+        for _ in range(3):
+            assert_store_matches_scan(g, random_quad_partition(rng, n))
+
+    def test_arcs_round_trip_and_has_arc(self):
+        rng = random.Random(2718)
+        for _ in range(100):
+            n = rng.randint(0, 9)
+            arcs = {(u, v) for u in range(n) for v in range(n)
+                    if u != v and rng.random() < 0.4}
+            g = Digraph(n, sorted(arcs, key=lambda arc: rng.random()))
+            assert g.arcs == frozenset(arcs)
+            assert Digraph(n, g.arcs) == g
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
+                    assert g.has_arc(u, v) == ((u, v) in arcs), (n, u, v)
+
+    def test_repeated_arcs_count_once(self):
+        g = Digraph(3, [(0, 1), (0, 1), (2, 1)])
+        assert g.arcs == frozenset({(0, 1), (2, 1)})
+        assert degree_sequence(g).pairs == ((1, 0), (0, 2), (1, 0))
+
+    def test_equality_and_hashing(self):
+        g = Digraph(4, [(0, 1), (2, 3), (3, 0)])
+        same = Digraph(4, [(3, 0), (0, 1), (2, 3), (0, 1)])
+        assert g == same and hash(g) == hash(same)
+        assert len({g, same}) == 1
+        assert g != Digraph(5, g.arcs)
+        assert g != Digraph(4, [(0, 1), (2, 3)])
+        assert g != Digraph(4, [(0, 1), (2, 3), (3, 1)])
+        assert Digraph(0) == Digraph(0, [])
+        assert len({Digraph(3), Digraph(3, [(0, 1)]), Digraph(3, [(1, 0)])}) == 3
+
+    @pytest.mark.parametrize(
+        "n, arcs, message",
+        [
+            (3, [(1, 1)], "loop at vertex 1 not allowed"),
+            (2, [(0, 1), (0, 2)], r"arc \(0, 2\) outside vertex range \[0, 2\)"),
+            (2, [(-1, 0)], r"arc \(-1, 0\) outside vertex range \[0, 2\)"),
+            (0, [(0, 1)], r"arc \(0, 1\) outside vertex range \[0, 0\)"),
+        ],
+    )
+    def test_constructor_rejects_with_the_arc_named(self, n, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            Digraph(n, arcs)
