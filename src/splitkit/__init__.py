@@ -1,4 +1,9 @@
-"""splitkit: split-digraph recognition, splittance, and repair from degree sequences."""
+"""splitkit: split-digraph recognition, splittance, and repair from degree sequences.
+
+The top level holds the answer functions, the types they take and return,
+the errors they raise, and the oracles a caller checks them against.
+Orderings, partition measures and enumeration live in their modules.
+"""
 
 from .digraphs import Digraph, EditSet, degree_sequence, edit_set, repair, verify_split_partition
 from .errors import (
@@ -13,33 +18,20 @@ from .errors import (
     UnbalancedSequenceError,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     EnumerationBudget,
     brute_min_partition_measure,
     brute_realize,
     brute_splittance,
-    enumerate_digraphs,
-    nontrivial_partitions,
 )
-from .sequences import (
-    IntegerPairSequence,
-    ProperOrdering,
-    proper_order,
-    reorder,
-    validate,
-)
+from .sequences import IntegerPairSequence
 from .splittance import (
-    MaximalSequences,
     QuadPartition,
-    SlackPair,
     SplittanceMatrix,
     digraph_splittance,
     fulkerson_slack,
-    induced_partition,
     is_digraphic,
     is_split_sequence,
     maximal_sequences,
-    partition_measure,
     split_partitions,
     splittance_matrix,
 )
@@ -57,22 +49,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "DEFAULT_BUDGET",
     "Digraph",
     "EditSet",
     "EmptySequenceError",
     "EnumerationBudget",
     "IntegerPairSequence",
     "IntegerSequence",
-    "MaximalSequences",
     "NegativeDegreeError",
     "NotDigraphicError",
     "NotGraphicError",
     "OutOfRangeError",
-    "ProperOrdering",
     "QuadPartition",
     "SequenceValidationError",
-    "SlackPair",
     "SplitkitError",
     "SplittanceMatrix",
     "UnbalancedSequenceError",
@@ -84,23 +72,16 @@ __all__ = [
     "digraph_splittance",
     "eg_slack",
     "edit_set",
-    "enumerate_digraphs",
     "fulkerson_slack",
-    "induced_partition",
     "is_digraphic",
     "is_graphic",
     "is_split_sequence",
     "is_split_undirected",
     "maximal_sequences",
-    "nontrivial_partitions",
-    "partition_measure",
-    "proper_order",
-    "reorder",
     "repair",
     "split_partitions",
     "splittance_matrix",
     "splittance_sequence",
     "undirected_splittance",
-    "validate",
     "verify_split_partition",
 ]

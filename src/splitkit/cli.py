@@ -10,7 +10,11 @@ in memory (such as a ``digraph N`` header with a huge N), 3 invalid or
 non-digraphic input where the command needs it, 4 the oracle cross-check
 disagreed with the fast path, 5 an internal error (a fault in splitkit,
 reported as one ``error: internal error: ...`` line naming the exception
-and the file and line that raised it).
+and the file and line that raised it).  A FILE that cannot be read or is
+not UTF-8 exits 2 with one ``error: cannot read FILE: ...`` line.  The
+``splitkit`` command restores the default ``SIGPIPE`` action where the
+platform has one, so a reader that closes its end of stdout early ends
+the command silently, with status 141 in a shell, as it ends ``cat``.
 
 ``SPLITKIT_ORACLE_MAX_N`` sets the vertex budgets of ``--oracle``; the edit
 search of ``repair --oracle`` stays capped at ``MAX_EDIT_SEARCH_VERTICES``
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from operator import eq, itemgetter, methodcaller
@@ -413,7 +418,7 @@ def _run(args: argparse.Namespace) -> int:
         else:
             with open(args.file, encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
@@ -441,6 +446,8 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

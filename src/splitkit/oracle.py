@@ -8,7 +8,6 @@ validated against these routines over every small instance.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -36,15 +35,11 @@ class EnumerationBudget:
     the edit-distance search; ``max_realize_vertices`` bounds the
     backtracking realization search, which only needs one witness and
     scales further; ``max_partitions`` bounds the 4^N partition sweep.
-    ``sample_size``/``sample_seed`` switch enumeration beyond
-    ``max_vertices`` to a seeded uniform sample instead of failing.
     """
 
     max_vertices: int = 4
     max_realize_vertices: int = 8
     max_partitions: int = 4**7
-    sample_seed: int = 0
-    sample_size: int | None = None
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -336,23 +331,13 @@ def enumerate_digraphs(
 ) -> Iterator[Digraph]:
     """Yield every labeled simple loopless digraph on n vertices exactly once.
 
-    Beyond ``budget.max_vertices`` a seeded uniform sample of
-    ``budget.sample_size`` digraphs (each arc present with probability 1/2)
-    is yielded instead, or the call fails when no sample size is configured.
-
     Raises:
-        BudgetExceededError: n over budget and no sample size set.
+        BudgetExceededError: n exceeds ``budget.max_vertices``.
     """
-    slots = _arc_slots(n)
-    if n <= budget.max_vertices:
-        for mask in range(1 << len(slots)):
-            yield _digraph_from_mask(n, mask, slots)
-        return
-    if budget.sample_size is None:
+    if n > budget.max_vertices:
         raise BudgetExceededError(
-            f"exhaustive enumeration capped at {budget.max_vertices} vertices; "
-            f"set a sample_size to sample larger n"
+            f"exhaustive enumeration capped at {budget.max_vertices} vertices"
         )
-    rng = random.Random(f"{budget.sample_seed}:{n}")
-    for _ in range(budget.sample_size):
-        yield _digraph_from_mask(n, rng.getrandbits(len(slots)), slots)
+    slots = _arc_slots(n)
+    for mask in range(1 << len(slots)):
+        yield _digraph_from_mask(n, mask, slots)

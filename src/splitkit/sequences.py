@@ -86,6 +86,13 @@ def validate(seq: IntegerPairSequence) -> None:
             )
 
 
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    rank = [0] * len(perm)
+    for r, i in enumerate(perm):
+        rank[i] = r
+    return tuple(rank)
+
+
 @dataclass(frozen=True)
 class ProperOrdering:
     """The index permutations realizing both non-increasing orders.
@@ -102,18 +109,12 @@ class ProperOrdering:
     @cached_property
     def pos_rank(self) -> tuple[int, ...]:
         """Inverse of ``pos_perm``: rank of each original index."""
-        rank = [0] * len(self.pos_perm)
-        for r, i in enumerate(self.pos_perm):
-            rank[i] = r
-        return tuple(rank)
+        return _inverse(self.pos_perm)
 
     @cached_property
     def neg_rank(self) -> tuple[int, ...]:
         """Inverse of ``neg_perm``: rank of each original index."""
-        rank = [0] * len(self.neg_perm)
-        for r, i in enumerate(self.neg_perm):
-            rank[i] = r
-        return tuple(rank)
+        return _inverse(self.neg_perm)
 
     def pos_prefix(self, k: int) -> frozenset[int]:
         """Original indices of the top ``k`` entries in out-major order."""

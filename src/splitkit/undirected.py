@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Iterable, Union
 
 from .errors import (
@@ -65,21 +66,35 @@ def validate_degrees(d: Degrees) -> IntegerSequence:
     return seq
 
 
+def _durfee(ordered: tuple[int, ...]) -> int:
+    # ordered[i] >= i holds on a prefix, so the count is its length.
+    return sum(map(ge, ordered, range(len(ordered))))
+
+
+def _graphic(d: Degrees) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The non-increasing order and its slacks, from one validation and one
+    sort; None when the sequence is not graphic, entries beyond N - 1
+    included.  Negative entries raise."""
+    try:
+        ordered = validate_degrees(d).sorted_desc()
+    except OutOfRangeError:
+        return None
+    if sum(ordered) % 2:
+        return None
+    slack = capped_slack(ordered, ordered)
+    return (ordered, slack) if min(slack) >= 0 else None
+
+
 def corrected_durfee(d: Degrees) -> int:
     """Largest k (1-based) such that the k-th largest degree is at least k - 1.
 
     Raises:
         EmptySequenceError: the sequence has no entries.
     """
-    seq = validate_degrees(d)
-    if seq.n == 0:
+    ordered = validate_degrees(d).sorted_desc()
+    if not ordered:
         raise EmptySequenceError("corrected Durfee number needs N >= 1")
-    ordered = seq.sorted_desc()
-    m = 1
-    for k in range(1, seq.n + 1):
-        if ordered[k - 1] >= k - 1:
-            m = k
-    return m
+    return _durfee(ordered)
 
 
 def splittance_sequence(d: Degrees) -> list[Fraction]:
@@ -121,27 +136,25 @@ def is_graphic(d: Degrees) -> bool:
     Entries beyond N - 1 are unrealizable and simply yield False; negative
     entries raise.
     """
-    try:
-        seq = validate_degrees(d)
-    except OutOfRangeError:
-        return False
-    if sum(seq.degrees) % 2 != 0:
-        return False
-    return all(s >= 0 for s in eg_slack(seq))
+    return _graphic(d) is not None
 
 
 def undirected_splittance(d: Degrees) -> int:
     """Minimum number of edge edits taking any realization to a split graph.
 
+    Half the graphicality slack at the corrected Durfee number (Hammer and
+    Simeone, 1981): the smallest entry of ``splittance_sequence``, without
+    building it.
+
     Raises:
         NotGraphicError: the sequence is not graphic.
     """
     seq = _as_sequence(d)
-    if not is_graphic(seq):
+    graphic = _graphic(seq)
+    if graphic is None:
         raise NotGraphicError(f"sequence {seq.degrees} is not graphic")
-    value = min(splittance_sequence(seq))
-    assert value.denominator == 1 and value >= 0
-    return int(value)
+    ordered, slack = graphic
+    return slack[_durfee(ordered)] // 2
 
 
 def is_split_undirected(d: Degrees) -> bool:

@@ -231,6 +231,41 @@ def eg_slack_quadratic(degrees) -> list[int]:
     return slack
 
 
+def corrected_durfee_by_loop(degrees) -> int:
+    """Largest k (1-based) with the k-th largest degree at least k - 1, by
+    testing every k; the reference for ``corrected_durfee``."""
+    ordered = sorted(degrees, reverse=True)
+    m = 1
+    for k in range(1, len(ordered) + 1):
+        if ordered[k - 1] >= k - 1:
+            m = k
+    return m
+
+
+def gnp_graph_degrees(rng: random.Random, n: int, p: float) -> list[int]:
+    """Degree sequence of a G(n, p) graph, without building the graph."""
+    degs = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < p:
+            degs[u] += 1
+            degs[v] += 1
+    return degs
+
+
+def planted_split_graph_degrees(rng: random.Random, n: int, p: float) -> list[int]:
+    """Shuffled degrees of a split graph: a clique on n // 3 vertices, an
+    independent set on the rest, and each cross edge with probability p."""
+    clique = n // 3
+    degs = [clique - 1] * clique + [0] * (n - clique)
+    for u in range(clique):
+        for v in range(clique, n):
+            if rng.random() < p:
+                degs[u] += 1
+                degs[v] += 1
+    rng.shuffle(degs)
+    return degs
+
+
 def realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:
     """Greedy constructive realization of an undirected degree sequence.
 

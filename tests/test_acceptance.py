@@ -19,14 +19,11 @@ from splitkit import (
     degree_sequence,
     digraph_splittance,
     eg_slack,
-    enumerate_digraphs,
     fulkerson_slack,
-    induced_partition,
     is_digraphic,
     is_split_sequence,
     is_split_undirected,
     maximal_sequences,
-    proper_order,
     repair,
     splittance_matrix,
     splittance_sequence,
@@ -34,7 +31,9 @@ from splitkit import (
     verify_split_partition,
 )
 from splitkit.cli import run
-from splitkit.splittance import _measure_in, _measure_out
+from splitkit.oracle import enumerate_digraphs
+from splitkit.sequences import proper_order
+from splitkit.splittance import _measure_in, _measure_out, induced_partition
 
 from conftest import DIREXT_MATRIX, DIREXT_PAIRS, EX1_MATRIX, EX1_PAIRS
 from helpers import (

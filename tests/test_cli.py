@@ -1,7 +1,9 @@
 import importlib.metadata
+import io
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +24,8 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 FIXTURES = Path(__file__).parent / "fixtures"
+NOT_UTF8 = b"seq\n1 1\n\xff\xfe 1\n"
+UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 # What a generated console-script wrapper does, with the target looked up
@@ -37,6 +41,15 @@ ENTRY_POINT_RUNNER = (
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child process that imports the splitkit this
+    suite imported, whatever the working directory and whatever else is
+    installed."""
+    package_root = str(Path(splitkit.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
 
 
 def read_fixture(name: str) -> str:
@@ -429,6 +442,50 @@ class TestEndings:
         assert captured.err.endswith(f" at test_cli.py:{broken.__code__.co_firstlineno + 1}\n")
         assert captured.err.count("\n") == 1
 
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.seq"
+        path.write_bytes(NOT_UTF8)
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {UNDECODABLE}\n"
+
+    @pytest.mark.parametrize(
+        "errors, message",
+        [
+            ("strict", f"cannot read -: {UNDECODABLE}"),
+            # How a C-locale interpreter reads stdin: the bytes reach the parser.
+            ("surrogateescape", "non-integer degree in line '\\udcff\\udcfe 1'"),
+        ],
+        ids=["strict", "surrogateescape"],
+    )
+    def test_stdin_not_utf8_exits_2(self, errors, message, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["check", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_closed_stdout_ends_silently(self, tmp_path):
+        # A matrix far larger than a pipe buffer, read 10 bytes in: the
+        # command dies of SIGPIPE, as cat does, and writes nothing to stderr.
+        rng = random.Random(141)
+        path = tmp_path / "big.seq"
+        pairs = (f"{rng.randrange(300)} {rng.randrange(300)}\n" for _ in range(300))
+        path.write_text("seq\n" + "".join(pairs))
+        with subprocess.Popen(
+            [sys.executable, "-c", ENTRY_POINT_RUNNER, "matrix", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        ) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            assert child.wait(timeout=60) == -signal.SIGPIPE
+            assert child.stderr.read() == b""
+
 
 class TestOracleFlag:
     def test_agreement_keeps_exit_code(self, capsys):
@@ -606,11 +663,7 @@ class TestConsoleScript:
             declared = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
             assert ep.value == declared["splitkit"]
 
-        # The child must import the splitkit this suite imported, whatever
-        # the working directory and whatever else is installed.
-        package_root = str(Path(splitkit.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        env = child_env()
         commands = [[sys.executable, "-c", ENTRY_POINT_RUNNER]]
         installed = shutil.which("splitkit")
         if installed:

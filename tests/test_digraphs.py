@@ -10,11 +10,11 @@ from splitkit import (
     degree_sequence,
     digraph_splittance,
     edit_set,
-    partition_measure,
     repair,
     splittance_matrix,
     verify_split_partition,
 )
+from splitkit.splittance import partition_measure
 
 from helpers import nontrivial_cells, random_digraph, random_quad_partition
 

@@ -19,13 +19,13 @@ from splitkit import (
     QuadPartition,
     degree_sequence,
     edit_set,
-    enumerate_digraphs,
     repair,
     verify_split_partition,
 )
 from splitkit.oracle import (
     best_cell_by_scan,
     edit_set_by_scan,
+    enumerate_digraphs,
     fulkerson_slack_quadratic,
     maximal_sequences_quadratic,
     zero_cells_by_scan,

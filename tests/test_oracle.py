@@ -13,10 +13,9 @@ from splitkit import (
     brute_splittance,
     degree_sequence,
     digraph_splittance,
-    enumerate_digraphs,
     is_digraphic,
-    nontrivial_partitions,
 )
+from splitkit.oracle import enumerate_digraphs, nontrivial_partitions
 
 from helpers import random_balanced_pairs
 
@@ -34,15 +33,6 @@ class TestEnumerateDigraphs:
     def test_over_budget_without_sampling(self):
         with pytest.raises(BudgetExceededError):
             list(enumerate_digraphs(5))
-
-    def test_seeded_sampling_is_deterministic(self):
-        budget = EnumerationBudget(sample_seed=99, sample_size=20)
-        first = [g.arcs for g in enumerate_digraphs(6, budget)]
-        second = [g.arcs for g in enumerate_digraphs(6, budget)]
-        assert first == second
-        assert len(first) == 20
-        other = EnumerationBudget(sample_seed=100, sample_size=20)
-        assert first != [g.arcs for g in enumerate_digraphs(6, other)]
 
 
 class TestBruteRealize:

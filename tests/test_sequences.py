@@ -9,10 +9,8 @@ from splitkit import (
     IntegerPairSequence,
     NegativeDegreeError,
     OutOfRangeError,
-    proper_order,
-    reorder,
-    validate,
 )
+from splitkit.sequences import proper_order, reorder, validate
 
 from helpers import compare_neg, compare_pos, random_valid_pairs
 

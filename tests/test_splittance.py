@@ -14,19 +14,22 @@ from splitkit import (
     degree_sequence,
     digraph_splittance,
     fulkerson_slack,
-    induced_partition,
     is_digraphic,
     is_split_sequence,
     maximal_sequences,
-    partition_measure,
-    proper_order,
     split_partitions,
     splittance_matrix,
     splittance_sequence,
     verify_split_partition,
 )
 from splitkit.oracle import splittance_matrix_bruteforce
-from splitkit.splittance import _measure_in, _measure_out
+from splitkit.sequences import proper_order
+from splitkit.splittance import (
+    _measure_in,
+    _measure_out,
+    induced_partition,
+    partition_measure,
+)
 
 from conftest import DIREXT_MATRIX, EX1_MATRIX
 from helpers import (

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+import splitkit.undirected as undirected
 from splitkit import (
     EmptySequenceError,
     NotGraphicError,
+    OutOfRangeError,
     corrected_durfee,
     eg_slack,
     is_graphic,
@@ -15,8 +18,11 @@ from splitkit import (
     undirected_splittance,
 )
 from helpers import (
+    corrected_durfee_by_loop,
     eg_slack_quadratic,
+    gnp_graph_degrees,
     is_split_graph,
+    planted_split_graph_degrees,
     realize_undirected,
     undirected_edit_distance,
 )
@@ -118,11 +124,7 @@ class TestSlack:
             degs = [rng.randrange(n) for _ in range(n)]
             assert eg_slack(degs) == eg_slack_quadratic(degs)
             for p in (0.05, 0.3, 0.7):
-                degs = [0] * n
-                for u, v in combinations(range(n), 2):
-                    if rng.random() < p:
-                        degs[u] += 1
-                        degs[v] += 1
+                degs = gnp_graph_degrees(rng, n, p)
                 assert is_graphic(degs)
                 assert eg_slack(degs) == eg_slack_quadratic(degs)
 
@@ -223,3 +225,97 @@ class TestIsSplitUndirected:
                     continue
                 edges = realize_undirected(degs)
                 assert is_split_undirected(degs) == is_split_graph(n, edges), degs
+
+
+def every_sequence(max_n: int):
+    """Every non-increasing in-range sequence with n <= max_n, empty first."""
+    for n in range(max_n + 1):
+        yield from combinations_with_replacement(range(n - 1, -1, -1), n)
+
+
+class TestSortedPass:
+    """The production definitions against the literal ones: splittance as
+    the minimum of ``splittance_sequence``, the Durfee number by a loop."""
+
+    def agree(self, degs) -> bool:
+        if degs:
+            assert corrected_durfee(degs) == corrected_durfee_by_loop(degs), degs
+        if not is_graphic(degs):
+            with pytest.raises(NotGraphicError):
+                undirected_splittance(degs)
+            return False
+        assert undirected_splittance(degs) == min(splittance_sequence(degs)), degs
+        assert is_split_undirected(degs) == (min(splittance_sequence(degs)) == 0)
+        return True
+
+    def test_every_small_sequence(self):
+        assert sum(map(self.agree, every_sequence(7))) == 1 + 493
+
+    def test_empty_sequence(self):
+        assert undirected_splittance([]) == 0 == min(splittance_sequence([]))
+        assert is_split_undirected([])
+        with pytest.raises(EmptySequenceError):
+            corrected_durfee([])
+
+    def test_out_of_range_is_not_graphic(self):
+        for degs in ([3, 3], [2, 0], [1, 1, 3]):
+            assert not is_graphic(degs)
+            with pytest.raises(NotGraphicError):
+                undirected_splittance(degs)
+            with pytest.raises(OutOfRangeError):
+                corrected_durfee(degs)
+
+    def test_random_graphs_at_large_n(self):
+        # G(n, p) and planted split graphs, shuffled, N in the hundreds;
+        # and uniform in-range sequences, which are rarely graphic.
+        rng = random.Random(1981)
+        for n in (150, 301, 450):
+            for p in (0.05, 0.3, 0.7):
+                degs = gnp_graph_degrees(rng, n, p)
+                rng.shuffle(degs)
+                assert self.agree(degs)
+                assert undirected_splittance(degs) > 0
+                planted = planted_split_graph_degrees(rng, n, p)
+                assert self.agree(planted)
+                assert undirected_splittance(planted) == 0
+                self.agree([rng.randrange(n) for _ in range(n)])
+
+
+class TestOnePassPerCall:
+    """Each public function validates once and sorts once, whatever it
+    answers; the counters wrap the module's ``validate_degrees`` and the
+    ``sorted`` it looks up."""
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            is_graphic,
+            eg_slack,
+            corrected_durfee,
+            undirected_splittance,
+            is_split_undirected,
+            splittance_sequence,
+        ],
+    )
+    @pytest.mark.parametrize("degs", [BASELINE, (1, 1, 0), (1, 1, 1), (2, 2, 0)])
+    def test_one_validation_and_one_sort(self, function, degs, monkeypatch):
+        counts = Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            undirected,
+            "validate_degrees",
+            counting("validate", undirected.validate_degrees),
+        )
+        monkeypatch.setattr(undirected, "sorted", counting("sort", sorted), raising=False)
+        try:
+            function(degs)
+        except NotGraphicError:
+            pass
+        assert (counts["validate"], counts["sort"]) == (1, 1)
