@@ -16,10 +16,11 @@ not UTF-8 exits 2 with one ``error: cannot read FILE: ...`` line.  The
 platform has one, so a reader that closes its end of stdout early ends
 the command silently, with status 141 in a shell, as it ends ``cat``.
 
-``SPLITKIT_ORACLE_MAX_N`` sets the vertex budgets of ``--oracle``; the edit
-search of ``repair --oracle`` stays capped at ``MAX_EDIT_SEARCH_VERTICES``
-(5) and the partition sweep at ``MAX_SWEEP_VERTICES`` (32), and a check over
-its budget is skipped with an ``oracle: ... skipped`` note.
+``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
+unset), the largest input any brute-force check takes; the edit search of
+``repair --oracle`` also stops at 5 vertices, whatever the cap, because it
+tabulates every digraph on n vertices.  The oracle decides: a check it
+refuses is skipped with an ``oracle: ... skipped`` note.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from operator import eq, itemgetter, methodcaller
 from typing import NoReturn
 
 from .digraphs import Digraph, degree_sequence, repair
-from .errors import NotDigraphicError, SequenceValidationError, SplitkitError
+from .errors import (
+    BudgetExceededError, NotDigraphicError, SequenceValidationError, SplitkitError
+)
 from .oracle import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -50,14 +53,6 @@ EXIT_PARSE_ERROR = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ORACLE_DISAGREEMENT = 4
 EXIT_INTERNAL_ERROR = 5
-
-# A sweep over 4^N partitions could never finish beyond this many vertices,
-# so larger SPLITKIT_ORACLE_MAX_N values give the same budget; the cap keeps
-# 4^bound a small integer.
-MAX_SWEEP_VERTICES = 32
-# The edit search tabulates all 2^(n(n-1)) digraphs on n vertices, one byte
-# each: 1 MiB at this cap, 4 TiB at 7 vertices.
-MAX_EDIT_SEARCH_VERTICES = 5
 
 
 class InputParseError(SplitkitError):
@@ -204,11 +199,7 @@ def _oracle_budget() -> EnumerationBudget:
         raise InputParseError(
             f"SPLITKIT_ORACLE_MAX_N must be a non-negative integer, got {override!r}"
         )
-    return EnumerationBudget(
-        max_vertices=min(bound, MAX_EDIT_SEARCH_VERTICES),
-        max_realize_vertices=bound,
-        max_partitions=4 ** min(bound, MAX_SWEEP_VERTICES),
-    )
+    return EnumerationBudget(bound)
 
 
 def _oracle_check_sequence(
@@ -217,25 +208,27 @@ def _oracle_check_sequence(
     """Cross-validate digraphicality and splittance: (skip notes, disagreements)."""
     seq = a.seq
     skipped, failures = [], []
-    if seq.n <= budget.max_realize_vertices:
+    try:
         realization = brute_realize(seq, budget)
+    except BudgetExceededError:
+        skipped.append(f"oracle: realization check skipped (N={seq.n} over budget)")
+    else:
         if (realization is not None) != a.digraphic:
             failures.append(
                 f"oracle disagreement: realization search says "
                 f"{realization is not None}, inequality test says {a.digraphic}"
             )
-    else:
-        skipped.append(f"oracle: realization check skipped (N={seq.n} over budget)")
     if a.digraphic:
-        if 4**seq.n <= budget.max_partitions:
+        try:
             brute = brute_min_partition_measure(seq, budget)
+        except BudgetExceededError:
+            skipped.append(f"oracle: partition sweep skipped (N={seq.n} over budget)")
+        else:
             if brute != a.splittance:
                 failures.append(
                     f"oracle disagreement: partition sweep gives {brute}, "
                     f"matrix minimum gives {a.splittance}"
                 )
-        else:
-            skipped.append(f"oracle: partition sweep skipped (N={seq.n} over budget)")
     return skipped, failures
 
 
@@ -243,9 +236,10 @@ def _oracle_check_repair(
     g: Digraph, size: int, budget: EnumerationBudget
 ) -> tuple[list[str], list[str]]:
     """Cross-validate the edit count: (skip notes, disagreements)."""
-    if g.n > budget.max_vertices:
+    try:
+        brute = brute_splittance(g, budget)
+    except BudgetExceededError:
         return [f"oracle: edit search skipped (n={g.n} over budget)"], []
-    brute = brute_splittance(g, budget)
     if brute != size:
         return [], [f"oracle disagreement: edit search gives {brute}, repair gives {size}"]
     return [], []

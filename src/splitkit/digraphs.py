@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 from typing import Iterable
 
 from .sequences import IntegerPairSequence
@@ -54,8 +54,8 @@ class Digraph:
     indegree: Counter[int]
 
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
-        n = int(n)
-        pairs = list(dict.fromkeys((int(u), int(v)) for u, v in arcs))
+        n = index(n)
+        pairs = list(dict.fromkeys((index(u), index(v)) for u, v in arcs))
         sources = list(map(itemgetter(0), pairs))
         targets = list(map(itemgetter(1), pairs))
         if any(map(eq, sources, targets)):
@@ -115,8 +115,8 @@ class EditSet:
     remove: frozenset[Arc]
 
     def __init__(self, add: Iterable[Arc] = (), remove: Iterable[Arc] = ()):
-        add_set = frozenset((int(u), int(v)) for u, v in add)
-        remove_set = frozenset((int(u), int(v)) for u, v in remove)
+        add_set = frozenset((index(u), index(v)) for u, v in add)
+        remove_set = frozenset((index(u), index(v)) for u, v in remove)
         if add_set & remove_set:
             raise ValueError("an arc cannot be both added and removed")
         object.__setattr__(self, "add", add_set)

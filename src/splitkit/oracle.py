@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .digraphs import Digraph, EditSet
+from .digraphs import Arc, Digraph, EditSet
 from .errors import BudgetExceededError, OutOfRangeError
 from .sequences import IntegerPairSequence, proper_order, reorder, validate
 from .splittance import (
@@ -29,54 +29,75 @@ from .splittance import (
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps for the exhaustive searches.
+    """The largest vertex count any exhaustive search takes.
 
-    ``max_vertices`` bounds full digraph enumeration (2^(n(n-1)) graphs) and
-    the edit-distance search; ``max_realize_vertices`` bounds the
-    backtracking realization search, which only needs one witness and
-    scales further; ``max_partitions`` bounds the 4^N partition sweep.
+    It caps the backtracking realization search, the 4^N partition sweep,
+    digraph enumeration and the edit-distance search alike.  The last two
+    range over all 2^(n(n-1)) digraphs on n vertices, so they also refuse
+    any n with more than 2^``MAX_ARC_SLOTS`` of them (n > 5), whatever the
+    budget.  Every search checks its budget before it allocates anything.
     """
 
-    max_vertices: int = 4
-    max_realize_vertices: int = 8
-    max_partitions: int = 4**7
+    max_vertices: int = 8
 
 
 DEFAULT_BUDGET = EnumerationBudget()
 
+# Digraphs on n vertices are the subsets of their n(n-1) arc slots; a search
+# over all of them stops at 2^20 (one byte each in the edit search's table).
+MAX_ARC_SLOTS = 20
 
-def _arc_slots(n: int) -> list[tuple[int, int]]:
+
+def _require(
+    n: int, budget: EnumerationBudget, search: str, all_digraphs: bool = False
+) -> None:
+    """Raise ``BudgetExceededError`` unless ``search`` may run on n vertices."""
+    if n > budget.max_vertices:
+        raise BudgetExceededError(f"{search} capped at {budget.max_vertices} vertices")
+    if all_digraphs and n * (n - 1) > MAX_ARC_SLOTS:
+        raise BudgetExceededError(
+            f"{search} over the 2^{n * (n - 1)} digraphs on {n} vertices "
+            f"exceeds 2^{MAX_ARC_SLOTS}"
+        )
+
+
+def _arc_slots(n: int) -> list[Arc]:
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
 
-def _digraph_from_mask(n: int, mask: int, slots: list[tuple[int, int]]) -> Digraph:
+def _pairs(sources: frozenset[int], targets: frozenset[int]) -> Iterator[Arc]:
+    """Every arc from ``sources`` into ``targets``, loops left out."""
+    return ((u, v) for u in sources for v in targets if u != v)
+
+
+def _digraph_from_mask(n: int, mask: int, slots: list[Arc]) -> Digraph:
     return Digraph(n, (slots[i] for i in range(len(slots)) if mask >> i & 1))
 
 
-def _mask_from_digraph(g: Digraph) -> int:
-    slots = _arc_slots(g.n)
-    index = {arc: i for i, arc in enumerate(slots)}
-    mask = 0
-    for arc in g.arcs:
-        mask |= 1 << index[arc]
-    return mask
+def _slot_index(n: int) -> dict[Arc, int]:
+    return {arc: i for i, arc in enumerate(_arc_slots(n))}
 
 
-@lru_cache(maxsize=8)
-def _all_quad_partitions(n: int) -> tuple[QuadPartition, ...]:
-    """Every assignment of n vertices to the four blocks, trivial ones included."""
-    parts = []
+def _slot_mask(index: dict[Arc, int], arcs: Iterable[Arc]) -> int:
+    """The mask of the distinct ``arcs``: bit ``index[arc]`` for each."""
+    return sum(1 << index[arc] for arc in arcs)
+
+
+def _quad_partitions(n: int) -> Iterator[QuadPartition]:
+    """Every non-trivial assignment of n vertices to the four blocks, one at
+    a time, so a sweep holds one partition in memory."""
     for roles in product(range(4), repeat=n):
         blocks: list[list[int]] = [[], [], [], []]
         for vertex, role in enumerate(roles):
             blocks[role].append(vertex)
-        parts.append(QuadPartition(n, *blocks))
-    return tuple(parts)
+        part = QuadPartition(n, *blocks)
+        if part.non_trivial:
+            yield part
 
 
 def nontrivial_partitions(n: int) -> tuple[QuadPartition, ...]:
     """Every non-trivial quad partition of n vertices."""
-    return tuple(p for p in _all_quad_partitions(n) if p.non_trivial)
+    return tuple(_quad_partitions(n))
 
 
 def brute_min_partition_measure(
@@ -88,19 +109,14 @@ def brute_min_partition_measure(
     assigned 0, matching the convention of the fast path.
 
     Raises:
-        BudgetExceededError: 4^N exceeds ``budget.max_partitions``.
+        BudgetExceededError: N exceeds ``budget.max_vertices``.
     """
+    _require(seq.n, budget, "partition sweep")
     validate(seq)
-    if 4**seq.n > budget.max_partitions:
-        raise BudgetExceededError(
-            f"4^{seq.n} partitions exceed the budget of {budget.max_partitions}"
-        )
-    best: int | None = None
-    for part in nontrivial_partitions(seq.n):
-        measure = partition_measure(seq, part)
-        if best is None or measure < best:
-            best = measure
-    return 0 if best is None else best
+    return min(
+        (partition_measure(seq, part) for part in _quad_partitions(seq.n)),
+        default=0,
+    )
 
 
 def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
@@ -209,13 +225,10 @@ def brute_realize(
     including for entries beyond N - 1.
 
     Raises:
-        BudgetExceededError: N exceeds ``budget.max_realize_vertices``.
+        BudgetExceededError: N exceeds ``budget.max_vertices``.
     """
     n = seq.n
-    if n > budget.max_realize_vertices:
-        raise BudgetExceededError(
-            f"realization search capped at {budget.max_realize_vertices} vertices"
-        )
+    _require(n, budget, "realization search")
     try:
         validate(seq)
     except OutOfRangeError:
@@ -264,26 +277,16 @@ def brute_realize(
 @lru_cache(maxsize=4)
 def _split_membership(n: int) -> bytearray:
     """Byte table over all arc masks: 1 when the digraph has a non-trivial
-    split partition, checked structurally against the two arc families."""
-    slots = _arc_slots(n)
-    index = {arc: i for i, arc in enumerate(slots)}
-    full = (1 << len(slots)) - 1
-    table = bytearray(1 << len(slots))
-    for part in nontrivial_partitions(n):
-        senders = part.pm | part.plus
-        receivers = part.pm | part.minus
-        forced = 0
-        for u in senders:
-            for v in receivers:
-                if u != v:
-                    forced |= 1 << index[(u, v)]
-        silenced = part.minus | part.zero
-        protected = part.plus | part.zero
-        forbidden = 0
-        for u in silenced:
-            for v in protected:
-                if u != v:
-                    forbidden |= 1 << index[(u, v)]
+    split partition, checked structurally against the two arc families.
+    Callers stay within ``MAX_ARC_SLOTS``, so a cached table is at most 1 MiB."""
+    index = _slot_index(n)
+    full = (1 << len(index)) - 1
+    table = bytearray(1 << len(index))
+    for part in _quad_partitions(n):
+        forced = _slot_mask(index, _pairs(part.pm | part.plus, part.pm | part.minus))
+        forbidden = _slot_mask(
+            index, _pairs(part.minus | part.zero, part.plus | part.zero)
+        )
         free = full & ~(forced | forbidden)
         sub = free
         while True:
@@ -301,27 +304,21 @@ def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> 
     toggles is tried against a memoized structural split test.
 
     Raises:
-        BudgetExceededError: n exceeds ``budget.max_vertices``.
+        BudgetExceededError: n exceeds ``budget.max_vertices`` or has more
+            than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).
     """
     n = g.n
-    if n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"edit-distance search capped at {budget.max_vertices} vertices"
-        )
+    _require(n, budget, "edit-distance search", all_digraphs=True)
     if n == 0:
         return 0
     table = _split_membership(n)
-    mask = _mask_from_digraph(g)
+    mask = _slot_mask(_slot_index(n), g.arcs)
     if table[mask]:
         return 0
-    slot_count = n * (n - 1)
-    slot_bits = [1 << i for i in range(slot_count)]
-    for depth in range(1, slot_count + 1):
+    slot_bits = [1 << i for i in range(n * (n - 1))]
+    for depth in range(1, len(slot_bits) + 1):
         for combo in combinations(slot_bits, depth):
-            toggled = mask
-            for bit in combo:
-                toggled ^= bit
-            if table[toggled]:
+            if table[mask ^ sum(combo)]:
                 return depth
     raise RuntimeError("no split digraph reachable; this cannot happen")
 
@@ -329,15 +326,13 @@ def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> 
 def enumerate_digraphs(
     n: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Iterator[Digraph]:
-    """Yield every labeled simple loopless digraph on n vertices exactly once.
+    """Every labeled simple loopless digraph on n vertices, each exactly once.
 
     Raises:
-        BudgetExceededError: n exceeds ``budget.max_vertices``.
+        BudgetExceededError: n exceeds ``budget.max_vertices`` or has more
+            than 2^``MAX_ARC_SLOTS`` digraphs (n > 5); raised by the call,
+            before anything is yielded.
     """
-    if n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"exhaustive enumeration capped at {budget.max_vertices} vertices"
-        )
+    _require(n, budget, "exhaustive enumeration", all_digraphs=True)
     slots = _arc_slots(n)
-    for mask in range(1 << len(slots)):
-        yield _digraph_from_mask(n, mask, slots)
+    return (_digraph_from_mask(n, mask, slots) for mask in range(1 << len(slots)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import NegativeDegreeError, OutOfRangeError
@@ -26,7 +27,7 @@ class IntegerPairSequence:
 
     def __init__(self, pairs: Iterable[Iterable[int]] = ()):
         object.__setattr__(
-            self, "pairs", tuple((int(o), int(i)) for o, i in pairs)
+            self, "pairs", tuple((index(o), index(i)) for o, i in pairs)
         )
 
     @property
@@ -72,17 +73,16 @@ def validate(seq: IntegerPairSequence) -> None:
         OutOfRangeError: some out- or in-degree exceeds N - 1.
     """
     bound = seq.n - 1
-    for index, (out_deg, in_deg) in enumerate(seq.pairs):
+    for i, (out_deg, in_deg) in enumerate(seq.pairs):
         if out_deg < 0 or in_deg < 0:
             raise NegativeDegreeError(
-                f"entry {index} has a negative degree: ({out_deg}, {in_deg})",
-                index,
+                f"entry {i} has a negative degree: ({out_deg}, {in_deg})", i
             )
         if out_deg > bound or in_deg > bound:
             raise OutOfRangeError(
-                f"entry {index} = ({out_deg}, {in_deg}) exceeds the "
+                f"entry {i} = ({out_deg}, {in_deg}) exceeds the "
                 f"simple-digraph bound {bound}",
-                index,
+                i,
             )
 
 
@@ -132,9 +132,14 @@ def proper_order(seq: IntegerPairSequence) -> ProperOrdering:
     both permutations, which is what guarantees tie consistency.
     """
     validate(seq)
-    indices = range(seq.n)
-    pos = sorted(indices, key=lambda i: (-seq.pairs[i][0], -seq.pairs[i][1], i))
-    neg = sorted(indices, key=lambda i: (-seq.pairs[i][1], -seq.pairs[i][0], i))
+    # One int key per entry, (N-1-first)*N + (N-1-second), orders like the
+    # pair, as both degrees lie in [0, N-1]; the stable sort keeps ties in
+    # index order.
+    n = seq.n
+    pos_keys = [(n - 1 - o) * n + n - 1 - i for o, i in seq.pairs]
+    neg_keys = [(n - 1 - i) * n + n - 1 - o for o, i in seq.pairs]
+    pos = sorted(range(n), key=pos_keys.__getitem__)
+    neg = sorted(range(n), key=neg_keys.__getitem__)
     return ProperOrdering(tuple(pos), tuple(neg))
 
 

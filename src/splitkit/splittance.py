@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 from .errors import NotDigraphicError, OutOfRangeError, UnbalancedSequenceError
@@ -48,7 +49,7 @@ class QuadPartition:
         minus: Iterable[int] = (),
         zero: Iterable[int] = (),
     ):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", index(n))
         object.__setattr__(self, "pm", frozenset(pm))
         object.__setattr__(self, "plus", frozenset(plus))
         object.__setattr__(self, "minus", frozenset(minus))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
+from operator import ge, index
 from typing import Iterable, Union
 
 from .errors import (
@@ -28,7 +28,7 @@ class IntegerSequence:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees: Iterable[int] = ()):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
+        object.__setattr__(self, "degrees", tuple(map(index, degrees)))
 
     @property
     def n(self) -> int:
@@ -55,13 +55,12 @@ def validate_degrees(d: Degrees) -> IntegerSequence:
     """Check the simple-graph bounds 0 <= d_i <= N - 1 and return the sequence."""
     seq = _as_sequence(d)
     bound = seq.n - 1
-    for index, deg in enumerate(seq.degrees):
+    for i, deg in enumerate(seq.degrees):
         if deg < 0:
-            raise NegativeDegreeError(f"degree {index} is negative: {deg}", index)
+            raise NegativeDegreeError(f"degree {i} is negative: {deg}", i)
         if deg > bound:
             raise OutOfRangeError(
-                f"degree {index} = {deg} exceeds the simple-graph bound {bound}",
-                index,
+                f"degree {i} = {deg} exceeds the simple-graph bound {bound}", i
             )
     return seq
 

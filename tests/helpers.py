@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from splitkit import Digraph, IntegerPairSequence, QuadPartition, SplittanceMatrix
+from splitkit.sequences import ProperOrdering
 
 
 # The order spec that proper_order's sort keys implement.
@@ -34,6 +35,16 @@ def compare_neg(a: tuple[int, int], b: tuple[int, int]) -> int:
     if a[0] != b[0]:
         return -1 if a[0] > b[0] else 1
     return 0
+
+
+def proper_order_by_tuples(seq: IntegerPairSequence) -> ProperOrdering:
+    """Both orderings by sorting on (-first, -second, index) tuples; the
+    reference for the int-key sort of ``proper_order``."""
+    pairs = seq.pairs
+    indices = range(seq.n)
+    pos = sorted(indices, key=lambda i: (-pairs[i][0], -pairs[i][1], i))
+    neg = sorted(indices, key=lambda i: (-pairs[i][1], -pairs[i][0], i))
+    return ProperOrdering(tuple(pos), tuple(neg))
 
 
 def cells(matrix: SplittanceMatrix):

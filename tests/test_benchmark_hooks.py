@@ -12,6 +12,15 @@ import importlib.util
 from pathlib import Path
 
 import splitkit
+from splitkit import (
+    Digraph,
+    EnumerationBudget,
+    brute_min_partition_measure,
+    brute_realize,
+    brute_splittance,
+    degree_sequence,
+    digraph_splittance,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +68,33 @@ def test_public_surface_is_all_and_small():
         if not name.startswith("_") and name not in splitkit.__all__
     }
     assert all(f"splitkit.{name}" == getattr(splitkit, name).__name__ for name in extra)
+
+
+def gen_oracle_bound() -> int:
+    """``ORACLE_MAX_N`` of ``perfbench/gen.py``: it runs the oracles on
+    every input with at most this many vertices."""
+    tree = ast.parse((PERFBENCH / "gen.py").read_text())
+    (value,) = [
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["ORACLE_MAX_N"]
+    ]
+    return value
+
+
+def test_gen_oracle_calls_fit_their_budgets():
+    # gen.py calls brute_realize and brute_min_partition_measure with the
+    # default budget, and brute_splittance with
+    # EnumerationBudget(max_vertices=ORACLE_MAX_N), on every input up to
+    # that size; none of them may refuse.
+    bound = gen_oracle_bound()
+    assert bound == 5
+    budget = EnumerationBudget(max_vertices=bound)
+    for n in range(bound + 1):
+        g = Digraph(n, [(i, (i + 1) % n) for i in range(n) if n > 1])
+        seq = degree_sequence(g)
+        expected = digraph_splittance(seq)
+        assert brute_splittance(g, budget) == expected
+        assert degree_sequence(brute_realize(seq)) == seq
+        assert brute_min_partition_measure(seq) == expected

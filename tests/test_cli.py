@@ -13,7 +13,8 @@ import pytest
 
 import splitkit
 import splitkit.cli as cli
-from splitkit import splittance_matrix
+import splitkit.oracle as oracle
+from splitkit import BudgetExceededError, EnumerationBudget, splittance_matrix
 from splitkit.cli import InputParseError, parse_document, run
 
 from helpers import parse_digraph_by_lines
@@ -520,35 +521,101 @@ class TestOracleFlag:
         assert captured.err.startswith("error: SPLITKIT_ORACLE_MAX_N ")
         assert captured.err.count("\n") == 1
 
-    def test_huge_budget_env_var_is_capped(self, capsys, monkeypatch):
-        # Values beyond the sweep cap change no decision an N <= 32 input
-        # could see, and the budget stays a small integer.
+    def test_huge_budget_env_var_is_capped(self, tmp_path, capsys, monkeypatch):
+        # The value becomes the one vertex cap as it is; the 2^20 digraph
+        # rule inside the oracle still stops the edit search at 5 vertices.
+        path = tmp_path / "cycle7.digraph"
+        path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
         outputs = []
         for value in ("8", "1000000000"):
             monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", value)
-            code = run(["check", fixture("ex1.seq"), "--oracle"])
-            outputs.append((code, capsys.readouterr()))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == 0
-        assert cli._oracle_budget().max_partitions.bit_length() <= 65
+            for argv in (["check", fixture("ex1.seq")], ["repair", str(path)]):
+                code = run([*argv, "--oracle"])
+                outputs.append((code, capsys.readouterr().err))
+        note = "oracle: edit search skipped (n=7 over budget)\n"
+        assert outputs[:2] == outputs[2:] == [(0, ""), (1, note)]
+        assert cli._oracle_budget() == EnumerationBudget(10**9)
 
     def test_edit_search_capped_at_five_vertices(self, tmp_path, capsys, monkeypatch):
-        # 2^(7 * 6) table bytes would be needed at 7 vertices; the search
-        # must not start.
-        def no_search(g, budget):
-            raise AssertionError("edit search ran beyond its cap")
+        # 2^(7 * 6) table bytes would be needed at 7 vertices; the oracle
+        # must refuse before it builds the table.
+        def no_table(n):
+            raise AssertionError("edit search table built beyond the cap")
 
         path = tmp_path / "cycle7.digraph"
         path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
         assert run(["repair", str(path)]) == 1
         fast = capsys.readouterr()
-        monkeypatch.setattr(cli, "brute_splittance", no_search)
+        monkeypatch.setattr(oracle, "_split_membership", no_table)
         monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "7")
-        assert cli._oracle_budget().max_vertices == cli.MAX_EDIT_SEARCH_VERTICES == 5
         assert run(["repair", str(path), "--oracle"]) == 1
         captured = capsys.readouterr()
         assert captured.out == fast.out
         assert captured.err == "oracle: edit search skipped (n=7 over budget)\n"
+
+    @pytest.mark.parametrize(
+        "name, argv, note",
+        [
+            (
+                "brute_realize",
+                ["check", fixture("ex1.seq")],
+                "oracle: realization check skipped (N=5 over budget)\n",
+            ),
+            (
+                "brute_min_partition_measure",
+                ["check", fixture("ex1.seq")],
+                "oracle: partition sweep skipped (N=5 over budget)\n",
+            ),
+            (
+                "brute_splittance",
+                ["repair", fixture("ex1_realization.digraph")],
+                "oracle: edit search skipped (n=5 over budget)\n",
+            ),
+        ],
+        ids=["realization", "sweep", "edit search"],
+    )
+    def test_a_refused_check_is_noted(self, name, argv, note, capsys, monkeypatch):
+        # The CLI reports what the oracle refuses and decides nothing itself.
+        def refuse(*args):
+            raise BudgetExceededError("over budget")
+
+        monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
+        code = run(argv)
+        fast = capsys.readouterr()
+        monkeypatch.setattr(cli, name, refuse)
+        assert run([*argv, "--oracle"]) == code == 0
+        captured = capsys.readouterr()
+        assert captured.out == fast.out
+        assert captured.err == note
+
+    @pytest.mark.parametrize(
+        "name, command, text, size",
+        [
+            ("brute_min_partition_measure", "check", "seq\n" + "1 1\n" * 8, 8),
+            ("brute_splittance", "repair", "digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n", 5),
+        ],
+        ids=["sweep", "edit search"],
+    )
+    def test_default_budget_runs_the_search(
+        self, name, command, text, size, tmp_path, capsys, monkeypatch
+    ):
+        # The partition sweep at N = 8 and the edit search at n = 5 fit the
+        # default cap of 8 vertices and the 2^20 digraph rule.
+        path = tmp_path / "input"
+        path.write_text(text)
+        sizes = []
+
+        def counted(data, budget, _search=getattr(cli, name)):
+            sizes.append(data.n)
+            return _search(data, budget)
+
+        monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
+        code = run([command, str(path)])
+        fast = capsys.readouterr()
+        monkeypatch.setattr(cli, name, counted)
+        assert run([command, str(path), "--oracle"]) == code == 1
+        assert capsys.readouterr() == fast
+        assert sizes == [size]
 
     def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle5.digraph"

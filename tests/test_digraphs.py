@@ -47,6 +47,22 @@ class TestDigraph:
         with pytest.raises(ValueError):
             EditSet(add=[(0, 1)], remove=[(0, 1)])
 
+    @pytest.mark.parametrize(
+        "n, arcs", [(2.9, [(0, 1)]), (2, [(0, 1.7)]), ("2", []), (3, [("0", 1)])]
+    )
+    def test_non_integral_vertex_count_or_label_raises(self, n, arcs):
+        # Digraph(2.9, [(0, 1.7)]) used to be the digraph on 2 vertices with
+        # the arc (0, 1).
+        with pytest.raises(TypeError):
+            Digraph(n, arcs)
+
+    @pytest.mark.parametrize(
+        "add, remove", [([(0, 1.5)], []), ([], [(2.0, 1)]), ([("0", 1)], [])]
+    )
+    def test_edit_set_rejects_non_integral_labels(self, add, remove):
+        with pytest.raises(TypeError):
+            EditSet(add, remove)
+
 
 class TestDegreeSequence:
     def test_worked_realization(self, ex1_digraph, ex1):

@@ -30,11 +30,13 @@ from splitkit.oracle import (
     maximal_sequences_quadratic,
     zero_cells_by_scan,
 )
+from splitkit.sequences import proper_order
 from splitkit.splittance import Analysis
 
 from helpers import (
     gnp_degree_sequence,
     planted_split_digraph,
+    proper_order_by_tuples,
     random_digraph,
     random_quad_partition,
 )
@@ -62,9 +64,11 @@ def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
 
 class TestExhaustiveSmall:
     def test_slacks_on_every_in_range_sequence(self):
-        # Balanced or not, digraphic or not: all 66 282 sequences, n <= 4.
+        # Balanced or not, digraphic or not: all 66 282 sequences, n <= 4,
+        # with the int-key ordering the slacks rest on.
         total = 0
         for seq in in_range_sequences(4):
+            assert proper_order(seq) == proper_order_by_tuples(seq), seq
             assert Analysis(seq).slack == fulkerson_slack_quadratic(seq), seq
             total += 1
         assert total == 66282
@@ -134,6 +138,7 @@ class TestSeededLarge:
         rng = random.Random(f"{family}:{n}")
         seq = _family(family, rng, n)
         assert_matches_quadratic(seq)
+        assert proper_order(seq) == proper_order_by_tuples(seq)
         if family in ("planted", "empty", "complete"):
             assert Analysis(seq).split
 

@@ -1,8 +1,14 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import splitkit
 from splitkit import (
     BudgetExceededError,
     Digraph,
@@ -15,6 +21,7 @@ from splitkit import (
     digraph_splittance,
     is_digraphic,
 )
+from splitkit import oracle
 from splitkit.oracle import enumerate_digraphs, nontrivial_partitions
 
 from helpers import random_balanced_pairs
@@ -31,8 +38,10 @@ class TestEnumerateDigraphs:
         assert sum(1 for _ in enumerate_digraphs(4)) == 4096
 
     def test_over_budget_without_sampling(self):
+        # 2^30 digraphs on 6 vertices exceed the 2^20 rule; the default cap
+        # of 8 vertices does not decide it.
         with pytest.raises(BudgetExceededError):
-            list(enumerate_digraphs(5))
+            list(enumerate_digraphs(6))
 
 
 class TestBruteRealize:
@@ -99,7 +108,54 @@ class TestBruteSplittance:
 
     def test_over_budget(self):
         with pytest.raises(BudgetExceededError):
-            brute_splittance(Digraph(5))
+            brute_splittance(Digraph(6))
+
+    def test_five_vertices_within_the_default_budget(self):
+        cycle = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert brute_splittance(cycle) == digraph_splittance(degree_sequence(cycle))
+
+
+class TestBudget:
+    def test_one_vertex_cap(self):
+        assert [f.name for f in dataclasses.fields(EnumerationBudget)] == [
+            "max_vertices"
+        ]
+        assert EnumerationBudget() == EnumerationBudget(8)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_digraph_count_rule_refuses_before_allocating(self, n, monkeypatch):
+        # At 7 vertices the edit search's table would take 2^42 bytes.
+        def no_table(n):
+            raise AssertionError("the digraph table was built")
+
+        monkeypatch.setattr(oracle, "_split_membership", no_table)
+        budget = EnumerationBudget(max_vertices=8)
+        cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+        with pytest.raises(BudgetExceededError):
+            brute_splittance(cycle, budget)
+        with pytest.raises(BudgetExceededError):
+            enumerate_digraphs(n, budget)
+
+    def test_sweep_streams_its_partitions(self):
+        # A new interpreter, so that nothing an earlier test left in memory
+        # hides what the sweep allocates.
+        code = (
+            "import tracemalloc\n"
+            "from splitkit import IntegerPairSequence, brute_min_partition_measure\n"
+            "seq = IntegerPairSequence([(1, 1)] * 7)\n"
+            "tracemalloc.start()\n"
+            "measure = brute_min_partition_measure(seq)\n"
+            "print(measure, tracemalloc.get_traced_memory()[1])\n"
+        )
+        package_root = str(Path(splitkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        measure, peak = map(int, result.stdout.split())
+        assert measure == digraph_splittance(IntegerPairSequence([(1, 1)] * 7))
+        assert peak < 1 << 20
 
 
 class TestPartitionEnumeration:

@@ -28,6 +28,16 @@ def pair_sequences(max_n=10):
     )
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "pairs", [[(1.9, 0.2), (0.7, 1.99)], [(1.0, 0)], [("1", 0), (0, 1)]]
+    )
+    def test_non_integral_entries_raise(self, pairs):
+        # int() would truncate 1.9 to 1, or parse "1", without a word.
+        with pytest.raises(TypeError):
+            IntegerPairSequence(pairs)
+
+
 class TestValidate:
     def test_worked_example_is_valid(self, ex1):
         validate(ex1)

@@ -123,6 +123,13 @@ class TestPartitionMeasure:
             partition_measure(ex1, QuadPartition(3, zero=range(3)))
 
 
+class TestQuadPartition:
+    @pytest.mark.parametrize("n", [2.9, 2.0, "2"])
+    def test_non_integral_vertex_count_raises(self, n):
+        with pytest.raises(TypeError):
+            QuadPartition(n, pm=[0, 1])
+
+
 class TestInducedPartition:
     def test_worked_example(self, ex1):
         ordering = proper_order(ex1)

@@ -8,6 +8,7 @@ import pytest
 import splitkit.undirected as undirected
 from splitkit import (
     EmptySequenceError,
+    IntegerSequence,
     NotGraphicError,
     OutOfRangeError,
     corrected_durfee,
@@ -132,6 +133,13 @@ class TestSlack:
 class TestIsGraphic:
     def test_baseline(self):
         assert is_graphic(BASELINE)
+
+    @pytest.mark.parametrize("degrees", [[1.5, 1.5], [1.0, 1.0], ["1", "1"]])
+    def test_non_integral_degrees_raise(self, degrees):
+        with pytest.raises(TypeError):
+            IntegerSequence(degrees)
+        with pytest.raises(TypeError):
+            is_graphic(degrees)
 
     def test_odd_sum(self):
         assert not is_graphic([1])
