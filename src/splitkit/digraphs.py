@@ -71,10 +71,17 @@ class Digraph:
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
-        """The digraph with arcs ``sources[i] -> targets[i]``, unchecked: the
-        caller guarantees labels in [0, n), no loop and no repeated arc."""
+        """The digraph with arcs ``sources[i] -> targets[i]``; the caller
+        guarantees labels in [0, n) and no loop.
+
+        Raises:
+            ValueError: an arc repeats, which leaves fewer set bits than arcs.
+        """
         g = cls.__new__(cls)
         g._fill(n, sources, targets)
+        distinct = sum(map(int.bit_count, g.succ.values()))
+        if distinct != len(sources):
+            raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
         return g
 
     def _fill(self, n: int, sources: list[int], targets: list[int]) -> None:

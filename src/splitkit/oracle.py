@@ -21,9 +21,9 @@ from .splittance import (
     QuadPartition,
     SlackPair,
     SplittanceMatrix,
+    _measure,
     _measure_out,
     induced_partition,
-    partition_measure,
 )
 
 
@@ -114,7 +114,7 @@ def brute_min_partition_measure(
     _require(seq.n, budget, "partition sweep")
     validate(seq)
     return min(
-        (partition_measure(seq, part) for part in _quad_partitions(seq.n)),
+        (_measure(seq, part) for part in _quad_partitions(seq.n)),
         default=0,
     )
 
@@ -139,7 +139,7 @@ def fulkerson_slack_quadratic(seq: IntegerPairSequence) -> SlackPair:
     n = seq.n
     families = []
     for perm, demand_at, cap_at in ((ordering.pos_perm, 0, 1), (ordering.neg_perm, 1, 0)):
-        pairs = reorder(seq, perm)
+        pairs = reorder(seq.pairs, perm)
         family = []
         for k in range(n + 1):
             head = sum(min(pairs[i][cap_at], k - 1) for i in range(k))

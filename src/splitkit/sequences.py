@@ -12,57 +12,54 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import NegativeDegreeError, OutOfRangeError
 
 Pair = tuple[int, int]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class IntegerPairSequence:
-    """A sequence of ``(out_degree, in_degree)`` pairs, indexed from zero."""
+    """A sequence of ``(out_degree, in_degree)`` pairs, indexed from zero.
 
-    pairs: tuple[Pair, ...]
+    Stored as its two degree columns, which every analysis reads; ``pairs``
+    is derived from them on first use.
+    """
+
+    out_degrees: tuple[int, ...]
+    in_degrees: tuple[int, ...]
 
     def __init__(self, pairs: Iterable[Iterable[int]] = ()):
-        object.__setattr__(
-            self, "pairs", tuple((index(o), index(i)) for o, i in pairs)
-        )
+        outs: list[int] = []
+        ins: list[int] = []
+        for o, i in pairs:
+            outs.append(index(o))
+            ins.append(index(i))
+        object.__setattr__(self, "out_degrees", tuple(outs))
+        object.__setattr__(self, "in_degrees", tuple(ins))
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
+        return len(self.out_degrees)
 
-    @property
-    def out_degrees(self) -> tuple[int, ...]:
-        return tuple(p[0] for p in self.pairs)
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple(zip(self.out_degrees, self.in_degrees))
 
-    @property
-    def in_degrees(self) -> tuple[int, ...]:
-        return tuple(p[1] for p in self.pairs)
-
-    @property
+    @cached_property
     def sum_out(self) -> int:
-        return sum(p[0] for p in self.pairs)
+        return sum(self.out_degrees)
 
-    @property
+    @cached_property
     def sum_in(self) -> int:
-        return sum(p[1] for p in self.pairs)
+        return sum(self.in_degrees)
 
     @property
     def is_balanced(self) -> bool:
         """True when total out-degree equals total in-degree."""
         return self.sum_out == self.sum_in
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __getitem__(self, index: int) -> Pair:
-        return self.pairs[index]
 
 
 def validate(seq: IntegerPairSequence) -> None:
@@ -73,7 +70,7 @@ def validate(seq: IntegerPairSequence) -> None:
         OutOfRangeError: some out- or in-degree exceeds N - 1.
     """
     bound = seq.n - 1
-    for i, (out_deg, in_deg) in enumerate(seq.pairs):
+    for i, (out_deg, in_deg) in enumerate(zip(seq.out_degrees, seq.in_degrees)):
         if out_deg < 0 or in_deg < 0:
             raise NegativeDegreeError(
                 f"entry {i} has a negative degree: ({out_deg}, {in_deg})", i
@@ -135,17 +132,17 @@ def proper_order(seq: IntegerPairSequence) -> ProperOrdering:
     # One int key per entry, (N-1-first)*N + (N-1-second), orders like the
     # pair, as both degrees lie in [0, N-1]; the stable sort keeps ties in
     # index order.
-    n = seq.n
-    pos_keys = [(n - 1 - o) * n + n - 1 - i for o, i in seq.pairs]
-    neg_keys = [(n - 1 - i) * n + n - 1 - o for o, i in seq.pairs]
+    n, outs, ins = seq.n, seq.out_degrees, seq.in_degrees
+    pos_keys = [(n - 1 - o) * n + n - 1 - i for o, i in zip(outs, ins)]
+    neg_keys = [(n - 1 - i) * n + n - 1 - o for o, i in zip(outs, ins)]
     pos = sorted(range(n), key=pos_keys.__getitem__)
     neg = sorted(range(n), key=neg_keys.__getitem__)
     return ProperOrdering(tuple(pos), tuple(neg))
 
 
-def reorder(seq: IntegerPairSequence, perm: tuple[int, ...]) -> tuple[Pair, ...]:
-    """Pairs of ``seq`` rearranged so position ``r`` holds entry ``perm[r]``."""
-    return tuple(seq.pairs[i] for i in perm)
+def reorder(values: Sequence[T], perm: Sequence[int]) -> tuple[T, ...]:
+    """``values`` rearranged so position ``r`` holds entry ``perm[r]``."""
+    return tuple(map(values.__getitem__, perm))
 
 
 def at_least_counts(values: Sequence[int]) -> list[int]:

@@ -80,24 +80,24 @@ def _measure_out(seq: IntegerPairSequence, part: QuadPartition) -> int:
     # out-form: demanded arcs into the receiving side minus arcs available
     # from the sending side, plus what lands outside it.
     k = part.k
-    pairs = seq.pairs
+    outs, ins = seq.out_degrees, seq.in_degrees
     return (
         len(part.pm) * (k - 1)
         + len(part.minus) * k
-        + sum(pairs[x][1] for x in part.plus | part.zero)
-        - sum(pairs[x][0] for x in part.pm | part.plus)
+        + sum(ins[x] for x in part.plus | part.zero)
+        - sum(outs[x] for x in part.pm | part.plus)
     )
 
 
 def _measure_in(seq: IntegerPairSequence, part: QuadPartition) -> int:
     # in-form: same count written from the receiving side.
     l = part.l
-    pairs = seq.pairs
+    outs, ins = seq.out_degrees, seq.in_degrees
     return (
         len(part.pm) * (l - 1)
         + len(part.plus) * l
-        + sum(pairs[x][0] for x in part.minus | part.zero)
-        - sum(pairs[x][1] for x in part.pm | part.minus)
+        + sum(outs[x] for x in part.minus | part.zero)
+        - sum(ins[x] for x in part.pm | part.minus)
     )
 
 
@@ -114,6 +114,12 @@ def partition_measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
     validate(seq)
     if part.n != seq.n:
         raise ValueError(f"partition covers {part.n} vertices, sequence has {seq.n}")
+    return _measure(seq, part)
+
+
+def _measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
+    # partition_measure on a validated sequence and a partition of its N
+    # vertices, as the exhaustive sweep supplies them.
     out_form = _measure_out(seq, part)
     in_form = _measure_in(seq, part)
     if out_form != in_form:
@@ -171,14 +177,14 @@ def _splittance_row(
     # Row k in O(N): column 0 holds the in-degree mass less the out-degree
     # of the top-k out-major prefix; then the in-major entries join the
     # receiving side one at a time.
-    pairs = seq.pairs
+    outs, ins = seq.out_degrees, seq.in_degrees
     pos_rank = ordering.pos_rank
-    value = seq.sum_in - sum(pairs[i][0] for i in ordering.pos_perm[:k])
+    value = seq.sum_in - sum(outs[i] for i in ordering.pos_perm[:k])
     row = [value]
     for j in ordering.neg_perm:
         # k new sender slots, less j's own loop slot when j sends, less the
         # in-degree of j, which the receiving side now covers.
-        value += k - (pos_rank[j] < k) - pairs[j][1]
+        value += k - (pos_rank[j] < k) - ins[j]
         row.append(value)
     return row
 
@@ -242,11 +248,11 @@ class SlackPair:
 
 
 def _fulkerson_slack(seq: IntegerPairSequence, ordering: ProperOrdering) -> SlackPair:
-    pos_pairs = reorder(seq, ordering.pos_perm)
-    neg_pairs = reorder(seq, ordering.neg_perm)
+    outs, ins = seq.out_degrees, seq.in_degrees
+    pos, neg = ordering.pos_perm, ordering.neg_perm
     return SlackPair(
-        s_bar=capped_slack([p[0] for p in pos_pairs], [p[1] for p in pos_pairs]),
-        s_under=capped_slack([p[1] for p in neg_pairs], [p[0] for p in neg_pairs]),
+        s_bar=capped_slack(reorder(outs, pos), reorder(ins, pos)),
+        s_under=capped_slack(reorder(ins, neg), reorder(outs, neg)),
     )
 
 

@@ -37,12 +37,6 @@ class IntegerSequence:
     def sorted_desc(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees, reverse=True))
 
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
 
 Degrees = Union[IntegerSequence, Iterable[int]]
 

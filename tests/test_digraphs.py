@@ -47,6 +47,11 @@ class TestDigraph:
         with pytest.raises(ValueError):
             EditSet(add=[(0, 1)], remove=[(0, 1)])
 
+    def test_from_lists_rejects_a_repeated_arc(self):
+        with pytest.raises(ValueError, match="3 arcs given, 2 distinct"):
+            Digraph.from_lists(3, [0, 1, 0], [1, 2, 1])
+        assert Digraph.from_lists(3, [0, 1], [1, 2]) == Digraph(3, [(0, 1), (1, 2)])
+
     @pytest.mark.parametrize(
         "n, arcs", [(2.9, [(0, 1)]), (2, [(0, 1.7)]), ("2", []), (3, [("0", 1)])]
     )

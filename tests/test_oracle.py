@@ -21,8 +21,9 @@ from splitkit import (
     digraph_splittance,
     is_digraphic,
 )
-from splitkit import oracle
+from splitkit import oracle, splittance
 from splitkit.oracle import enumerate_digraphs, nontrivial_partitions
+from splitkit.sequences import validate
 
 from helpers import random_balanced_pairs
 
@@ -80,6 +81,20 @@ class TestBruteMinPartitionMeasure:
         seq = IntegerPairSequence([(0, 0)] * 11)
         with pytest.raises(BudgetExceededError):
             brute_min_partition_measure(seq)
+
+    def test_validates_once_per_sweep(self, monkeypatch):
+        seq = IntegerPairSequence([(1, 1), (1, 0), (0, 1)])
+        expected = brute_min_partition_measure(seq)
+        calls = []
+
+        def counting_validate(s):
+            calls.append(s)
+            validate(s)
+
+        monkeypatch.setattr(oracle, "validate", counting_validate)
+        monkeypatch.setattr(splittance, "validate", counting_validate)
+        assert brute_min_partition_measure(seq) == expected
+        assert len(calls) == 1
 
     def test_matches_matrix_minimum_on_random_digraphic(self):
         rng = random.Random(46368)

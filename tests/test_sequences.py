@@ -1,8 +1,9 @@
+import dataclasses
 import functools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from splitkit import (
@@ -26,6 +27,75 @@ def pair_sequences(max_n=10):
         .flatmap(build)
         .map(IntegerPairSequence)
     )
+
+
+# Raw constructor input: tuples or lists, degrees in or out of range.
+_degree = st.integers(-2, 12)
+raw_pairs = st.lists(
+    st.tuples(_degree, _degree) | st.lists(_degree, min_size=2, max_size=2),
+    max_size=12,
+)
+
+
+class TestColumnStore:
+    def test_fields_are_the_two_columns(self):
+        fields = [f.name for f in dataclasses.fields(IntegerPairSequence)]
+        assert fields == ["out_degrees", "in_degrees"]
+
+    @given(raw_pairs)
+    @example([])
+    @example([(0, 0)])
+    def test_pairs_are_the_input_pairs(self, p):
+        assert IntegerPairSequence(p).pairs == tuple(map(tuple, p))
+
+    @given(raw_pairs)
+    @example([])
+    @example([(0, 0)])
+    def test_columns_are_stored_not_rebuilt(self, p):
+        seq = IntegerPairSequence(p)
+        assert seq.out_degrees is seq.out_degrees
+        assert seq.in_degrees is seq.in_degrees
+        assert seq.pairs is seq.pairs
+        assert seq.out_degrees == tuple(o for o, _ in p)
+        assert seq.in_degrees == tuple(i for _, i in p)
+        assert (seq.sum_out, seq.sum_in) == (sum(seq.out_degrees), sum(seq.in_degrees))
+
+    @given(raw_pairs)
+    @example([])
+    @example([(0, 0)])
+    def test_equal_pair_lists_give_equal_objects(self, p):
+        a, b = IntegerPairSequence(p), IntegerPairSequence(list(map(list, p)))
+        assert a == b and hash(a) == hash(b)
+        assert a != IntegerPairSequence([*p, (0, 0)])
+
+    @given(
+        raw_pairs.filter(bool),
+        st.integers(0, 11),
+        st.integers(0, 1),
+        st.sampled_from([float, str]),
+    )
+    @example([(0, 0)], 0, 0, float)
+    @example([(0, 0)], 0, 1, str)
+    def test_a_float_or_string_degree_raises(self, p, at, side, convert):
+        pairs = [list(pair) for pair in p]
+        at %= len(pairs)
+        pairs[at][side] = convert(pairs[at][side])
+        with pytest.raises(TypeError):
+            IntegerPairSequence(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1,)], "not enough values to unpack"),
+            ([(1, 2, 3)], "too many values to unpack"),
+            ([(0, 1), (1, 2, 3)], "too many values to unpack"),
+            ([(1, 0), (0,)], "not enough values to unpack"),
+        ],
+    )
+    def test_pairs_of_the_wrong_length_raise(self, pairs, message):
+        # Unzipping the input instead would drop the 3 of (1, 2, 3).
+        with pytest.raises(ValueError, match=message):
+            IntegerPairSequence(pairs)
 
 
 class TestConstructor:
@@ -127,8 +197,10 @@ class TestProperOrder:
     @given(pair_sequences())
     def test_reordered_sequences_are_non_increasing(self, seq):
         ordering = proper_order(seq)
-        pos_pairs = reorder(seq, ordering.pos_perm)
-        neg_pairs = reorder(seq, ordering.neg_perm)
+        outs, ins = seq.out_degrees, seq.in_degrees
+        pos, neg = ordering.pos_perm, ordering.neg_perm
+        pos_pairs = list(zip(reorder(outs, pos), reorder(ins, pos)))
+        neg_pairs = list(zip(reorder(outs, neg), reorder(ins, neg)))
         for a, b in zip(pos_pairs, pos_pairs[1:]):
             assert compare_pos(a, b) <= 0
         for a, b in zip(neg_pairs, neg_pairs[1:]):
