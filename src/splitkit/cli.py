@@ -30,7 +30,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from operator import eq, itemgetter, methodcaller
+from operator import itemgetter, methodcaller
 from typing import NoReturn
 
 from .digraphs import Digraph, degree_sequence, repair
@@ -59,20 +59,7 @@ class InputParseError(SplitkitError):
     """The input file does not follow the documented format."""
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    """Exactly one of the two variants is present."""
-
-    sequence: IntegerPairSequence | None = None
-    digraph: Digraph | None = None
-
-    def as_sequence(self) -> IntegerPairSequence:
-        if self.sequence is not None:
-            return self.sequence
-        return degree_sequence(self.digraph)
-
-
-def parse_document(text: str) -> InputDocument:
+def parse_document(text: str) -> IntegerPairSequence | Digraph:
     """Parse the line-oriented input format.
 
     A sequence file starts with a ``seq`` header followed by one
@@ -102,7 +89,7 @@ def parse_document(text: str) -> InputDocument:
                 pairs.append((int(fields[0]), int(fields[1])))
             except ValueError:
                 raise InputParseError(f"non-integer degree in line {line!r}") from None
-        return InputDocument(sequence=IntegerPairSequence(pairs))
+        return IntegerPairSequence(pairs)
 
     if header[0] == "digraph":
         if len(header) != 2:
@@ -115,10 +102,12 @@ def parse_document(text: str) -> InputDocument:
             raise InputParseError(f"non-integer vertex count {header[1]!r}") from None
         if n < 0:
             raise InputParseError(f"negative vertex count {n}")
+        if n > sys.maxsize:  # no list of n degrees fits in memory
+            raise InputParseError(f"input too large to analyze: {n} vertices")
         g = _bulk_arcs(body, n)
         if g is None:
             _raise_first_arc_error(body, n)
-        return InputDocument(digraph=g)
+        return g
 
     raise InputParseError(f"unknown header {lines[0]!r}: expected 'seq' or 'digraph N'")
 
@@ -126,9 +115,9 @@ def parse_document(text: str) -> InputDocument:
 def _bulk_arcs(body: list[str], n: int) -> Digraph | None:
     """The digraph on the arc lines ``body``, or None when a line is at fault.
 
-    Every check is one pass over all lines at once: two fields per line,
-    integer labels (each distinct token converted once), labels in [1, n],
-    no loop, and no repeated arc (which ``Digraph.from_lists`` reports).
+    The text checks are one pass over all lines at once: two fields per
+    line, and integer labels (each distinct token converted once).
+    ``Digraph.from_lists`` checks the range, loops and repeats.
     """
     if not set(map(len, map(str.split, body))) <= {2}:
         return None
@@ -137,14 +126,9 @@ def _bulk_arcs(body: list[str], n: int) -> Digraph | None:
         vertex = {token: int(token) - 1 for token in set(tokens)}
     except ValueError:
         return None
-    if vertex and not (0 <= min(vertex.values()) and max(vertex.values()) < n):
-        return None
     vertices = list(map(vertex.__getitem__, tokens))
-    sources, targets = vertices[0::2], vertices[1::2]
-    if any(map(eq, sources, targets)):
-        return None
     try:
-        return Digraph.from_lists(n, sources, targets)
+        return Digraph.from_lists(n, vertices[0::2], vertices[1::2])
     except ValueError:
         return None
 
@@ -266,9 +250,8 @@ def _end_sequence(a: Analysis, budget: EnumerationBudget | None) -> Ending:
     return _end(code, budget, lambda b: _oracle_check_sequence(a, b))
 
 
-def cmd_check(doc: InputDocument, fmt: str, budget: EnumerationBudget | None) -> Ending:
+def cmd_check(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending:
     # Out-of-range entries are merely non-digraphic here; check still reports.
-    a = Analysis(doc.as_sequence())
     ending = _end_sequence(a, budget)
     if fmt == "csv":
         print("digraphic,split,splittance")
@@ -282,10 +265,7 @@ def cmd_check(doc: InputDocument, fmt: str, budget: EnumerationBudget | None) ->
     return ending
 
 
-def cmd_matrix(
-    doc: InputDocument, budget: EnumerationBudget | None, extras: bool
-) -> Ending:
-    a = Analysis(doc.as_sequence())
+def cmd_matrix(a: Analysis, budget: EnumerationBudget | None, extras: bool) -> Ending:
     for row in a.matrix.entries:
         print(",".join(str(value) for value in row))
     if extras:
@@ -296,10 +276,7 @@ def cmd_matrix(
     return _end_sequence(a, budget)
 
 
-def cmd_partitions(
-    doc: InputDocument, fmt: str, budget: EnumerationBudget | None
-) -> Ending:
-    a = Analysis(doc.as_sequence())
+def cmd_partitions(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending:
     if not a.digraphic:
         validate(a.seq)  # entries beyond N - 1 are reported as such
         print("error: sequence is not digraphic", file=sys.stderr)
@@ -320,11 +297,7 @@ def cmd_partitions(
     return ending
 
 
-def cmd_repair(doc: InputDocument, fmt: str, budget: EnumerationBudget | None) -> Ending:
-    if doc.digraph is None:
-        print("error: repair needs a digraph input", file=sys.stderr)
-        return Ending(EXIT_INVALID_INPUT)
-    g = doc.digraph
+def cmd_repair(g: Digraph, fmt: str, budget: EnumerationBudget | None) -> Ending:
     edits, _ = repair(g)
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
@@ -355,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle",
             action="store_true",
-            help="cross-validate against the brute-force oracle within budget "
-            "(SPLITKIT_ORACLE_MAX_N overrides the bounds)",
+            help="cross-validate against the brute-force oracle, which skips "
+            "inputs of more than SPLITKIT_ORACLE_MAX_N vertices (default "
+            f"{DEFAULT_BUDGET.max_vertices}; 5 for the repair edit search)",
         )
 
     add_common(sub.add_parser("check", help="digraphic? split? splittance value"))
@@ -411,14 +385,19 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_PARSE_ERROR
 
     try:
-        if args.command == "check":
-            ending = cmd_check(doc, args.format, budget)
-        elif args.command == "matrix":
-            ending = cmd_matrix(doc, budget, args.extras)
-        elif args.command == "partitions":
-            ending = cmd_partitions(doc, args.format, budget)
-        else:
+        if args.command == "repair":
+            if not isinstance(doc, Digraph):
+                print("error: repair needs a digraph input", file=sys.stderr)
+                return EXIT_INVALID_INPUT
             ending = cmd_repair(doc, args.format, budget)
+        else:
+            a = Analysis(degree_sequence(doc) if isinstance(doc, Digraph) else doc)
+            if args.command == "check":
+                ending = cmd_check(a, args.format, budget)
+            elif args.command == "matrix":
+                ending = cmd_matrix(a, budget, args.extras)
+            else:
+                ending = cmd_partitions(a, args.format, budget)
     except (SequenceValidationError, NotDigraphicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -35,6 +35,11 @@ def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
     return [(u, v) for u, mask in rows if mask for v in _bits(mask)]
 
 
+def _within(labels: dict[int, int], n: int) -> bool:
+    """True when every key of ``labels`` lies in [0, n)."""
+    return not labels or (0 <= min(labels) and max(labels) < n)
+
+
 def _mask(vertices: Iterable[int]) -> int:
     return sum(map((1).__lshift__, vertices))
 
@@ -56,44 +61,52 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
         n = index(n)
         pairs = list(dict.fromkeys((index(u), index(v)) for u, v in arcs))
-        sources = list(map(itemgetter(0), pairs))
-        targets = list(map(itemgetter(1), pairs))
-        if any(map(eq, sources, targets)):
-            u = next(u for u, v in pairs if u == v)
-            raise ValueError(f"loop at vertex {u} not allowed")
-        if pairs and not (
-            0 <= min(min(sources), min(targets))
-            and max(max(sources), max(targets)) < n
-        ):
-            u, v = next((u, v) for u, v in pairs if not (0 <= u < n and 0 <= v < n))
-            raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
-        self._fill(n, sources, targets)
+        self._fill(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
-        """The digraph with arcs ``sources[i] -> targets[i]``; the caller
-        guarantees labels in [0, n) and no loop.
+        """The digraph with arcs ``sources[i] -> targets[i]``.
 
         Raises:
-            ValueError: an arc repeats, which leaves fewer set bits than arcs.
+            ValueError: the first of these faults: n is negative, the lists
+                differ in length, an arc is a loop, a label lies outside
+                [0, n), or an arc repeats.
         """
         g = cls.__new__(cls)
         g._fill(n, sources, targets)
-        distinct = sum(map(int.bit_count, g.succ.values()))
-        if distinct != len(sources):
-            raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
         return g
 
     def _fill(self, n: int, sources: list[int], targets: list[int]) -> None:
-        # The one build routine: one pass over the arcs, in-degrees by one
-        # count of the targets.
+        # The one build and the one check of every arc list.  Labels are
+        # checked on their distinct values, the keys of ``indegree`` and then
+        # of ``succ``, so the checks cost O(N) beyond the loop test; every
+        # target is checked before it becomes a shift count.
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        if len(sources) != len(targets):
+            raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
+        if any(map(eq, sources, targets)):
+            u = next(u for u, v in zip(sources, targets) if u == v)
+            raise ValueError(f"loop at vertex {u} not allowed")
+        indegree = Counter(targets)
         succ: dict[int, int] = {}
-        get = succ.get
-        for u, v in zip(sources, targets):
-            succ[u] = get(u, 0) | 1 << v
+        targets_in_range = _within(indegree, n)
+        if targets_in_range:
+            get = succ.get
+            for u, v in zip(sources, targets):
+                succ[u] = get(u, 0) | 1 << v
+        if not (targets_in_range and _within(succ, n)):
+            u, v = next(
+                (u, v) for u, v in zip(sources, targets)
+                if not (0 <= u < n and 0 <= v < n)
+            )
+            raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
+        distinct = sum(map(int.bit_count, succ.values()))
+        if distinct != len(sources):
+            raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "indegree", Counter(targets))
+        object.__setattr__(self, "indegree", indegree)
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.succ.items())))

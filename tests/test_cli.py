@@ -14,7 +14,9 @@ import pytest
 import splitkit
 import splitkit.cli as cli
 import splitkit.oracle as oracle
-from splitkit import BudgetExceededError, EnumerationBudget, splittance_matrix
+from splitkit import (
+    BudgetExceededError, EnumerationBudget, IntegerPairSequence, splittance_matrix
+)
 from splitkit.cli import InputParseError, parse_document, run
 
 from helpers import parse_digraph_by_lines
@@ -60,19 +62,19 @@ def read_fixture(name: str) -> str:
 class TestParseDocument:
     def test_sequence_document(self):
         doc = parse_document("seq\n1 0\n0 1\n")
-        assert doc.sequence.pairs == ((1, 0), (0, 1))
-        assert doc.digraph is None
+        assert isinstance(doc, IntegerPairSequence)
+        assert doc.pairs == ((1, 0), (0, 1))
 
     def test_digraph_document_is_one_based(self):
         doc = parse_document("digraph 3\n1 2\n3 1\n")
-        assert doc.digraph.arcs == frozenset({(0, 1), (2, 0)})
+        assert doc.arcs == frozenset({(0, 1), (2, 0)})
 
     def test_comments_and_blanks_ignored(self):
         doc = parse_document("# header comment\n\nseq\n1 1  # inline\n1 1\n")
-        assert doc.sequence.pairs == ((1, 1), (1, 1))
+        assert doc.pairs == ((1, 1), (1, 1))
 
     def test_empty_sequence_document(self):
-        assert parse_document("seq\n").sequence.pairs == ()
+        assert parse_document("seq\n").pairs == ()
 
     @pytest.mark.parametrize(
         "text",
@@ -154,7 +156,7 @@ class TestBulkParser:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {expected}\n")
             return
-        g = parse_document(text).digraph
+        g = parse_document(text)
         assert (g.n, g.arcs) == (n, frozenset(arcs))
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -216,7 +218,7 @@ class TestBulkParser:
     def test_odd_labels_parse_as_int_reads_them(self):
         g = parse_document(
             "digraph 12\n+1 2\n1_0 3\n\u0661 4\n\uff12 5\n007 8\n+0_5 6\n"
-        ).digraph
+        )
         assert g.arcs == frozenset({(0, 1), (9, 2), (0, 3), (1, 4), (6, 7), (4, 5)})
 
 
@@ -404,6 +406,18 @@ class TestRepair:
         assert captured.out == ""
         assert captured.err.startswith("error: input too large")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "matrix", "partitions", "repair"])
+    @pytest.mark.parametrize("n", [2**63, 10**30])
+    def test_vertex_count_beyond_any_list_exits_2(self, command, n, tmp_path, capsys):
+        # No list can hold n entries, so the header is refused before
+        # anything is allocated.
+        path = tmp_path / "huge.digraph"
+        path.write_text(f"digraph {n}\n1 2\n")
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: input too large to analyze: {n} vertices\n"
 
 
 class TestEndings:
@@ -709,8 +723,8 @@ class TestOnePassPerInput:
         monkeypatch.setattr(cli, "parse_document", recording)
         assert self.passes(argv, monkeypatch, capsys) == (0, passes)
         (doc,) = docs
-        assert doc.digraph.n == 5 and doc.digraph.succ
-        assert "arcs" not in vars(doc.digraph)
+        assert doc.n == 5 and doc.succ
+        assert "arcs" not in vars(doc)
 
     def test_non_split_partitions_read_the_slacks_only(
         self, tmp_path, capsys, monkeypatch

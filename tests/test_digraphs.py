@@ -69,6 +69,77 @@ class TestDigraph:
             EditSet(add, remove)
 
 
+class TestArcContract:
+    """``Digraph(n, arcs)`` and ``Digraph.from_lists`` keep one contract."""
+
+    # (n, arcs, message) for one fault class each.
+    FAULTS = {
+        "loop": (3, [(0, 1), (1, 1)], "loop at vertex 1 not allowed"),
+        "label n": (3, [(0, 1), (1, 3)], "arc (1, 3) outside vertex range [0, 3)"),
+        "label -1": (3, [(0, 1), (-1, 2)], "arc (-1, 2) outside vertex range [0, 3)"),
+        "source n": (3, [(0, 1), (3, 0)], "arc (3, 0) outside vertex range [0, 3)"),
+        # Unchecked, the target would become the shift count of 1 << 10**30.
+        "30-digit label": (
+            3, [(0, 1), (2, 10**30)], f"arc (2, {10**30}) outside vertex range [0, 3)"
+        ),
+        "first range fault": (
+            3, [(0, 1), (1, 7), (4, 0)], "arc (1, 7) outside vertex range [0, 3)"
+        ),
+        "n < 0": (-3, [], "negative vertex count -3"),
+        "loop after a range fault": (3, [(0, 5), (2, 2)], "loop at vertex 2 not allowed"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_both_constructors_raise_the_same_message(self, fault):
+        n, arcs, message = self.FAULTS[fault]
+        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+        with pytest.raises(ValueError) as from_pairs:
+            Digraph(n, arcs)
+        with pytest.raises(ValueError) as from_lists:
+            Digraph.from_lists(n, sources, targets)
+        assert str(from_pairs.value) == str(from_lists.value) == message
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Digraph.from_lists(3, [0, 1], [5, 1]),
+            lambda: Digraph.from_lists(3, [-1], [2]),
+            lambda: Digraph.from_lists(3, [1], [1]),
+            lambda: Digraph(-3),
+            lambda: Digraph.from_lists(-3, [], []),
+        ],
+    )
+    def test_no_digraph_is_built_outside_the_contract(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_lists_of_different_lengths_raise(self):
+        # Zipped unchecked, [0] and [1, 2] would give one arc and two in-degrees.
+        with pytest.raises(ValueError, match="^1 sources but 2 targets$"):
+            Digraph.from_lists(3, [0], [1, 2])
+        with pytest.raises(ValueError, match="^2 sources but 1 targets$"):
+            Digraph.from_lists(3, [0, 1], [1])
+
+    def test_valid_lists_give_the_same_digraph(self):
+        rng = random.Random(2010)
+        for _ in range(30):
+            n = rng.randint(100, 400)
+            arcs = list({
+                (u, v)
+                for u, v in (
+                    (rng.randrange(n), rng.randrange(n))
+                    for _ in range(rng.randint(0, 4 * n))
+                )
+                if u != v
+            })
+            rng.shuffle(arcs)
+            sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+            g = Digraph.from_lists(n, sources, targets)
+            # Digraph(...) merges repeats; from_lists would reject them.
+            assert Digraph(n, arcs + arcs[: len(arcs) // 3]) == g
+            assert g.arcs == frozenset(arcs)
+
+
 class TestDegreeSequence:
     def test_worked_realization(self, ex1_digraph, ex1):
         assert degree_sequence(ex1_digraph).pairs == ex1.pairs
