@@ -17,10 +17,11 @@ platform has one, so a reader that closes its end of stdout early ends
 the command silently, with status 141 in a shell, as it ends ``cat``.
 
 ``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
-unset), the largest input any brute-force check takes; the edit search of
-``repair --oracle`` also stops at 5 vertices, whatever the cap, because it
-tabulates every digraph on n vertices.  The oracle decides: a check it
-refuses is skipped with an ``oracle: ... skipped`` note.
+unset), the largest input any brute-force check takes; whatever the cap,
+the partition sweep of ``check --oracle`` also stops at 10 vertices
+(2^20 partitions), and the edit search of ``repair --oracle`` at 5,
+because it tabulates every digraph on n vertices.  The oracle decides: a
+check it refuses is skipped with an ``oracle: ... skipped`` note.
 """
 
 from __future__ import annotations
@@ -154,10 +155,6 @@ def _raise_first_arc_error(body: list[str], n: int) -> NoReturn:
     raise AssertionError("the bulk arc checks failed on lines the loop accepts")
 
 
-def _labels(vertices, sep: str) -> str:
-    return sep.join(str(v + 1) for v in sorted(vertices))
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -266,13 +263,15 @@ def cmd_check(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending
 
 
 def cmd_matrix(a: Analysis, budget: EnumerationBudget | None, extras: bool) -> Ending:
+    # Every printed row has N + 1 integers: one template formats them all.
+    template = ",".join(["%d"] * (a.seq.n + 1))
     for row in a.matrix.entries:
-        print(",".join(str(value) for value in row))
+        print(template % row)
     if extras:
-        print("sbar," + ",".join(str(s) for s in a.slack.s_bar))
-        print("sunder," + ",".join(str(s) for s in a.slack.s_under))
-        print("mbar," + ",".join(str(m) for m in a.maximal.m_bar))
-        print("munder," + ",".join(str(m) for m in a.maximal.m_under))
+        print("sbar," + template % a.slack.s_bar)
+        print("sunder," + template % a.slack.s_under)
+        print("mbar," + template % a.maximal.m_bar)
+        print("munder," + template % a.maximal.m_under)
     return _end_sequence(a, budget)
 
 
@@ -287,9 +286,10 @@ def cmd_partitions(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> E
     if csv:
         print(",".join(names))
     sep = " " if csv else ","
+    label = [str(v + 1) for v in range(a.seq.n)].__getitem__
     for part in a.partitions:
         blocks = (part.pm, part.plus, part.minus, part.zero)
-        values = (part.k, part.l, *(_labels(b, sep) for b in blocks))
+        values = (part.k, part.l, *(sep.join(map(label, sorted(b))) for b in blocks))
         if csv:
             print(",".join(map(str, values)))
         else:
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="cross-validate against the brute-force oracle, which skips "
             "inputs of more than SPLITKIT_ORACLE_MAX_N vertices (default "
-            f"{DEFAULT_BUDGET.max_vertices}; 5 for the repair edit search)",
+            f"{DEFAULT_BUDGET.max_vertices}; at most 10 for the partition sweep "
+            "and 5 for the repair edit search)",
         )
 
     add_common(sub.add_parser("check", help="digraphic? split? splittance value"))

@@ -32,10 +32,11 @@ class EnumerationBudget:
     """The largest vertex count any exhaustive search takes.
 
     It caps the backtracking realization search, the 4^N partition sweep,
-    digraph enumeration and the edit-distance search alike.  The last two
-    range over all 2^(n(n-1)) digraphs on n vertices, so they also refuse
-    any n with more than 2^``MAX_ARC_SLOTS`` of them (n > 5), whatever the
-    budget.  Every search checks its budget before it allocates anything.
+    digraph enumeration and the edit-distance search alike.  The sweep also
+    refuses more than 2^``MAX_ARC_SLOTS`` partitions (N > 10), and the last
+    two, which range over all 2^(n(n-1)) digraphs on n vertices, more than
+    2^``MAX_ARC_SLOTS`` digraphs (n > 5), whatever the budget.  Every
+    search checks its budget before it allocates anything.
     """
 
     max_vertices: int = 8
@@ -44,19 +45,21 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 # Digraphs on n vertices are the subsets of their n(n-1) arc slots; a search
-# over all of them stops at 2^20 (one byte each in the edit search's table).
+# over all of them stops at 2^20 (one byte each in the edit search's table),
+# and so does the sweep over the 4^N = 2^(2N) quad partitions.
 MAX_ARC_SLOTS = 20
 
 
 def _require(
-    n: int, budget: EnumerationBudget, search: str, all_digraphs: bool = False
+    n: int, budget: EnumerationBudget, search: str, bits: int = 0, things: str = ""
 ) -> None:
-    """Raise ``BudgetExceededError`` unless ``search`` may run on n vertices."""
+    """Raise ``BudgetExceededError`` unless ``search`` may run on n vertices
+    and its 2^``bits`` ``things`` are at most 2^``MAX_ARC_SLOTS``."""
     if n > budget.max_vertices:
         raise BudgetExceededError(f"{search} capped at {budget.max_vertices} vertices")
-    if all_digraphs and n * (n - 1) > MAX_ARC_SLOTS:
+    if bits > MAX_ARC_SLOTS:
         raise BudgetExceededError(
-            f"{search} over the 2^{n * (n - 1)} digraphs on {n} vertices "
+            f"{search} over the 2^{bits} {things} on {n} vertices "
             f"exceeds 2^{MAX_ARC_SLOTS}"
         )
 
@@ -109,14 +112,37 @@ def brute_min_partition_measure(
     assigned 0, matching the convention of the fast path.
 
     Raises:
-        BudgetExceededError: N exceeds ``budget.max_vertices``.
+        BudgetExceededError: N exceeds ``budget.max_vertices``, or 10, above
+            which the sweep would pass 2^``MAX_ARC_SLOTS`` partitions.
     """
-    _require(seq.n, budget, "partition sweep")
+    _require(seq.n, budget, "partition sweep", 2 * seq.n, "partitions")
     validate(seq)
     return min(
         (_measure(seq, part) for part in _quad_partitions(seq.n)),
         default=0,
     )
+
+
+def splittance_matrix_by_rows(seq: IntegerPairSequence) -> SplittanceMatrix:
+    """Each row built alone by walking its columns, O(N^2); the reference
+    for the row recurrence of ``splittance_matrix``."""
+    ordering = proper_order(seq)
+    outs, ins = seq.out_degrees, seq.in_degrees
+    pos_rank = ordering.pos_rank
+    rows = []
+    for k in range(seq.n + 1):
+        # Column 0 holds the in-degree mass less the out-degree of the
+        # top-k out-major prefix; then the in-major entries join the
+        # receiving side one at a time.
+        value = seq.sum_in - sum(outs[i] for i in ordering.pos_perm[:k])
+        row = [value]
+        for j in ordering.neg_perm:
+            # k new sender slots, less j's own loop slot when j sends, less
+            # the in-degree of j, which the receiving side now covers.
+            value += k - (pos_rank[j] < k) - ins[j]
+            row.append(value)
+        rows.append(tuple(row))
+    return SplittanceMatrix(tuple(rows))
 
 
 def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
@@ -308,7 +334,7 @@ def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> 
             than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).
     """
     n = g.n
-    _require(n, budget, "edit-distance search", all_digraphs=True)
+    _require(n, budget, "edit-distance search", n * (n - 1), "digraphs")
     if n == 0:
         return 0
     table = _split_membership(n)
@@ -333,6 +359,6 @@ def enumerate_digraphs(
             than 2^``MAX_ARC_SLOTS`` digraphs (n > 5); raised by the call,
             before anything is yielded.
     """
-    _require(n, budget, "exhaustive enumeration", all_digraphs=True)
+    _require(n, budget, "exhaustive enumeration", n * (n - 1), "digraphs")
     slots = _arc_slots(n)
     return (_digraph_from_mask(n, mask, slots) for mask in range(1 << len(slots)))

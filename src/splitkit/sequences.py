@@ -70,6 +70,11 @@ def validate(seq: IntegerPairSequence) -> None:
         OutOfRangeError: some out- or in-degree exceeds N - 1.
     """
     bound = seq.n - 1
+    # One column for two min/max calls: at small N each call costs more
+    # than the loop below.
+    both = seq.out_degrees + seq.in_degrees
+    if not both or (min(both) >= 0 and max(both) <= bound):
+        return  # all in range by C-level passes; else word the first fault
     for i, (out_deg, in_deg) in enumerate(zip(seq.out_degrees, seq.in_degrees)):
         if out_deg < 0 or in_deg < 0:
             raise NegativeDegreeError(

@@ -10,14 +10,16 @@ partition induced by the two degree orderings yields the splittance matrix,
 whose minimum away from two trivial corner cells is the digraph splittance.
 The public functions are views over one ``Analysis`` of their sequence,
 which reads everything but the matrix itself off the two slack families
-and the orderings, in O(N) after the sort.
+and the orderings, in O(N) after the sort; the matrix itself is built one
+row from the previous one, by C-level arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
+from itertools import accumulate, chain
+from operator import add, index, neg
 from typing import Iterable
 
 from .errors import NotDigraphicError, OutOfRangeError, UnbalancedSequenceError
@@ -152,7 +154,7 @@ def induced_partition(
         pm=top_out & top_in,
         plus=top_out - top_in,
         minus=top_in - top_out,
-        zero=frozenset(range(n)) - top_out - top_in,
+        zero=frozenset(ordering.pos_perm[k:]).difference(top_in),
     )
 
 
@@ -171,30 +173,22 @@ class SplittanceMatrix:
         return self.entries[k][l]
 
 
-def _splittance_row(
-    seq: IntegerPairSequence, ordering: ProperOrdering, k: int
-) -> list[int]:
-    # Row k in O(N): column 0 holds the in-degree mass less the out-degree
-    # of the top-k out-major prefix; then the in-major entries join the
-    # receiving side one at a time.
-    outs, ins = seq.out_degrees, seq.in_degrees
-    pos_rank = ordering.pos_rank
-    value = seq.sum_in - sum(outs[i] for i in ordering.pos_perm[:k])
-    row = [value]
-    for j in ordering.neg_perm:
-        # k new sender slots, less j's own loop slot when j sends, less the
-        # in-degree of j, which the receiving side now covers.
-        value += k - (pos_rank[j] < k) - ins[j]
-        row.append(value)
-    return row
-
-
 def _splittance_matrix(
     seq: IntegerPairSequence, ordering: ProperOrdering
 ) -> SplittanceMatrix:
-    return SplittanceMatrix(
-        tuple(tuple(_splittance_row(seq, ordering, k)) for k in range(seq.n + 1))
-    )
+    # Row 0 falls from the in-degree mass by each in-degree in in-major
+    # order.  When v = pos_perm[k - 1] (out-degree o, in-major rank r) joins
+    # the senders, column l gains l slots less o, less v's own loop slot
+    # once v is among the top l receivers (l > r).
+    n, outs, neg_rank = seq.n, seq.out_degrees, ordering.neg_rank
+    falls = map(neg, reorder(seq.in_degrees, ordering.neg_perm))
+    row = tuple(accumulate(falls, initial=seq.sum_in))
+    rows = [row]
+    for v in ordering.pos_perm:
+        o, r = outs[v], neg_rank[v]
+        row = tuple(map(add, row, chain(range(-o, r + 1 - o), range(r - o, n - o))))
+        rows.append(row)
+    return SplittanceMatrix(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -223,15 +217,6 @@ def _turning_points(degrees: tuple[int, ...], rank: tuple[int, ...]) -> tuple[in
         if r <= degree:
             inside[degree + 1] += 1
     return tuple(a + b for a, b in zip(at_least_counts(degrees), inside))
-
-
-def _maximal_sequences(
-    seq: IntegerPairSequence, ordering: ProperOrdering
-) -> MaximalSequences:
-    return MaximalSequences(
-        m_bar=_turning_points(seq.out_degrees, ordering.neg_rank),
-        m_under=_turning_points(seq.in_degrees, ordering.pos_rank),
-    )
 
 
 @dataclass(frozen=True)
@@ -263,7 +248,7 @@ class Analysis:
     functions below build a new analysis per call, so nothing is kept
     between calls.  Computing the ordering validates the sequence, which
     every other part needs first.  Everything except ``matrix`` costs O(N)
-    after the sort, or, for ``partitions``, O(N) per row holding a zero cell.
+    after the sort, plus O(1) per cell that ``partitions`` lists.
     """
 
     def __init__(self, seq: IntegerPairSequence):
@@ -283,7 +268,13 @@ class Analysis:
 
     @cached_property
     def maximal(self) -> MaximalSequences:
-        return _maximal_sequences(self.seq, self.ordering)
+        m_bar = _turning_points(self.seq.out_degrees, self.ordering.neg_rank)
+        return MaximalSequences(m_bar=m_bar, m_under=self._m_under)
+
+    @cached_property
+    def _m_under(self) -> tuple[int, ...]:
+        # The row turning points alone, which the plateau walk needs.
+        return _turning_points(self.seq.in_degrees, self.ordering.pos_rank)
 
     @cached_property
     def digraphic(self) -> bool:
@@ -330,35 +321,49 @@ class Analysis:
         last = n - 1 - max(in_degrees) + seq.sum_in - seq.sum_out
         return (min(in_degrees), *self.slack.s_bar[1:n], last)
 
+    def _plateau(self, k: int) -> range:
+        """Columns of row k's minimum away from the trivial corners, walked
+        back from the turning point ``m_under[k]`` (column N - 1 in row 0;
+        at least 1 in row N) while the step into column l, ``k - ins[j] -
+        (pos_rank[j] < k)`` for j = ``neg_perm[l - 1]``, is zero; needs N >= 1.
+        """
+        n, ins, neg_perm = self.seq.n, self.seq.in_degrees, self.ordering.neg_perm
+        pos_rank = self.ordering.pos_rank
+        end = n - 1 if k == 0 else max(self._m_under[k], k == n)
+        start = end
+        while start > 0:
+            j = neg_perm[start - 1]
+            if k - ins[j] - (pos_rank[j] < k):
+                break
+            start -= 1
+        return range(max(start, k == n), end + 1)
+
     @cached_property
     def best_cell(self) -> tuple[int, int]:
         """Row-major first cell away from the trivial corners (0, N) and
         (N, 0) that holds the matrix minimum; needs N >= 1."""
         minima = self.row_minima
         k = minima.index(min(minima))
-        row = _splittance_row(self.seq, self.ordering, k)
-        return k, row.index(minima[k], 1 if k == self.seq.n else 0)
+        return k, self._plateau(k)[0]
 
     @cached_property
     def partitions(self) -> list[QuadPartition]:
         """Induced partitions of the zero cells away from the trivial corners,
         in row-major order; only rows whose minimum is zero hold any."""
         self._require_digraphic()
-        n = self.seq.n
-        if n == 0:
+        if self.seq.n == 0:
             return [QuadPartition(0)]
-        corners = ((0, n), (n, 0))
         return [
             induced_partition(self.seq, self.ordering, k, l)
             for k, minimum in enumerate(self.row_minima)
             if minimum == 0
-            for l, value in enumerate(_splittance_row(self.seq, self.ordering, k))
-            if value == 0 and (k, l) not in corners
+            for l in self._plateau(k)
         ]
 
 
 def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:
-    """Compute the full matrix in O(N^2), row by row; nothing else needs it.
+    """Compute the full matrix in O(N^2), each row from the one before it;
+    nothing else needs it.
 
     Entry (k, l) equals ``k*l - |overlap| + (in-degree mass outside the top-l
     in-major prefix) - (out-degree mass of the top-k out-major prefix)``,

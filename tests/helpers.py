@@ -6,7 +6,14 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from splitkit import Digraph, IntegerPairSequence, QuadPartition, SplittanceMatrix
+from splitkit import (
+    Digraph,
+    IntegerPairSequence,
+    NegativeDegreeError,
+    OutOfRangeError,
+    QuadPartition,
+    SplittanceMatrix,
+)
 from splitkit.sequences import ProperOrdering
 
 
@@ -335,3 +342,50 @@ def parse_digraph_by_lines(text: str) -> tuple[int, set[tuple[int, int]]]:
             raise InputParseError(f"duplicate arc ({u}, {v})")
         arcs.add((u - 1, v - 1))
     return n, arcs
+
+
+def validate_by_loop(seq: IntegerPairSequence) -> None:
+    """The entry-by-entry check that ``validate`` now runs only to word the
+    first faulty entry: the same exception, message and index."""
+    bound = seq.n - 1
+    for i, (out_deg, in_deg) in enumerate(seq.pairs):
+        if out_deg < 0 or in_deg < 0:
+            raise NegativeDegreeError(
+                f"entry {i} has a negative degree: ({out_deg}, {in_deg})", i
+            )
+        if out_deg > bound or in_deg > bound:
+            raise OutOfRangeError(
+                f"entry {i} = ({out_deg}, {in_deg}) exceeds the "
+                f"simple-digraph bound {bound}",
+                i,
+            )
+
+
+def _labels(vertices, sep: str) -> str:
+    return sep.join(str(v + 1) for v in sorted(vertices))
+
+
+def render_matrix_by_generators(matrix: SplittanceMatrix, extras) -> str:
+    """``matrix --extras`` stdout, one generator per row: the formatting the
+    CLI's row template replaced.  ``extras`` holds the four extra rows."""
+    lines = [",".join(str(value) for value in row) for row in matrix.entries]
+    for name, values in zip(("sbar", "sunder", "mbar", "munder"), extras):
+        lines.append(name + "," + ",".join(str(v) for v in values))
+    return "".join(line + "\n" for line in lines)
+
+
+def render_partitions_by_labels(parts, fmt: str) -> str:
+    """``partitions`` stdout with one ``str`` call per label: the formatting
+    the CLI's label table replaced."""
+    csv = fmt == "csv"
+    names = ("k", "l", "pm", "plus", "minus", "zero")
+    lines = [",".join(names)] if csv else []
+    sep = " " if csv else ","
+    for part in parts:
+        blocks = (part.pm, part.plus, part.minus, part.zero)
+        values = (part.k, part.l, *(_labels(b, sep) for b in blocks))
+        if csv:
+            lines.append(",".join(map(str, values)))
+        else:
+            lines.append(" ".join(f"{n}={v}" for n, v in zip(names, values)))
+    return "".join(line + "\n" for line in lines)

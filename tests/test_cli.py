@@ -15,11 +15,29 @@ import splitkit
 import splitkit.cli as cli
 import splitkit.oracle as oracle
 from splitkit import (
-    BudgetExceededError, EnumerationBudget, IntegerPairSequence, splittance_matrix
+    BudgetExceededError,
+    EnumerationBudget,
+    IntegerPairSequence,
+    degree_sequence,
+    splittance_matrix,
 )
 from splitkit.cli import InputParseError, parse_document, run
+from splitkit.oracle import (
+    fulkerson_slack_quadratic,
+    maximal_sequences_quadratic,
+    splittance_matrix_by_rows,
+    zero_cells_by_scan,
+)
+from splitkit.sequences import proper_order
+from splitkit.splittance import induced_partition
 
-from helpers import parse_digraph_by_lines
+from helpers import (
+    parse_digraph_by_lines,
+    planted_split_digraph,
+    random_balanced_pairs,
+    render_matrix_by_generators,
+    render_partitions_by_labels,
+)
 
 try:
     import tomllib
@@ -631,6 +649,33 @@ class TestOracleFlag:
         assert capsys.readouterr() == fast
         assert sizes == [size]
 
+    def test_partition_sweep_capped_at_ten_vertices(self, tmp_path, capsys, monkeypatch):
+        # 4^11 partitions pass 2^20: the oracle refuses the sweep before it
+        # starts, whatever the cap, and the realization search still runs.
+        def no_sweep(n):
+            raise AssertionError("the partition sweep started")
+
+        realized = []
+
+        def recorded(seq, budget, _search=cli.brute_realize):
+            realized.append(_search(seq, budget))
+            return realized[-1]
+
+        g, _ = planted_split_digraph(random.Random(0), 11)
+        path = tmp_path / "planted11.seq"
+        pairs = degree_sequence(g).pairs
+        path.write_text("seq\n" + "".join(f"{o} {i}\n" for o, i in pairs))
+        assert run(["check", str(path)]) == 0
+        fast = capsys.readouterr()
+        monkeypatch.setattr(oracle, "_quad_partitions", no_sweep)
+        monkeypatch.setattr(cli, "brute_realize", recorded)
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "16")
+        assert run(["check", "--oracle", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fast.out
+        assert captured.err == "oracle: partition sweep skipped (N=11 over budget)\n"
+        assert len(realized) == 1 and realized[0] is not None
+
     def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle5.digraph"
         path.write_text("digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
@@ -759,3 +804,50 @@ class TestConsoleScript:
             assert result.returncode == 0, result.stderr
             assert result.stdout == read_fixture("ex1_check.kv")
             assert result.stderr == ""
+
+
+class TestRenderedOutput:
+    # The matrix row template and the partition label table against the
+    # per-integer formatting they replaced, fed from the oracle's matrix,
+    # slacks, turning points and zero cells.
+
+    @staticmethod
+    def sequence(family, rng, n):
+        if family == "empty":
+            return IntegerPairSequence([(0, 0)] * n)
+        if family == "complete":
+            return IntegerPairSequence([(n - 1, n - 1)] * n)
+        if family == "planted":
+            return degree_sequence(planted_split_digraph(rng, n)[0])
+        return random_balanced_pairs(rng, n)  # in range, not digraphic
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("empty", 300), ("complete", 250), ("planted", 200), ("nondigraphic", 150)],
+    )
+    def test_matrix_and_partitions_bytes(self, family, n, tmp_path, capsys):
+        seq = self.sequence(family, random.Random(f"render:{family}:{n}"), n)
+        path = tmp_path / f"{family}.seq"
+        path.write_text("seq\n" + "".join(f"{o} {i}\n" for o, i in seq.pairs))
+        matrix = splittance_matrix_by_rows(seq)
+        slack = fulkerson_slack_quadratic(seq)
+        maximal = maximal_sequences_quadratic(seq)
+        digraphic = seq.is_balanced and min(slack.s_bar + slack.s_under) >= 0
+        cells = zero_cells_by_scan(matrix)
+        assert digraphic == (family != "nondigraphic")
+        assert digraphic or min(map(min, matrix.entries)) < 0
+        code = 0 if cells and digraphic else 1 if digraphic else 3
+        extras = (slack.s_bar, slack.s_under, maximal.m_bar, maximal.m_under)
+        ordering = proper_order(seq)
+        parts = [induced_partition(seq, ordering, k, l) for k, l in cells]
+        for fmt in ("kv", "csv"):
+            assert run(["matrix", "--extras", "--format", fmt, str(path)]) == code
+            assert capsys.readouterr().out == render_matrix_by_generators(matrix, extras)
+            assert run(["partitions", "--format", fmt, str(path)]) == code
+            captured = capsys.readouterr()
+            if digraphic:
+                assert captured.out == render_partitions_by_labels(parts, fmt)
+            else:
+                assert (captured.out, captured.err) == (
+                    "", "error: sequence is not digraphic\n"
+                )

@@ -1,11 +1,12 @@
 """Differential tests: each fast path against the code it replaced, kept
 in ``splitkit.oracle``.
 
-The paths are the two slack families, the splittance, the witness cell
-that ``repair`` uses, the zero cells behind ``split_partitions`` (with
-their row-major order) and the turning points, and on the digraph store
-the edit set, the partition check and the degrees.  Exhaustive for small
-n, then seeded digraphs with N in the hundreds.
+The paths are the two slack families, the matrix rows built one from the
+previous one, the splittance, the witness cell that ``repair`` uses, the
+zero cells behind ``split_partitions`` (with their row-major order) and
+the turning points, and on the digraph store the edit set, the partition
+check and the degrees.  Exhaustive for small n, then seeded digraphs with
+N in the hundreds.
 """
 
 import random
@@ -28,6 +29,8 @@ from splitkit.oracle import (
     enumerate_digraphs,
     fulkerson_slack_quadratic,
     maximal_sequences_quadratic,
+    splittance_matrix_bruteforce,
+    splittance_matrix_by_rows,
     zero_cells_by_scan,
 )
 from splitkit.sequences import proper_order
@@ -51,11 +54,13 @@ def in_range_sequences(max_n: int):
 
 
 def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
-    """All five fast paths of a digraphic sequence against the references."""
+    """All six fast paths of a digraphic sequence against the references;
+    the cells are found by scanning the reference matrix."""
     a = Analysis(seq)
     assert a.slack == fulkerson_slack_quadratic(seq)
     assert a.maximal == maximal_sequences_quadratic(seq)
-    matrix = a.matrix
+    matrix = splittance_matrix_by_rows(seq)
+    assert a.matrix == matrix
     k, l = best_cell_by_scan(matrix)
     assert a.best_cell == (k, l)
     assert a.splittance == matrix[k, l]
@@ -73,6 +78,15 @@ class TestExhaustiveSmall:
             total += 1
         assert total == 66282
 
+    def test_matrix_on_every_in_range_sequence(self):
+        # The row recurrence against the literal per-cell measures, on all
+        # 66 282 sequences with n <= 4, digraphic or not, and n = 0.
+        total = 0
+        for seq in (IntegerPairSequence(), *in_range_sequences(4)):
+            assert Analysis(seq).matrix == splittance_matrix_bruteforce(seq), seq
+            total += 1
+        assert total == 66283
+
     def test_every_path_on_every_digraph_sequence(self):
         # The degree sequences of all digraphs on n <= 4 are exactly the
         # 2 724 digraphic sequences among the in-range ones.
@@ -88,7 +102,7 @@ class TestExhaustiveSmall:
         rng = random.Random(987)
         for seq in in_range_sequences(3):
             a = Analysis(seq)
-            assert a.best_cell == best_cell_by_scan(a.matrix), seq
+            assert a.best_cell == best_cell_by_scan(splittance_matrix_by_rows(seq)), seq
             assert a.maximal == maximal_sequences_quadratic(seq), seq
         for _ in range(200):
             n = rng.randint(1, 12)
@@ -96,7 +110,7 @@ class TestExhaustiveSmall:
                 (rng.randrange(n), rng.randrange(n)) for _ in range(n)
             )
             a = Analysis(seq)
-            assert a.best_cell == best_cell_by_scan(a.matrix), seq
+            assert a.best_cell == best_cell_by_scan(splittance_matrix_by_rows(seq)), seq
             assert a.maximal == maximal_sequences_quadratic(seq), seq
 
 
@@ -141,6 +155,18 @@ class TestSeededLarge:
         assert proper_order(seq) == proper_order_by_tuples(seq)
         if family in ("planted", "empty", "complete"):
             assert Analysis(seq).split
+
+    @pytest.mark.parametrize("n", [100, 250, 400])
+    def test_matrix_and_witness_cell_on_in_range_sequences(self, n):
+        # Unbalanced or non-digraphic: the recurrence and the walk rest on
+        # the order of the degrees alone.
+        rng = random.Random(f"in-range:{n}")
+        seq = IntegerPairSequence((rng.randrange(n), rng.randrange(n)) for _ in range(n))
+        a = Analysis(seq)
+        matrix = splittance_matrix_by_rows(seq)
+        assert a.matrix == matrix
+        assert a.best_cell == best_cell_by_scan(matrix)
+        assert a.maximal == maximal_sequences_quadratic(seq)
 
 
 def every_partition(n: int):

@@ -151,6 +151,26 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             enumerate_digraphs(n, budget)
 
+    def test_partition_count_rule_refuses_before_sweeping(self, monkeypatch):
+        # 4^11 = 2^22 partitions; at 16 vertices the sweep would run for
+        # hours.  The rule holds whatever the vertex cap.
+        def no_sweep(n):
+            raise AssertionError("the partition sweep started")
+
+        monkeypatch.setattr(oracle, "_quad_partitions", no_sweep)
+        budget = EnumerationBudget(max_vertices=16)
+        for n in (11, 16):
+            with pytest.raises(BudgetExceededError, match=rf"2\^{2 * n} partitions"):
+                brute_min_partition_measure(IntegerPairSequence([(0, 0)] * n), budget)
+
+    def test_partition_count_rule_admits_ten_vertices(self, monkeypatch):
+        # 4^10 = 2^20 partitions is the largest sweep the rule allows.
+        swept = []
+        monkeypatch.setattr(oracle, "_quad_partitions", lambda n: swept.append(n) or ())
+        seq = IntegerPairSequence([(0, 0)] * 10)
+        assert brute_min_partition_measure(seq, EnumerationBudget(max_vertices=16)) == 0
+        assert swept == [10]
+
     def test_sweep_streams_its_partitions(self):
         # A new interpreter, so that nothing an earlier test left in memory
         # hides what the sweep allocates.

@@ -10,10 +10,12 @@ from splitkit import (
     IntegerPairSequence,
     NegativeDegreeError,
     OutOfRangeError,
+    SequenceValidationError,
 )
+from splitkit.cli import run
 from splitkit.sequences import proper_order, reorder, validate
 
-from helpers import compare_neg, compare_pos, random_valid_pairs
+from helpers import compare_neg, compare_pos, random_valid_pairs, validate_by_loop
 
 
 def pair_sequences(max_n=10):
@@ -128,6 +130,79 @@ class TestValidate:
     def test_in_degree_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             validate(IntegerPairSequence([(0, 3), (0, 0), (1, 1)]))
+
+
+def _outcome(check, seq):
+    """(type, message, index) of the error ``check`` raises, or None."""
+    try:
+        check(seq)
+    except SequenceValidationError as exc:
+        return type(exc), str(exc), exc.index
+    return None
+
+
+class TestValidateInBulk:
+    # validate checks every entry by min and max over the two columns and
+    # runs the entry loop only to word the first fault; the loop it used
+    # for every sequence is kept in helpers as the reference.
+
+    @staticmethod
+    def faulty(rng, n, faults):
+        """A seeded in-range sequence of n entries with ``faults``, pairs of
+        (position, kind), written into a random column."""
+        pairs = [list(p) for p in random_valid_pairs(rng, n).pairs]
+        pairs[0][0] = n - 1  # both bounds reached, not crossed
+        pairs[-1][1] = 0
+        for position, kind in faults:
+            excess = rng.randint(1, 3)
+            value = -excess if kind == "negative" else n - 1 + excess
+            pairs[position][rng.randrange(2)] = value
+        return IntegerPairSequence(pairs)
+
+    @staticmethod
+    def assert_cli_matches_loop(seq, tmp_path, capsys):
+        path = tmp_path / "faulty.seq"
+        path.write_text("seq\n" + "".join(f"{o} {i}\n" for o, i in seq.pairs))
+        kind, message, _ = _outcome(validate_by_loop, seq)
+        assert run(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        if kind is NegativeDegreeError:
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        else:  # out-of-range entries are merely non-digraphic to check
+            assert (captured.out, captured.err) == ("digraphic=false\n", "")
+        assert run(["partitions", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["negative", "out-of-range"])
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_first_fault_named_like_the_loop(self, kind, where, tmp_path, capsys):
+        rng = random.Random(f"validate:{kind}:{where}")
+        n = rng.randint(100, 400)
+        position = {"start": 0, "middle": n // 2, "end": n - 1}[where]
+        later = [(rng.randrange(position + 1, n), kind)] if where != "end" else []
+        seq = self.faulty(rng, n, [(position, kind), *later])
+        expected = _outcome(validate_by_loop, seq)
+        assert expected[2] == position
+        assert _outcome(validate, seq) == expected
+        self.assert_cli_matches_loop(seq, tmp_path, capsys)
+
+    @pytest.mark.parametrize("first", ["negative", "out-of-range"])
+    def test_first_fault_after_one_of_the_other_kind(self, first, tmp_path, capsys):
+        rng = random.Random(f"validate:after:{first}")
+        n = rng.randint(100, 400)
+        other = "out-of-range" if first == "negative" else "negative"
+        seq = self.faulty(rng, n, [(n // 3, first), (2 * n // 3, other)])
+        expected = _outcome(validate_by_loop, seq)
+        assert expected[2] == n // 3
+        assert _outcome(validate, seq) == expected
+        self.assert_cli_matches_loop(seq, tmp_path, capsys)
+
+    def test_valid_sequences_pass_both(self):
+        rng = random.Random(20)
+        for n in (1, 2, 100, 250, 400):
+            seq = self.faulty(rng, n, [])
+            assert _outcome(validate, seq) is None
+            assert _outcome(validate_by_loop, seq) is None
 
 
 class TestComparators:
