@@ -19,9 +19,13 @@ the command silently, with status 141 in a shell, as it ends ``cat``.
 ``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
 unset), the largest input any brute-force check takes; whatever the cap,
 the partition sweep of ``check --oracle`` also stops at 10 vertices
-(2^20 partitions), and the edit search of ``repair --oracle`` at 5,
-because it tabulates every digraph on n vertices.  The oracle decides: a
-check it refuses is skipped with an ``oracle: ... skipped`` note.
+(2^20 partitions), the edit search of ``repair --oracle`` at 5, because
+it tabulates every digraph on n vertices, and the realization search
+gives up after 2^20 placements.  The oracle decides: a check it refuses is
+skipped with an ``oracle: ... skipped`` note.  Every command computes its
+answer, picks its exit code and runs the ``--oracle`` cross-check before
+it writes anything, so a failing oracle leaves stdout empty.  The argument
+parser is built once, when the module is imported.
 """
 
 from __future__ import annotations
@@ -30,14 +34,11 @@ import argparse
 import os
 import signal
 import sys
-from dataclasses import dataclass
 from operator import itemgetter, methodcaller
 from typing import NoReturn
 
-from .digraphs import Digraph, degree_sequence, repair
-from .errors import (
-    BudgetExceededError, NotDigraphicError, SequenceValidationError, SplitkitError
-)
+from .digraphs import Digraph, EditSet, degree_sequence, repair
+from .errors import BudgetExceededError, SequenceValidationError, SplitkitError
 from .oracle import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -57,7 +58,8 @@ EXIT_INTERNAL_ERROR = 5
 
 
 class InputParseError(SplitkitError):
-    """The input file does not follow the documented format."""
+    """The input cannot be read or does not follow the documented format,
+    or ``SPLITKIT_ORACLE_MAX_N`` is invalid: exit code 2."""
 
 
 def parse_document(text: str) -> IntegerPairSequence | Digraph:
@@ -159,14 +161,6 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-@dataclass(frozen=True)
-class Ending:
-    """How a command ends after its output: exit code and stderr notes."""
-
-    code: int
-    notes: tuple[str, ...] = ()
-
-
 def _oracle_budget() -> EnumerationBudget:
     override = os.environ.get("SPLITKIT_ORACLE_MAX_N")
     if override is None:
@@ -225,31 +219,12 @@ def _oracle_check_repair(
     return [], []
 
 
-def _end(code: int, budget: EnumerationBudget | None, oracle) -> Ending:
-    """End with ``code``, the fast answer, unless ``oracle(budget)`` disagrees.
-
-    The oracle runs only with a budget.  Its skip notes go to stderr, then
-    its first disagreement, which turns the exit code into 4.
-    """
-    if budget is None:
-        return Ending(code)
-    skipped, failures = oracle(budget)
-    if failures:
-        return Ending(EXIT_ORACLE_DISAGREEMENT, (*skipped, failures[0]))
-    return Ending(code, tuple(skipped))
+# The writers print an answer and decide nothing: ``_run`` has picked the
+# exit code and run the oracle before it calls one.
 
 
-def _end_sequence(a: Analysis, budget: EnumerationBudget | None) -> Ending:
-    if not a.digraphic:
-        code = EXIT_INVALID_INPUT
-    else:
-        code = EXIT_SPLIT if a.split else EXIT_NOT_SPLIT
-    return _end(code, budget, lambda b: _oracle_check_sequence(a, b))
-
-
-def cmd_check(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending:
+def cmd_check(a: Analysis, fmt: str) -> None:
     # Out-of-range entries are merely non-digraphic here; check still reports.
-    ending = _end_sequence(a, budget)
     if fmt == "csv":
         print("digraphic,split,splittance")
         print(f"true,{_bool(a.split)},{a.splittance}" if a.digraphic else "false,,")
@@ -259,10 +234,9 @@ def cmd_check(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending
         print(f"splittance={a.splittance}")
     else:
         print("digraphic=false")
-    return ending
 
 
-def cmd_matrix(a: Analysis, budget: EnumerationBudget | None, extras: bool) -> Ending:
+def cmd_matrix(a: Analysis, extras: bool) -> None:
     # Every printed row has N + 1 integers: one template formats them all.
     template = ",".join(["%d"] * (a.seq.n + 1))
     for row in a.matrix.entries:
@@ -272,41 +246,32 @@ def cmd_matrix(a: Analysis, budget: EnumerationBudget | None, extras: bool) -> E
         print("sunder," + template % a.slack.s_under)
         print("mbar," + template % a.maximal.m_bar)
         print("munder," + template % a.maximal.m_under)
-    return _end_sequence(a, budget)
 
 
-def cmd_partitions(a: Analysis, fmt: str, budget: EnumerationBudget | None) -> Ending:
+def cmd_partitions(a: Analysis, fmt: str) -> None:
     if not a.digraphic:
         validate(a.seq)  # entries beyond N - 1 are reported as such
         print("error: sequence is not digraphic", file=sys.stderr)
-        return _end_sequence(a, budget)
-    ending = _end_sequence(a, budget)
-    csv = fmt == "csv"
-    names = ("k", "l", "pm", "plus", "minus", "zero")
-    if csv:
-        print(",".join(names))
-    sep = " " if csv else ","
+        return
+    if fmt == "csv":
+        print("k,l,pm,plus,minus,zero")
+        template, sep = "%d,%d,%s,%s,%s,%s", " "
+    else:
+        template, sep = "k=%d l=%d pm=%s plus=%s minus=%s zero=%s", ","
     label = [str(v + 1) for v in range(a.seq.n)].__getitem__
     for part in a.partitions:
         blocks = (part.pm, part.plus, part.minus, part.zero)
-        values = (part.k, part.l, *(sep.join(map(label, sorted(b))) for b in blocks))
-        if csv:
-            print(",".join(map(str, values)))
-        else:
-            print(" ".join(f"{n}={v}" for n, v in zip(names, values)))
-    return ending
+        members = (sep.join(map(label, sorted(block))) for block in blocks)
+        print(template % (part.k, part.l, *members))
 
 
-def cmd_repair(g: Digraph, fmt: str, budget: EnumerationBudget | None) -> Ending:
-    edits, _ = repair(g)
-    sep = "," if fmt == "csv" else " "
+def cmd_repair(edits: EditSet, fmt: str) -> None:
     if fmt == "csv":
         print("op,u,v")
+    template = "%s,%d,%d" if fmt == "csv" else "%s %d %d"
     for op, arcs in (("+", edits.add), ("-", edits.remove)):
         for u, v in sorted(arcs):
-            print(f"{op}{sep}{u + 1}{sep}{v + 1}")
-    code = EXIT_SPLIT if edits.size == 0 else EXIT_NOT_SPLIT
-    return _end(code, budget, lambda b: _oracle_check_repair(g, edits.size, b))
+            print(template % (op, u + 1, v + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,8 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return _run(args)
     except MemoryError:
@@ -363,48 +331,57 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def _read(file: str) -> str:
+    try:
+        if file == "-":
+            return sys.stdin.read()
+        with open(file, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParseError(f"cannot read {file}: {exc}") from None
+
+
 def _run(args: argparse.Namespace) -> int:
+    """Parse, answer, pick the exit code, run the oracle, then write: a
+    failing oracle leaves stdout empty."""
     try:
         budget = _oracle_budget() if args.oracle else None
+        doc = parse_document(_read(args.file))
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    try:
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file, encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    if args.command == "repair" and not isinstance(doc, Digraph):
+        print("error: repair needs a digraph input", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
-    try:
-        doc = parse_document(text)
-    except InputParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-
+    skipped, failures = [], []
     try:
         if args.command == "repair":
-            if not isinstance(doc, Digraph):
-                print("error: repair needs a digraph input", file=sys.stderr)
-                return EXIT_INVALID_INPUT
-            ending = cmd_repair(doc, args.format, budget)
+            edits, _ = repair(doc)
+            code = EXIT_NOT_SPLIT if edits.size else EXIT_SPLIT
+            if budget is not None:
+                skipped, failures = _oracle_check_repair(doc, edits.size, budget)
+            cmd_repair(edits, args.format)
         else:
             a = Analysis(degree_sequence(doc) if isinstance(doc, Digraph) else doc)
-            if args.command == "check":
-                ending = cmd_check(a, args.format, budget)
-            elif args.command == "matrix":
-                ending = cmd_matrix(a, budget, args.extras)
+            if not a.digraphic:
+                code = EXIT_INVALID_INPUT
             else:
-                ending = cmd_partitions(a, args.format, budget)
-    except (SequenceValidationError, NotDigraphicError) as exc:
+                code = EXIT_SPLIT if a.split else EXIT_NOT_SPLIT
+            if budget is not None:
+                skipped, failures = _oracle_check_sequence(a, budget)
+            if args.command == "check":
+                cmd_check(a, args.format)
+            elif args.command == "matrix":
+                cmd_matrix(a, args.extras)
+            else:
+                cmd_partitions(a, args.format)
+    except SequenceValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    for note in ending.notes:
+    for note in skipped + failures[:1]:
         print(note, file=sys.stderr)
-    return ending.code
+    return EXIT_ORACLE_DISAGREEMENT if failures else code
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from typing import Iterable, Iterator
 
 from .digraphs import Arc, Digraph, EditSet
@@ -35,8 +35,10 @@ class EnumerationBudget:
     digraph enumeration and the edit-distance search alike.  The sweep also
     refuses more than 2^``MAX_ARC_SLOTS`` partitions (N > 10), and the last
     two, which range over all 2^(n(n-1)) digraphs on n vertices, more than
-    2^``MAX_ARC_SLOTS`` digraphs (n > 5), whatever the budget.  Every
-    search checks its budget before it allocates anything.
+    2^``MAX_ARC_SLOTS`` digraphs (n > 5), whatever the budget.  These
+    searches check their budget before they allocate anything.  The
+    realization search, whose length the vertex count does not bound, gives
+    up during the search, after 2^``MAX_ARC_SLOTS`` placements.
     """
 
     max_vertices: int = 8
@@ -46,7 +48,8 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 # Digraphs on n vertices are the subsets of their n(n-1) arc slots; a search
 # over all of them stops at 2^20 (one byte each in the edit search's table),
-# and so does the sweep over the 4^N = 2^(2N) quad partitions.
+# and so do the sweep over the 4^N = 2^(2N) quad partitions and the
+# realization search's placements.
 MAX_ARC_SLOTS = 20
 
 
@@ -251,7 +254,8 @@ def brute_realize(
     including for entries beyond N - 1.
 
     Raises:
-        BudgetExceededError: N exceeds ``budget.max_vertices``.
+        BudgetExceededError: N exceeds ``budget.max_vertices``, or the search
+            passes 2^``MAX_ARC_SLOTS`` placements (combinations tried).
     """
     n = seq.n
     _require(n, budget, "realization search")
@@ -267,6 +271,7 @@ def brute_realize(
     placed = [False] * n
     in_cap = [seq.pairs[i][1] for i in range(n)]
     arcs: list[tuple[int, int]] = []
+    placements = count()
 
     def place(position: int) -> bool:
         if position == n:
@@ -284,6 +289,11 @@ def brute_realize(
             return False
         placed[u] = True
         for chosen in combinations(candidates, need):
+            if next(placements) == 1 << MAX_ARC_SLOTS:
+                raise BudgetExceededError(
+                    f"realization search on {n} vertices "
+                    f"passed 2^{MAX_ARC_SLOTS} placements"
+                )
             for v in chosen:
                 in_cap[v] -= 1
             arcs.extend((u, v) for v in chosen)

@@ -17,7 +17,7 @@ row from the previous one, by C-level arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import add, index, neg
 from typing import Iterable
@@ -32,6 +32,12 @@ from .sequences import (
     reorder,
     validate,
 )
+
+
+@lru_cache(maxsize=8)
+def _vertices(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
 
 @dataclass(frozen=True)
 class QuadPartition:
@@ -51,16 +57,14 @@ class QuadPartition:
         minus: Iterable[int] = (),
         zero: Iterable[int] = (),
     ):
-        object.__setattr__(self, "n", index(n))
-        object.__setattr__(self, "pm", frozenset(pm))
-        object.__setattr__(self, "plus", frozenset(plus))
-        object.__setattr__(self, "minus", frozenset(minus))
-        object.__setattr__(self, "zero", frozenset(zero))
-        blocks = (self.pm, self.plus, self.minus, self.zero)
-        if sum(len(b) for b in blocks) != self.n or frozenset().union(
-            *blocks
-        ) != frozenset(range(self.n)):
+        n = index(n)
+        pm, plus = frozenset(pm), frozenset(plus)
+        minus, zero = frozenset(minus), frozenset(zero)
+        members = pm.union(plus, minus, zero)
+        sum(map(index, members))  # a member such as 0.0 or "0" raises TypeError
+        if len(pm) + len(plus) + len(minus) + len(zero) != n or members != _vertices(n):
             raise ValueError("blocks must partition range(n)")
+        self.__dict__.update(n=n, pm=pm, plus=plus, minus=minus, zero=zero)
 
     @property
     def k(self) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import io
 import os
@@ -459,7 +460,14 @@ class TestEndings:
             (["check", fixture("ex1.seq")], "Analysis"),
             (["repair", fixture("ex1_realization.digraph")], "repair"),
             (["repair", fixture("ex1_realization.digraph")], "_bulk_arcs"),
+            # The oracle runs before any output, whatever the command (csv
+            # repair output has a header line even with no edits).
             (["partitions", fixture("ex1.seq"), "--oracle"], "brute_realize"),
+            (["matrix", fixture("ex1.seq"), "--oracle"], "brute_realize"),
+            (
+                ["repair", fixture("ex1_realization.digraph"), "--format", "csv", "--oracle"],
+                "brute_splittance",
+            ),
         ],
     )
     def test_unexpected_exception_exits_5(self, argv, attribute, capsys, monkeypatch):
@@ -688,6 +696,21 @@ class TestOracleFlag:
         assert run(["check", fixture("ex1.seq")]) == 0
         assert capsys.readouterr().out == read_fixture("ex1_check.kv")
 
+    def test_realization_search_gives_up_with_a_note(self, tmp_path, capsys, monkeypatch):
+        # A non-digraphic sequence that takes more than 2^2 placements to
+        # refute: past 2^MAX_ARC_SLOTS the search gives up, and the CLI
+        # notes it like any check the oracle refuses.
+        path = tmp_path / "nondigraphic6.seq"
+        path.write_text("seq\n0 1\n1 1\n3 3\n3 1\n4 5\n2 2\n")
+        assert run(["check", str(path)]) == 3
+        fast = capsys.readouterr()
+        monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
+        monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 2)
+        assert run(["check", str(path), "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == fast.out == "digraphic=false\n"
+        assert captured.err == "oracle: realization check skipped (N=6 over budget)\n"
+
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # Force the oracle to lie so the loud-failure path is exercised.
         monkeypatch.setattr(cli, "brute_realize", lambda seq, budget: None)
@@ -778,6 +801,18 @@ class TestOnePassPerInput:
         path.write_text("seq\n" + "1 1\n" * 4)
         argv = ["partitions", str(path)]
         assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 0))
+
+    def test_no_parser_is_built_per_request(self, capsys, monkeypatch):
+        built = []
+
+        def counted(parser, *args, _init=argparse.ArgumentParser.__init__, **kwargs):
+            built.append(parser)
+            _init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["check", fixture("ex1.seq")]) == 0
+        assert run(["repair", fixture("ex1_realization.digraph")]) == 0
+        assert built == []
 
 
 class TestConsoleScript:

@@ -59,6 +59,15 @@ class TestBruteRealize:
         with pytest.raises(BudgetExceededError):
             brute_realize(seq)
 
+    def test_gives_up_after_the_placement_bound(self, ex1, monkeypatch):
+        # The worked example takes more than 2^2 and at most 2^3 placements;
+        # its 5 vertices are well within the vertex cap.
+        monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 2)
+        with pytest.raises(BudgetExceededError, match="passed 2\\^2 placements"):
+            brute_realize(ex1)
+        monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 3)
+        assert degree_sequence(brute_realize(ex1)) == ex1
+
     def test_matches_inequality_test_exhaustively_small(self):
         for n in range(1, 4):
             entries = list(product(range(n), repeat=2))

@@ -129,6 +129,17 @@ class TestQuadPartition:
         with pytest.raises(TypeError):
             QuadPartition(n, pm=[0, 1])
 
+    @pytest.mark.parametrize("member", [0.0, "0"])
+    def test_non_integral_member_raises(self, member):
+        # 0.0 == 0 and hashes alike, so a set comparison alone lets it in.
+        with pytest.raises(TypeError):
+            QuadPartition(1, pm=[member])
+
+    @pytest.mark.parametrize("blocks", [([0], [0]), ([0],), ([0, 2], [1]), ([0, 1, 2],)])
+    def test_blocks_that_do_not_partition_raise(self, blocks):
+        with pytest.raises(ValueError, match="partition range"):
+            QuadPartition(2, *blocks)
+
 
 class TestInducedPartition:
     def test_worked_example(self, ex1):
