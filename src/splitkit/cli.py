@@ -2,7 +2,9 @@
 
 Reads a degree sequence or a labeled digraph from a plain-text file, runs
 any of the analyses, and prints exact integer results.  Vertex labels in
-files are 1-based; all internal indices are 0-based.
+files are 1-based; all internal indices are 0-based.  Both headers share
+one bulk tokenizer; a file it refuses is walked line by line to word the
+first fault.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -24,8 +26,9 @@ it tabulates every digraph on n vertices, and the realization search
 gives up after 2^20 placements.  The oracle decides: a check it refuses is
 skipped with an ``oracle: ... skipped`` note.  Every command computes its
 answer, picks its exit code and runs the ``--oracle`` cross-check before
-it writes anything, so a failing oracle leaves stdout empty.  The argument
-parser is built once, when the module is imported.
+it writes anything, so a failing oracle leaves stdout empty; an entry
+beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs.
+The argument parser is built once, when the module is imported.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import os
 import signal
 import sys
 from operator import itemgetter, methodcaller
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .digraphs import Digraph, EditSet, degree_sequence, repair
 from .errors import BudgetExceededError, SequenceValidationError, SplitkitError
@@ -83,22 +86,14 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {lines[0]!r}: expected 'seq'")
-        pairs = []
-        for line in body:
-            fields = line.split()
-            if len(fields) != 2:
-                raise InputParseError(f"expected 'out in' pair, got {line!r}")
-            try:
-                pairs.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise InputParseError(f"non-integer degree in line {line!r}") from None
-        return IntegerPairSequence(pairs)
+        columns = _columns(body, 0)
+        if columns is None:  # the walk words the first faulty line
+            return IntegerPairSequence(_line_pairs(body, "'out in' pair", "degree"))
+        return IntegerPairSequence(zip(*columns))
 
     if header[0] == "digraph":
         if len(header) != 2:
-            raise InputParseError(
-                f"malformed header {lines[0]!r}: expected 'digraph N'"
-            )
+            raise InputParseError(f"malformed header {lines[0]!r}: expected 'digraph N'")
         try:
             n = int(header[1])
         except ValueError:
@@ -107,53 +102,57 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"negative vertex count {n}")
         if n > sys.maxsize:  # no list of n degrees fits in memory
             raise InputParseError(f"input too large to analyze: {n} vertices")
-        g = _bulk_arcs(body, n)
-        if g is None:
-            _raise_first_arc_error(body, n)
-        return g
+        columns = _columns(body, 1)
+        if columns is not None:
+            try:
+                return Digraph.from_lists(n, *columns)
+            except ValueError:  # range, loop or repeat: word it line by line
+                pass
+        _raise_first_arc_error(body, n)
 
     raise InputParseError(f"unknown header {lines[0]!r}: expected 'seq' or 'digraph N'")
 
 
-def _bulk_arcs(body: list[str], n: int) -> Digraph | None:
-    """The digraph on the arc lines ``body``, or None when a line is at fault.
-
-    The text checks are one pass over all lines at once: two fields per
-    line, and integer labels (each distinct token converted once).
-    ``Digraph.from_lists`` checks the range, loops and repeats.
-    """
+def _columns(body: list[str], base: int) -> tuple[list[int], list[int]] | None:
+    """The two integer columns of the lines ``body``, each entry less ``base``,
+    or None when a line is not two integers: C-level passes over all lines
+    at once, each distinct token converted once."""
     if not set(map(len, map(str.split, body))) <= {2}:
         return None
     tokens = " ".join(body).split()
     try:
-        vertex = {token: int(token) - 1 for token in set(tokens)}
+        value = {token: int(token) - base for token in set(tokens)}
     except ValueError:
         return None
-    vertices = list(map(vertex.__getitem__, tokens))
-    try:
-        return Digraph.from_lists(n, vertices[0::2], vertices[1::2])
-    except ValueError:
-        return None
+    values = list(map(value.__getitem__, tokens))
+    return values[0::2], values[1::2]
+
+
+def _line_pairs(body: list[str], shape: str, noun: str) -> Iterator[tuple[int, int]]:
+    """Each line's two integers, one line at a time; raises for the first
+    line that is not ``shape`` with integer ``noun``s."""
+    for line in body:
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputParseError(f"expected {shape}, got {line!r}")
+        try:
+            pair = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputParseError(f"non-integer {noun} in line {line!r}") from None
+        yield pair
 
 
 def _raise_first_arc_error(body: list[str], n: int) -> NoReturn:
     """Word the first faulty arc line, checking one line at a time."""
     arcs = set()
-    for line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise InputParseError(f"expected 'u v' arc, got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputParseError(f"non-integer label in line {line!r}") from None
+    for u, v in _line_pairs(body, "'u v' arc", "label"):
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
         if u == v:
             raise InputParseError(f"loop at vertex {u} not allowed")
-        if (u - 1, v - 1) in arcs:
+        if (u, v) in arcs:
             raise InputParseError(f"duplicate arc ({u}, {v})")
-        arcs.add((u - 1, v - 1))
+        arcs.add((u, v))
     raise AssertionError("the bulk arc checks failed on lines the loop accepts")
 
 
@@ -224,7 +223,6 @@ def _oracle_check_repair(
 
 
 def cmd_check(a: Analysis, fmt: str) -> None:
-    # Out-of-range entries are merely non-digraphic here; check still reports.
     if fmt == "csv":
         print("digraphic,split,splittance")
         print(f"true,{_bool(a.split)},{a.splittance}" if a.digraphic else "false,,")
@@ -250,7 +248,6 @@ def cmd_matrix(a: Analysis, extras: bool) -> None:
 
 def cmd_partitions(a: Analysis, fmt: str) -> None:
     if not a.digraphic:
-        validate(a.seq)  # entries beyond N - 1 are reported as such
         print("error: sequence is not digraphic", file=sys.stderr)
         return
     if fmt == "csv":
@@ -366,6 +363,8 @@ def _run(args: argparse.Namespace) -> int:
             a = Analysis(degree_sequence(doc) if isinstance(doc, Digraph) else doc)
             if not a.digraphic:
                 code = EXIT_INVALID_INPUT
+                if args.command != "check":  # check reports them as non-digraphic
+                    validate(a.seq)  # entries beyond N - 1 are reported as such
             else:
                 code = EXIT_SPLIT if a.split else EXIT_NOT_SPLIT
             if budget is not None:

@@ -59,7 +59,6 @@ class Digraph:
     indegree: Counter[int]
 
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
-        n = index(n)
         pairs = list(dict.fromkeys((index(u), index(v)) for u, v in arcs))
         self._fill(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
 
@@ -81,6 +80,7 @@ class Digraph:
         # checked on their distinct values, the keys of ``indegree`` and then
         # of ``succ``, so the checks cost O(N) beyond the loop test; every
         # target is checked before it becomes a shift count.
+        n = index(n)
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         if len(sources) != len(targets):
@@ -95,6 +95,7 @@ class Digraph:
             get = succ.get
             for u, v in zip(sources, targets):
                 succ[u] = get(u, 0) | 1 << v
+            sum(map(index, succ))  # a source such as 1.5 raises TypeError
         if not (targets_in_range and _within(succ, n)):
             u, v = next(
                 (u, v) for u, v in zip(sources, targets)

@@ -344,6 +344,30 @@ def parse_digraph_by_lines(text: str) -> tuple[int, set[tuple[int, int]]]:
     return n, arcs
 
 
+def parse_sequence_by_lines(text: str) -> IntegerPairSequence:
+    """The line-at-a-time sequence parser the bulk tokenizer replaced: the
+    pair sequence, or the same ``InputParseError`` for the first faulty
+    line."""
+    from splitkit.cli import InputParseError
+
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append(stripped)
+    assert lines[0].split() == ["seq"]
+    pairs = []
+    for line in lines[1:]:
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputParseError(f"expected 'out in' pair, got {line!r}")
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise InputParseError(f"non-integer degree in line {line!r}") from None
+    return IntegerPairSequence(pairs)
+
+
 def validate_by_loop(seq: IntegerPairSequence) -> None:
     """The entry-by-entry check that ``validate`` now runs only to word the
     first faulty entry: the same exception, message and index."""

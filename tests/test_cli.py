@@ -34,6 +34,7 @@ from splitkit.splittance import induced_partition
 
 from helpers import (
     parse_digraph_by_lines,
+    parse_sequence_by_lines,
     planted_split_digraph,
     random_balanced_pairs,
     render_matrix_by_generators,
@@ -116,11 +117,16 @@ class TestParseDocument:
 
 
 class TestBulkParser:
-    """The bulk arc checks of ``parse_document`` against the line-at-a-time
-    parser they replaced: same arcs, same first error, exit code 2."""
+    """The bulk checks of ``parse_document`` against the line-at-a-time
+    parser they replaced: same value, same first error, exit code 2.  This
+    class covers the ``digraph N`` header; ``TestBulkSequenceParser`` runs
+    the same tests on the ``seq`` header."""
 
     N = 12
-    # One faulty arc line per class, for a 12-vertex digraph.
+    HEADER = "digraph 12"
+    COMMAND = "repair"
+    # One faulty line per class, for a 12-vertex digraph; under ``seq`` the
+    # label faults are valid pairs.
     FAULTS = {
         "one field": "3",
         "three fields": "1 2 3",
@@ -134,27 +140,48 @@ class TestBulkParser:
         "loop": "4 4",
         "signed loop": "+4 04",
         "form feed": "1\f2",
+        "more digits than int reads": "1 " + "9" * 5000,
     }
-    # Labels that int() accepts, so the line parser accepted them too.
+    MESSAGES = {
+        "1 2 3": "expected 'u v' arc, got '1 2 3'",
+        "1 x": "non-integer label in line '1 x'",
+        "0 2": "arc (0, 2) outside labels [1, 12]",
+        "2 13": "arc (2, 13) outside labels [1, 12]",
+        "+4 04": "loop at vertex 4 not allowed",
+    }
+    # Integers that int() accepts, so the line parser accepted them too.
     ODD_LABELS = ["+1", "1_0", "\u0661", "\uff12", "007", "+0_5"]
+    ODD_TEXT = "+1 2\n1_0 3\n\u0661 4\n\uff12 5\n007 8\n+0_5 6\n"
 
-    def noisy(self, rng: random.Random, arcs: list[str]) -> str:
-        """A digraph file over ``arcs`` with comments, blank lines, CRLF,
-        tabs and other separators mixed in."""
-        lines = [f"# a file {rng.random()}", f"digraph {self.N}"]
-        for arc in arcs:
-            u, _, v = arc.partition(" ")
-            if v:
-                arc = u + rng.choice([" ", "\t", "  ", " \t ", "\xa0"]) + v
-            lines.append(
-                rng.choice(["", " ", "\t"]) + arc + rng.choice(["", " ", "  # c", "\t#"])
+    @staticmethod
+    def by_lines(text: str):
+        n, arcs = parse_digraph_by_lines(text)
+        return n, frozenset(arcs)
+
+    @staticmethod
+    def value(doc):
+        return doc.n, doc.arcs
+
+    def odd_value(self):
+        return 12, frozenset({(0, 1), (9, 2), (0, 3), (1, 4), (6, 7), (4, 5)})
+
+    def noisy(self, rng: random.Random, lines: list[str]) -> str:
+        """A file of ``lines`` under the header with comments, blank lines,
+        CRLF, tabs and other separators mixed in."""
+        text = [f"# a file {rng.random()}", self.HEADER]
+        for line in lines:
+            first, _, second = line.partition(" ")
+            if second:
+                line = first + rng.choice([" ", "\t", "  ", " \t ", "\xa0"]) + second
+            text.append(
+                rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "  # c", "\t#"])
             )
             if rng.random() < 0.2:
-                lines.append(rng.choice(["", "   ", "# only a comment", "\t"]))
+                text.append(rng.choice(["", "   ", "# only a comment", "\t"]))
         ending = rng.choice(["\n", "\r\n"])
-        return ending.join(lines) + rng.choice(["", ending])
+        return ending.join(text) + rng.choice(["", ending])
 
-    def valid_arcs(self, rng: random.Random, count: int) -> list[str]:
+    def valid_lines(self, rng: random.Random, count: int) -> list[str]:
         pairs = rng.sample(
             [(u, v) for u in range(1, self.N + 1) for v in range(1, self.N + 1) if u != v],
             count,
@@ -163,82 +190,114 @@ class TestBulkParser:
 
     def assert_same_outcome(self, text: str, tmp_path, capsys) -> None:
         try:
-            n, arcs = parse_digraph_by_lines(text)
+            expected = self.by_lines(text)
         except InputParseError as exc:
-            expected = str(exc)
+            message = str(exc)
             with pytest.raises(InputParseError) as raised:
                 parse_document(text)
-            assert str(raised.value) == expected
-            path = tmp_path / "faulty.digraph"
+            assert str(raised.value) == message
+            path = tmp_path / "faulty.txt"
             path.write_bytes(text.encode())
-            assert run(["repair", str(path)]) == 2
+            assert run([self.COMMAND, str(path)]) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
             return
-        g = parse_document(text)
-        assert (g.n, g.arcs) == (n, frozenset(arcs))
+        assert self.value(parse_document(text)) == expected
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_each_fault_anywhere(self, fault, tmp_path, capsys):
         rng = random.Random(fault)
         for position in ("first", "middle", "last"):
-            arcs = self.valid_arcs(rng, 9)
+            lines = self.valid_lines(rng, 9)
             at = {"first": 0, "middle": 4, "last": 9}[position]
-            arcs.insert(at, self.FAULTS[fault])
-            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+            lines.insert(at, self.FAULTS[fault])
+            self.assert_same_outcome(self.noisy(rng, lines), tmp_path, capsys)
 
     @pytest.mark.parametrize("position", [0, 3, 8])
     def test_duplicate_anywhere(self, position, tmp_path, capsys):
         rng = random.Random(position)
-        arcs = self.valid_arcs(rng, 9)
-        u, v = arcs[position].split()
-        arcs.insert(position + 1 + rng.randrange(9 - position), f"+{u} 0{v}")
-        text = self.noisy(rng, arcs)
+        lines = self.valid_lines(rng, 9)
+        u, v = lines[position].split()
+        lines.insert(position + 1 + rng.randrange(9 - position), f"+{u} 0{v}")
+        text = self.noisy(rng, lines)
         with pytest.raises(InputParseError, match=rf"^duplicate arc \({u}, {v}\)$"):
             parse_document(text)
         self.assert_same_outcome(text, tmp_path, capsys)
 
     def test_messages_are_worded_as_before(self):
-        cases = {
-            "1 2 3": "expected 'u v' arc, got '1 2 3'",
-            "1 x": "non-integer label in line '1 x'",
-            "0 2": "arc (0, 2) outside labels [1, 12]",
-            "2 13": "arc (2, 13) outside labels [1, 12]",
-            "+4 04": "loop at vertex 4 not allowed",
-        }
-        for line, message in cases.items():
+        for line, message in self.MESSAGES.items():
             with pytest.raises(InputParseError) as raised:
-                parse_document(f"digraph 12\n1 2\n{line}\n3 4\n")
+                parse_document(f"{self.HEADER}\n1 2\n{line}\n3 4\n")
             assert str(raised.value) == message
 
     def test_first_of_several_faults_wins(self, tmp_path, capsys):
         rng = random.Random(31337)
         faults = sorted(self.FAULTS.values())
         for _ in range(150):
-            arcs = self.valid_arcs(rng, rng.randint(0, 12))
+            lines = self.valid_lines(rng, rng.randint(0, 12))
             for fault in rng.sample(faults, rng.randint(2, 4)):
-                arcs.insert(rng.randint(0, len(arcs)), fault)
-            if arcs and rng.random() < 0.5:
-                arcs.insert(rng.randint(0, len(arcs)), rng.choice(arcs))
-            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+                lines.insert(rng.randint(0, len(lines)), fault)
+            if lines and rng.random() < 0.5:
+                lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+            self.assert_same_outcome(self.noisy(rng, lines), tmp_path, capsys)
 
     def test_random_valid_files_give_the_same_arcs(self, tmp_path, capsys):
         rng = random.Random(8128)
         for _ in range(200):
-            arcs = self.valid_arcs(rng, rng.randint(0, 40))
-            for i in range(len(arcs)):
+            lines = self.valid_lines(rng, rng.randint(0, 40))
+            for i in range(len(lines)):
                 if rng.random() < 0.2:
-                    u, v = arcs[i].split()
-                    arcs[i] = f"{rng.choice(['+', '0', '']) + u} {v}"
-            if arcs and rng.random() < 0.3:
-                arcs[0] = f"{rng.choice(self.ODD_LABELS)} 12"
-            self.assert_same_outcome(self.noisy(rng, arcs), tmp_path, capsys)
+                    u, v = lines[i].split()
+                    lines[i] = f"{rng.choice(['+', '0', '']) + u} {v}"
+            if lines and rng.random() < 0.3:
+                lines[0] = f"{rng.choice(self.ODD_LABELS)} 12"
+            self.assert_same_outcome(self.noisy(rng, lines), tmp_path, capsys)
 
     def test_odd_labels_parse_as_int_reads_them(self):
-        g = parse_document(
-            "digraph 12\n+1 2\n1_0 3\n\u0661 4\n\uff12 5\n007 8\n+0_5 6\n"
-        )
-        assert g.arcs == frozenset({(0, 1), (9, 2), (0, 3), (1, 4), (6, 7), (4, 5)})
+        doc = parse_document(f"{self.HEADER}\n{self.ODD_TEXT}")
+        assert self.value(doc) == self.odd_value()
+
+
+class TestBulkSequenceParser(TestBulkParser):
+    """The bulk checks of ``parse_document`` on the ``seq`` header against
+    the line-at-a-time loop they replaced.  Degrees are not checked while
+    parsing, so only the text faults are faults here; a repeated pair is
+    none."""
+
+    HEADER = "seq"
+    COMMAND = "check"
+    MESSAGES = {
+        "1 2 3": "expected 'out in' pair, got '1 2 3'",
+        "1": "expected 'out in' pair, got '1'",
+        "1 x": "non-integer degree in line '1 x'",
+        "1.0 2": "non-integer degree in line '1.0 2'",
+    }
+
+    @staticmethod
+    def by_lines(text: str):
+        return parse_sequence_by_lines(text).pairs
+
+    @staticmethod
+    def value(doc):
+        return doc.pairs
+
+    def odd_value(self):
+        return (1, 2), (10, 3), (1, 4), (2, 5), (7, 8), (5, 6)
+
+    def valid_lines(self, rng: random.Random, count: int) -> list[str]:
+        # Any integers: negative and out-of-range degrees parse.
+        return [f"{rng.randint(-2, self.N + 2)} {rng.randint(-2, self.N + 2)}"
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("position", [0, 3, 8])
+    def test_duplicate_anywhere(self, position, tmp_path, capsys):
+        rng = random.Random(position)
+        lines = self.valid_lines(rng, 9)
+        o, i = lines[position].split()
+        lines.insert(position + 1 + rng.randrange(9 - position), f"+{o} 0{i}")
+        text = self.noisy(rng, lines)
+        assert self.value(parse_document(text)).count((int(o), int(i))) >= 2
+        self.assert_same_outcome(text, tmp_path, capsys)
 
 
 class TestCheck:
@@ -459,7 +518,7 @@ class TestEndings:
         [
             (["check", fixture("ex1.seq")], "Analysis"),
             (["repair", fixture("ex1_realization.digraph")], "repair"),
-            (["repair", fixture("ex1_realization.digraph")], "_bulk_arcs"),
+            (["repair", fixture("ex1_realization.digraph")], "_columns"),
             # The oracle runs before any output, whatever the command (csv
             # repair output has a header line even with no edits).
             (["partitions", fixture("ex1.seq"), "--oracle"], "brute_realize"),
@@ -468,6 +527,7 @@ class TestEndings:
                 ["repair", fixture("ex1_realization.digraph"), "--format", "csv", "--oracle"],
                 "brute_splittance",
             ),
+            (["check", fixture("ex1.seq")], "_columns"),
         ],
     )
     def test_unexpected_exception_exits_5(self, argv, attribute, capsys, monkeypatch):
@@ -482,6 +542,24 @@ class TestEndings:
         assert "broken" in captured.err
         assert captured.err.endswith(f" at test_cli.py:{broken.__code__.co_firstlineno + 1}\n")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("command", ["matrix", "partitions"])
+    def test_out_of_range_entry_ends_before_the_oracle_and_writers(
+        self, command, oracle, tmp_path, capsys, monkeypatch
+    ):
+        # Exit 3 for an entry beyond N - 1 is decided before the oracle runs,
+        # so neither the oracle nor a writer sees such a sequence.
+        called = []
+        for name in ("cmd_matrix", "cmd_partitions", "brute_realize"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name: called.append(_name))
+        path = tmp_path / "wide.seq"
+        path.write_text("seq\n2 0\n0 1\n")
+        assert run([command, str(path), *oracle]) == 3
+        assert called == []
+        assert capsys.readouterr() == (
+            "", "error: entry 0 = (2, 0) exceeds the simple-digraph bound 1\n"
+        )
 
     def test_file_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.seq"

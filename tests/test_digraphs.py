@@ -53,13 +53,25 @@ class TestDigraph:
         assert Digraph.from_lists(3, [0, 1], [1, 2]) == Digraph(3, [(0, 1), (1, 2)])
 
     @pytest.mark.parametrize(
-        "n, arcs", [(2.9, [(0, 1)]), (2, [(0, 1.7)]), ("2", []), (3, [("0", 1)])]
+        "n, arcs",
+        [
+            (2.9, [(0, 1)]),
+            (2, [(0, 1.7)]),
+            ("2", []),
+            (3, [("0", 1)]),
+            (2.5, [(0, 1)]),
+            (3, [(1.5, 0)]),
+        ],
     )
     def test_non_integral_vertex_count_or_label_raises(self, n, arcs):
         # Digraph(2.9, [(0, 1.7)]) used to be the digraph on 2 vertices with
-        # the arc (0, 1).
+        # the arc (0, 1); Digraph.from_lists(2.5, [0], [1]) had n == 2.5, and
+        # Digraph.from_lists(3, [1.5], [0]) a source 1.5 that failed only
+        # when its degrees were read.
         with pytest.raises(TypeError):
             Digraph(n, arcs)
+        with pytest.raises(TypeError):
+            Digraph.from_lists(n, [u for u, _ in arcs], [v for _, v in arcs])
 
     @pytest.mark.parametrize(
         "add, remove", [([(0, 1.5)], []), ([], [(2.0, 1)]), ([("0", 1)], [])]
