@@ -28,7 +28,10 @@ skipped with an ``oracle: ... skipped`` note.  Every command computes its
 answer, picks its exit code and runs the ``--oracle`` cross-check before
 it writes anything, so a failing oracle leaves stdout empty; an entry
 beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs.
-The argument parser is built once, when the module is imported.
+Those two commands then write each line as it is made, holding O(N)
+memory beyond the input, so their stdout is partial only when the process
+dies mid-write.  The argument parser is built once, when the module is
+imported.
 """
 
 from __future__ import annotations
@@ -235,31 +238,31 @@ def cmd_check(a: Analysis, fmt: str) -> None:
 
 
 def cmd_matrix(a: Analysis, extras: bool) -> None:
-    # Every printed row has N + 1 integers: one template formats them all.
-    template = ",".join(["%d"] * (a.seq.n + 1))
-    for row in a.matrix.entries:
-        print(template % row)
+    # Every printed row has N + 1 integers: one template formats them all,
+    # and each row is written as the recurrence makes it.
+    template = ",".join(["%d"] * (a.seq.n + 1)) + "\n"
+    write = sys.stdout.write
+    for row in a.matrix_rows():
+        write(template % row)
     if extras:
-        print("sbar," + template % a.slack.s_bar)
-        print("sunder," + template % a.slack.s_under)
-        print("mbar," + template % a.maximal.m_bar)
-        print("munder," + template % a.maximal.m_under)
+        write("sbar," + template % a.slack.s_bar)
+        write("sunder," + template % a.slack.s_under)
+        write("mbar," + template % a.maximal.m_bar)
+        write("munder," + template % a.maximal.m_under)
 
 
 def cmd_partitions(a: Analysis, fmt: str) -> None:
-    if not a.digraphic:
-        print("error: sequence is not digraphic", file=sys.stderr)
-        return
+    # Each line is written as its zero cell is reached, its blocks in
+    # vertex order, unsorted.
+    write = sys.stdout.write
     if fmt == "csv":
-        print("k,l,pm,plus,minus,zero")
-        template, sep = "%d,%d,%s,%s,%s,%s", " "
+        write("k,l,pm,plus,minus,zero\n")
+        template, sep = "%d,%d,%s,%s,%s,%s\n", " "
     else:
-        template, sep = "k=%d l=%d pm=%s plus=%s minus=%s zero=%s", ","
-    label = [str(v + 1) for v in range(a.seq.n)].__getitem__
-    for part in a.partitions:
-        blocks = (part.pm, part.plus, part.minus, part.zero)
-        members = (sep.join(map(label, sorted(block))) for block in blocks)
-        print(template % (part.k, part.l, *members))
+        template, sep = "k=%d l=%d pm=%s plus=%s minus=%s zero=%s\n", ","
+    labels = [str(v + 1) for v in range(a.seq.n)]
+    for k, l, *blocks in a.zero_cell_blocks(labels):
+        write(template % (k, l, *map(sep.join, blocks)))
 
 
 def cmd_repair(edits: EditSet, fmt: str) -> None:
@@ -358,7 +361,6 @@ def _run(args: argparse.Namespace) -> int:
             code = EXIT_NOT_SPLIT if edits.size else EXIT_SPLIT
             if budget is not None:
                 skipped, failures = _oracle_check_repair(doc, edits.size, budget)
-            cmd_repair(edits, args.format)
         else:
             a = Analysis(degree_sequence(doc) if isinstance(doc, Digraph) else doc)
             if not a.digraphic:
@@ -369,15 +371,21 @@ def _run(args: argparse.Namespace) -> int:
                 code = EXIT_SPLIT if a.split else EXIT_NOT_SPLIT
             if budget is not None:
                 skipped, failures = _oracle_check_sequence(a, budget)
-            if args.command == "check":
-                cmd_check(a, args.format)
-            elif args.command == "matrix":
-                cmd_matrix(a, args.extras)
-            else:
-                cmd_partitions(a, args.format)
     except SequenceValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    if failures:  # the answer is in doubt: write none of it
+        pass
+    elif args.command == "repair":
+        cmd_repair(edits, args.format)
+    elif args.command == "check":
+        cmd_check(a, args.format)
+    elif args.command == "matrix":
+        cmd_matrix(a, args.extras)
+    elif not a.digraphic:
+        print("error: sequence is not digraphic", file=sys.stderr)
+    else:
+        cmd_partitions(a, args.format)
     for note in skipped + failures[:1]:
         print(note, file=sys.stderr)
     return EXIT_ORACLE_DISAGREEMENT if failures else code

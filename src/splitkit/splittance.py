@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import add, index, neg
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDigraphicError, OutOfRangeError, UnbalancedSequenceError
 from .sequences import (
@@ -162,6 +162,13 @@ def induced_partition(
     )
 
 
+# A vertex's role at cell (k, l) is 1 if it is among the top k out-major
+# vertices, plus 2 if among the top l in-major ones.  Each table maps the
+# role of one block to 1 and every other role to 0, in the order pm, plus,
+# minus, zero.
+_ROLE_TABLES = [bytes(role == block for role in range(256)) for block in (3, 1, 2, 0)]
+
+
 @dataclass(frozen=True)
 class SplittanceMatrix:
     """(N+1) x (N+1) table of induced-partition measures, row k, column l."""
@@ -177,22 +184,22 @@ class SplittanceMatrix:
         return self.entries[k][l]
 
 
-def _splittance_matrix(
+def _matrix_rows(
     seq: IntegerPairSequence, ordering: ProperOrdering
-) -> SplittanceMatrix:
+) -> Iterator[tuple[int, ...]]:
     # Row 0 falls from the in-degree mass by each in-degree in in-major
     # order.  When v = pos_perm[k - 1] (out-degree o, in-major rank r) joins
     # the senders, column l gains l slots less o, less v's own loop slot
-    # once v is among the top l receivers (l > r).
+    # once v is among the top l receivers (l > r).  Only the last row is
+    # kept.
     n, outs, neg_rank = seq.n, seq.out_degrees, ordering.neg_rank
     falls = map(neg, reorder(seq.in_degrees, ordering.neg_perm))
     row = tuple(accumulate(falls, initial=seq.sum_in))
-    rows = [row]
+    yield row
     for v in ordering.pos_perm:
         o, r = outs[v], neg_rank[v]
         row = tuple(map(add, row, chain(range(-o, r + 1 - o), range(r - o, n - o))))
-        rows.append(row)
-    return SplittanceMatrix(tuple(rows))
+        yield row
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,9 @@ class Analysis:
     between calls.  Computing the ordering validates the sequence, which
     every other part needs first.  Everything except ``matrix`` costs O(N)
     after the sort, plus O(1) per cell that ``partitions`` lists.
+    ``matrix_rows``, ``zero_cells`` and ``zero_cell_blocks`` make their
+    items one at a time, for a caller that keeps none of them; ``matrix``
+    and ``partitions`` keep them all.
     """
 
     def __init__(self, seq: IntegerPairSequence):
@@ -268,7 +278,11 @@ class Analysis:
 
     @cached_property
     def matrix(self) -> SplittanceMatrix:
-        return _splittance_matrix(self.seq, self.ordering)
+        return SplittanceMatrix(tuple(self.matrix_rows()))
+
+    def matrix_rows(self) -> Iterator[tuple[int, ...]]:
+        """The matrix rows k = 0..N, each made as it is asked for."""
+        return _matrix_rows(self.seq, self.ordering)
 
     @cached_property
     def maximal(self) -> MaximalSequences:
@@ -350,19 +364,49 @@ class Analysis:
         k = minima.index(min(minima))
         return k, self._plateau(k)[0]
 
-    @cached_property
-    def partitions(self) -> list[QuadPartition]:
-        """Induced partitions of the zero cells away from the trivial corners,
-        in row-major order; only rows whose minimum is zero hold any."""
+    def zero_cells(self) -> Iterator[tuple[int, int]]:
+        """Cells (k, l) of the zero entries away from the trivial corners,
+        in row-major order, each made as it is asked for; only rows whose
+        minimum is zero hold any.  The empty sequence has the one cell
+        (0, 0)."""
         self._require_digraphic()
         if self.seq.n == 0:
-            return [QuadPartition(0)]
-        return [
-            induced_partition(self.seq, self.ordering, k, l)
+            return iter([(0, 0)])
+        return (
+            (k, l)
             for k, minimum in enumerate(self.row_minima)
             if minimum == 0
             for l in self._plateau(k)
-        ]
+        )
+
+    @cached_property
+    def partitions(self) -> list[QuadPartition]:
+        """Induced partitions of ``zero_cells``, in their order."""
+        seq, ordering = self.seq, self.ordering
+        return [induced_partition(seq, ordering, k, l) for k, l in self.zero_cells()]
+
+    def zero_cell_blocks(self, items: Sequence) -> Iterator[tuple]:
+        """``partitions`` as they are asked for, for a caller that keeps
+        none of them: for each of ``zero_cells``, k, l and the blocks pm,
+        plus, minus and zero, each an iterator over the ``items`` (one per
+        vertex) of its members, in vertex order.
+
+        One role byte per vertex moves from cell to cell, O(N) in all: the
+        cells come in row-major order, so senders are only added, and
+        receivers are added or dropped at the end of the in-major prefix.
+        """
+        cells = self.zero_cells()  # before the ordering, which may raise
+        pos_perm, neg_perm = self.ordering.pos_perm, self.ordering.neg_perm
+        role, row, col = bytearray(self.seq.n), 0, 0
+        for k, l in cells:
+            for v in pos_perm[row:k]:
+                role[v] += 1
+            for v in neg_perm[col:l]:
+                role[v] += 2
+            for v in neg_perm[l:col]:
+                role[v] -= 2
+            row, col = k, l
+            yield (k, l, *(compress(items, role.translate(t)) for t in _ROLE_TABLES))
 
 
 def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:

@@ -385,10 +385,6 @@ def validate_by_loop(seq: IntegerPairSequence) -> None:
             )
 
 
-def _labels(vertices, sep: str) -> str:
-    return sep.join(str(v + 1) for v in sorted(vertices))
-
-
 def render_matrix_by_generators(matrix: SplittanceMatrix, extras) -> str:
     """``matrix --extras`` stdout, one generator per row: the formatting the
     CLI's row template replaced.  ``extras`` holds the four extra rows."""
@@ -398,18 +394,18 @@ def render_matrix_by_generators(matrix: SplittanceMatrix, extras) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render_partitions_by_labels(parts, fmt: str) -> str:
-    """``partitions`` stdout with one ``str`` call per label: the formatting
-    the CLI's label table replaced."""
-    csv = fmt == "csv"
-    names = ("k", "l", "pm", "plus", "minus", "zero")
-    lines = [",".join(names)] if csv else []
-    sep = " " if csv else ","
+def render_partitions_by_sort(parts, fmt: str) -> str:
+    """``partitions`` stdout from a list of ``QuadPartition``s, each block
+    sorted on its own: the writer that the CLI's streamed role-array writer
+    replaced."""
+    if fmt == "csv":
+        lines = ["k,l,pm,plus,minus,zero\n"]
+        template, sep = "%d,%d,%s,%s,%s,%s\n", " "
+    else:
+        lines = []
+        template, sep = "k=%d l=%d pm=%s plus=%s minus=%s zero=%s\n", ","
     for part in parts:
         blocks = (part.pm, part.plus, part.minus, part.zero)
-        values = (part.k, part.l, *(_labels(b, sep) for b in blocks))
-        if csv:
-            lines.append(",".join(map(str, values)))
-        else:
-            lines.append(" ".join(f"{n}={v}" for n, v in zip(names, values)))
-    return "".join(line + "\n" for line in lines)
+        members = (sep.join(str(v + 1) for v in sorted(block)) for block in blocks)
+        lines.append(template % (part.k, part.l, *members))
+    return "".join(lines)

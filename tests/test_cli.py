@@ -20,6 +20,11 @@ from splitkit import (
     EnumerationBudget,
     IntegerPairSequence,
     degree_sequence,
+    fulkerson_slack,
+    is_digraphic,
+    is_split_sequence,
+    maximal_sequences,
+    split_partitions,
     splittance_matrix,
 )
 from splitkit.cli import InputParseError, parse_document, run
@@ -33,12 +38,13 @@ from splitkit.sequences import proper_order
 from splitkit.splittance import induced_partition
 
 from helpers import (
+    gnp_degree_sequence,
     parse_digraph_by_lines,
     parse_sequence_by_lines,
     planted_split_digraph,
     random_balanced_pairs,
     render_matrix_by_generators,
-    render_partitions_by_labels,
+    render_partitions_by_sort,
 )
 
 try:
@@ -298,6 +304,25 @@ class TestBulkSequenceParser(TestBulkParser):
         text = self.noisy(rng, lines)
         assert self.value(parse_document(text)).count((int(o), int(i))) >= 2
         self.assert_same_outcome(text, tmp_path, capsys)
+
+
+class TestColumns:
+    # ``_columns`` converts each distinct token once through a table and
+    # reads every copy of it from there; lines repeated three times give
+    # the same columns three times over.
+    LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "\u0661\u0662 \uff18"]
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_columns_are_the_integers_less_base(self, base, copies):
+        values = [int(token) - base for token in " ".join(self.LINES).split()]
+        columns = cli._columns(self.LINES * copies, base)
+        assert columns == (values[0::2] * copies, values[1::2] * copies)
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd"])
+    def test_non_integer_token_gives_none(self, copies, bad):
+        assert cli._columns((self.LINES + [f"3 {bad}"]) * copies, 1) is None
 
 
 class TestCheck:
@@ -796,6 +821,32 @@ class TestOracleFlag:
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", fixture("ex1.seq")],
+            ["matrix", fixture("ex1.seq")],
+            ["partitions", fixture("ex1.seq")],
+            ["partitions", "unbalanced.seq"],
+            ["repair", fixture("ex1_realization.digraph")],
+        ],
+    )
+    def test_disagreement_writes_no_answer(self, argv, tmp_path, capsys, monkeypatch):
+        # The oracle runs before any writer, so an answer it disputes is
+        # never written, not even in part.  The realization search is made
+        # to contradict the fast path either way.
+        (tmp_path / "unbalanced.seq").write_text("seq\n1 0\n0 0\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            cli, "brute_realize", lambda seq, budget: None if is_digraphic(seq) else ()
+        )
+        monkeypatch.setattr(cli, "brute_splittance", lambda g, budget: -1)
+        assert run([*argv, "--oracle"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oracle disagreement: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestOnePassPerInput:
     # Each routine is wrapped with a counter in every splitkit module that
@@ -804,7 +855,7 @@ class TestOnePassPerInput:
     ROUTINES = (
         ("sequences", "proper_order"),
         ("splittance", "_fulkerson_slack"),
-        ("splittance", "_splittance_matrix"),
+        ("splittance", "_matrix_rows"),
     )
 
     def passes(self, argv, monkeypatch, capsys) -> tuple[int, tuple[int, ...]]:
@@ -920,9 +971,9 @@ class TestConsoleScript:
 
 
 class TestRenderedOutput:
-    # The matrix row template and the partition label table against the
-    # per-integer formatting they replaced, fed from the oracle's matrix,
-    # slacks, turning points and zero cells.
+    # The matrix row template and the partition role-array writer against
+    # the per-integer, sort-based formatting they replaced, fed from the
+    # oracle's matrix, slacks, turning points and zero cells.
 
     @staticmethod
     def sequence(family, rng, n):
@@ -959,8 +1010,95 @@ class TestRenderedOutput:
             assert run(["partitions", "--format", fmt, str(path)]) == code
             captured = capsys.readouterr()
             if digraphic:
-                assert captured.out == render_partitions_by_labels(parts, fmt)
+                assert captured.out == render_partitions_by_sort(parts, fmt)
             else:
                 assert (captured.out, captured.err) == (
                     "", "error: sequence is not digraphic\n"
                 )
+
+
+class TestStreamedWriters:
+    # ``partitions`` and ``matrix`` write each line as it is made.  Their
+    # bytes must equal the library's whole answers, formatted after the fact:
+    # the sort-based writer over ``split_partitions``, and the rows of
+    # ``splittance_matrix`` with the four extras rows.
+
+    @staticmethod
+    def assert_writers_match_the_library(seq, path, capsys):
+        slack, maximal = fulkerson_slack(seq), maximal_sequences(seq)
+        extras = (slack.s_bar, slack.s_under, maximal.m_bar, maximal.m_under)
+        code = 0 if is_split_sequence(seq) else 1
+        assert run(["matrix", "--extras", str(path)]) == code
+        assert capsys.readouterr().out == render_matrix_by_generators(
+            splittance_matrix(seq), extras
+        )
+        parts = split_partitions(seq)
+        for fmt in ("kv", "csv"):
+            assert run(["partitions", "--format", fmt, str(path)]) == code
+            assert capsys.readouterr().out == render_partitions_by_sort(parts, fmt)
+
+    @pytest.mark.parametrize("name", ["ex1.seq", "dirext.seq", "ex1_realization.digraph"])
+    def test_fixtures(self, name, capsys):
+        doc = parse_document(read_fixture(name))
+        seq = degree_sequence(doc) if isinstance(doc, splitkit.Digraph) else doc
+        self.assert_writers_match_the_library(seq, fixture(name), capsys)
+
+    def test_no_vertices(self, tmp_path, capsys):
+        path = tmp_path / "none.seq"
+        path.write_text("seq\n")
+        self.assert_writers_match_the_library(IntegerPairSequence([]), path, capsys)
+        assert run(["partitions", str(path)]) == 0
+        assert capsys.readouterr().out == "k=0 l=0 pm= plus= minus= zero=\n"
+
+    @pytest.mark.parametrize("seed", range(52))
+    def test_seeded_sequences(self, seed, tmp_path, capsys):
+        rng = random.Random(f"stream:{seed}")
+        # Eight sequences reach N = 600; the rest stop at 200 to keep the
+        # suite short.
+        family = ("empty", "complete", "planted", "gnp")[seed % 4]
+        n = rng.randint(100, 600) if seed < 8 else rng.randint(100, 200)
+        if family == "gnp":
+            seq = gnp_degree_sequence(rng, n, rng.choice([0.05, 0.3, 0.7]))
+        else:
+            seq = TestRenderedOutput.sequence(family, rng, n)
+        path = tmp_path / f"{family}.seq"
+        path.write_text("seq\n" + "".join(f"{o} {i}\n" for o, i in seq.pairs))
+        self.assert_writers_match_the_library(seq, path, capsys)
+
+    def test_writers_hold_linear_memory(self, tmp_path):
+        # A new interpreter, so that nothing an earlier test left in memory
+        # hides what the writers allocate.  The empty sequence on 1500
+        # vertices has 3000 zero cells; each command writes over 10 MB into
+        # a sink that only counts characters, and neither may trace more
+        # than a fixed 4 MB, whatever the number of cells it lists.
+        path = tmp_path / "empty1500.seq"
+        path.write_text("seq\n" + "0 0\n" * 1500)
+        code = (
+            "import sys, tracemalloc\n"
+            "from splitkit.cli import run\n"
+            "class Sink:\n"
+            "    chars = 0\n"
+            "    def write(self, text):\n"
+            "        self.chars += len(text)\n"
+            "    def flush(self):\n"
+            "        pass\n"
+            "for command in ('partitions', 'matrix'):\n"
+            "    sys.stdout = sink = Sink()\n"
+            "    tracemalloc.start()\n"
+            "    code = run([command, sys.argv[1]])\n"
+            "    peak = tracemalloc.get_traced_memory()[1]\n"
+            "    tracemalloc.stop()\n"
+            "    print(command, code, sink.chars, peak, file=sys.__stdout__)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [line.split() for line in result.stdout.splitlines()]
+        assert [row[:2] for row in rows] == [["partitions", "0"], ["matrix", "0"]]
+        for _, _, chars, peak in rows:
+            assert int(chars) > 10**7
+            assert int(peak) < 4 << 20

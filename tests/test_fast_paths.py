@@ -3,10 +3,11 @@ in ``splitkit.oracle``.
 
 The paths are the two slack families, the matrix rows built one from the
 previous one, the splittance, the witness cell that ``repair`` uses, the
-zero cells behind ``split_partitions`` (with their row-major order) and
-the turning points, and on the digraph store the edit set, the partition
-check and the degrees.  Exhaustive for small n, then seeded digraphs with
-N in the hundreds.
+zero cells behind ``split_partitions`` (with their row-major order, and
+the blocks of the ``partitions`` command's role walk) and the turning
+points, and on the digraph store the edit set, the partition check and
+the degrees.  Exhaustive for small n, then seeded digraphs with N in the
+hundreds.
 """
 
 import random
@@ -54,8 +55,9 @@ def in_range_sequences(max_n: int):
 
 
 def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
-    """All six fast paths of a digraphic sequence against the references;
-    the cells are found by scanning the reference matrix."""
+    """All six fast paths of a digraphic sequence, and the role walk,
+    against the references; the cells are found by scanning the reference
+    matrix."""
     a = Analysis(seq)
     assert a.slack == fulkerson_slack_quadratic(seq)
     assert a.maximal == maximal_sequences_quadratic(seq)
@@ -65,6 +67,13 @@ def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
     assert a.best_cell == (k, l)
     assert a.splittance == matrix[k, l]
     assert [(p.k, p.l) for p in a.partitions] == zero_cells_by_scan(matrix)
+    # The role walk that the ``partitions`` command writes from gives the
+    # same blocks, each in vertex order.
+    walked = [(k, l, *map(tuple, b)) for k, l, *b in a.zero_cell_blocks(range(seq.n))]
+    assert walked == [
+        (p.k, p.l, *(tuple(sorted(b)) for b in (p.pm, p.plus, p.minus, p.zero)))
+        for p in a.partitions
+    ]
 
 
 class TestExhaustiveSmall:
