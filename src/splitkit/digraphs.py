@@ -15,7 +15,7 @@ from itertools import compress
 from operator import eq, index, itemgetter
 from typing import Iterable
 
-from .sequences import IntegerPairSequence
+from .sequences import IntegerPairSequence, within
 from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
@@ -33,11 +33,6 @@ def _bits(mask: int) -> Iterable[int]:
 def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
     """The arc u -> v for every set bit v of each ``(u, mask)`` row."""
     return [(u, v) for u, mask in rows if mask for v in _bits(mask)]
-
-
-def _within(labels: dict[int, int], n: int) -> bool:
-    """True when every key of ``labels`` lies in [0, n)."""
-    return not labels or (0 <= min(labels) and max(labels) < n)
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -90,13 +85,13 @@ class Digraph:
             raise ValueError(f"loop at vertex {u} not allowed")
         indegree = Counter(targets)
         succ: dict[int, int] = {}
-        targets_in_range = _within(indegree, n)
+        targets_in_range = within(indegree, n)
         if targets_in_range:
             get = succ.get
             for u, v in zip(sources, targets):
                 succ[u] = get(u, 0) | 1 << v
             sum(map(index, succ))  # a source such as 1.5 raises TypeError
-        if not (targets_in_range and _within(succ, n)):
+        if not (targets_in_range and within(succ, n)):
             u, v = next(
                 (u, v) for u, v in zip(sources, targets)
                 if not (0 <= u < n and 0 <= v < n)

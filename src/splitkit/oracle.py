@@ -15,7 +15,13 @@ from typing import Iterable, Iterator
 
 from .digraphs import Arc, Digraph, EditSet
 from .errors import BudgetExceededError, OutOfRangeError
-from .sequences import IntegerPairSequence, proper_order, reorder, validate
+from .sequences import (
+    IntegerPairSequence,
+    ProperOrdering,
+    proper_order,
+    reorder,
+    validate,
+)
 from .splittance import (
     MaximalSequences,
     QuadPartition,
@@ -23,7 +29,6 @@ from .splittance import (
     SplittanceMatrix,
     _measure,
     _measure_out,
-    induced_partition,
 )
 
 
@@ -148,6 +153,23 @@ def splittance_matrix_by_rows(seq: IntegerPairSequence) -> SplittanceMatrix:
     return SplittanceMatrix(tuple(rows))
 
 
+def induced_partition_by_prefixes(
+    seq: IntegerPairSequence, ordering: ProperOrdering, k: int, l: int
+) -> QuadPartition:
+    """The partition of cell (k, l) in [0, N]^2 by set algebra on the two
+    prefixes; the reference for the role walk of
+    ``splittance.induced_partition``."""
+    top_out = frozenset(ordering.pos_perm[:k])
+    top_in = frozenset(ordering.neg_perm[:l])
+    return QuadPartition(
+        seq.n,
+        pm=top_out & top_in,
+        plus=top_out - top_in,
+        minus=top_in - top_out,
+        zero=frozenset(ordering.pos_perm[k:]).difference(top_in),
+    )
+
+
 def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
     """Literal per-cell evaluation; an independent check of the fast path."""
     ordering = proper_order(seq)
@@ -155,7 +177,7 @@ def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
     rows = []
     for k in range(n + 1):
         row = tuple(
-            _measure_out(seq, induced_partition(seq, ordering, k, l))
+            _measure_out(seq, induced_partition_by_prefixes(seq, ordering, k, l))
             for l in range(n + 1)
         )
         rows.append(row)
@@ -184,8 +206,8 @@ def maximal_sequences_quadratic(seq: IntegerPairSequence) -> MaximalSequences:
     ordering = proper_order(seq)
     n = seq.n
 
-    def turning_point(k, prefix, perm, at):
-        top = prefix(k)
+    def turning_point(k, prefix_perm, perm, at):
+        top = frozenset(prefix_perm[:k])
         for j in range(n, 0, -1):
             origin = perm[j - 1]
             degree = seq.pairs[origin][at]
@@ -195,11 +217,11 @@ def maximal_sequences_quadratic(seq: IntegerPairSequence) -> MaximalSequences:
 
     return MaximalSequences(
         m_bar=tuple(
-            turning_point(l, ordering.neg_prefix, ordering.pos_perm, 0)
+            turning_point(l, ordering.neg_perm, ordering.pos_perm, 0)
             for l in range(n + 1)
         ),
         m_under=tuple(
-            turning_point(k, ordering.pos_prefix, ordering.neg_perm, 1)
+            turning_point(k, ordering.pos_perm, ordering.neg_perm, 1)
             for k in range(n + 1)
         ),
     )
@@ -268,46 +290,42 @@ def brute_realize(
 
     # Place high out-degree vertices first; their target choices are tightest.
     order = sorted(range(n), key=lambda i: (-seq.pairs[i][0], i))
-    placed = [False] * n
-    in_cap = [seq.pairs[i][1] for i in range(n)]
-    arcs: list[tuple[int, int]] = []
+    outs, in_cap = seq.out_degrees, list(seq.in_degrees)
     placements = count()
-
-    def place(position: int) -> bool:
-        if position == n:
-            return all(c == 0 for c in in_cap)
+    # An explicit stack, which the recursion limit does not bound: for each
+    # placed vertex order[i], the target sets it has yet to try and the one
+    # it is trying.
+    untried: list[Iterator[tuple[int, ...]]] = []
+    chosen: list[tuple[int, ...]] = []
+    while True:
         # A vertex can still receive at most one arc from each unplaced
-        # source other than itself.
-        unplaced = n - position
-        for v in range(n):
-            if in_cap[v] > unplaced - (0 if placed[v] else 1):
-                return False
-        u = order[position]
-        need = seq.pairs[u][0]
-        candidates = [v for v in range(n) if v != u and in_cap[v] > 0]
-        if len(candidates) < need:
-            return False
-        placed[u] = True
-        for chosen in combinations(candidates, need):
-            if next(placements) == 1 << MAX_ARC_SLOTS:
-                raise BudgetExceededError(
-                    f"realization search on {n} vertices "
-                    f"passed 2^{MAX_ARC_SLOTS} placements"
-                )
-            for v in chosen:
-                in_cap[v] -= 1
-            arcs.extend((u, v) for v in chosen)
-            if place(position + 1):
-                return True
-            del arcs[len(arcs) - need :]
-            for v in chosen:
-                in_cap[v] += 1
-        placed[u] = False
-        return False
-
-    if place(0):
-        return Digraph(n, arcs)
-    return None
+        # source other than itself, so none once every vertex is placed.
+        placed = len(untried)
+        if all(in_cap[v] <= n - placed - (i >= placed) for i, v in enumerate(order)):
+            if placed == n:
+                return Digraph(n, ((u, v) for u, t in zip(order, chosen) for v in t))
+            u = order[placed]
+            candidates = [v for v in range(n) if v != u and in_cap[v] > 0]
+            untried.append(combinations(candidates, outs[u]))
+        # The innermost vertex takes back the set it is trying and tries
+        # its next; a vertex with none left is unplaced for its parent.
+        while untried:
+            if len(chosen) == len(untried):
+                for v in chosen.pop():
+                    in_cap[v] += 1
+            if (picked := next(untried[-1], None)) is not None:
+                break
+            untried.pop()
+        else:
+            return None
+        if next(placements) == 1 << MAX_ARC_SLOTS:
+            raise BudgetExceededError(
+                f"realization search on {n} vertices "
+                f"passed 2^{MAX_ARC_SLOTS} placements"
+            )
+        for v in picked:
+            in_cap[v] -= 1
+        chosen.append(picked)
 
 
 @lru_cache(maxsize=4)

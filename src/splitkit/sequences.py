@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import index
-from typing import Iterable, Sequence, TypeVar
+from typing import Collection, Iterable, Sequence, TypeVar
 
 from .errors import NegativeDegreeError, OutOfRangeError
 
@@ -62,6 +62,11 @@ class IntegerPairSequence:
         return self.sum_out == self.sum_in
 
 
+def within(values: Collection[int], n: int) -> bool:
+    """True when every value lies in [0, n), by two C-level passes."""
+    return not values or (min(values) >= 0 and max(values) < n)
+
+
 def validate(seq: IntegerPairSequence) -> None:
     """Raise unless every entry fits a simple loopless digraph on N vertices.
 
@@ -69,12 +74,11 @@ def validate(seq: IntegerPairSequence) -> None:
         NegativeDegreeError: some out- or in-degree is negative.
         OutOfRangeError: some out- or in-degree exceeds N - 1.
     """
+    # Both columns at once: at small N a min/max call costs more than the
+    # loop below, which only words the first fault.
+    if within(seq.out_degrees + seq.in_degrees, seq.n):
+        return
     bound = seq.n - 1
-    # One column for two min/max calls: at small N each call costs more
-    # than the loop below.
-    both = seq.out_degrees + seq.in_degrees
-    if not both or (min(both) >= 0 and max(both) <= bound):
-        return  # all in range by C-level passes; else word the first fault
     for i, (out_deg, in_deg) in enumerate(zip(seq.out_degrees, seq.in_degrees)):
         if out_deg < 0 or in_deg < 0:
             raise NegativeDegreeError(
@@ -117,14 +121,6 @@ class ProperOrdering:
     def neg_rank(self) -> tuple[int, ...]:
         """Inverse of ``neg_perm``: rank of each original index."""
         return _inverse(self.neg_perm)
-
-    def pos_prefix(self, k: int) -> frozenset[int]:
-        """Original indices of the top ``k`` entries in out-major order."""
-        return frozenset(self.pos_perm[:k])
-
-    def neg_prefix(self, l: int) -> frozenset[int]:
-        """Original indices of the top ``l`` entries in in-major order."""
-        return frozenset(self.neg_perm[:l])
 
 
 def proper_order(seq: IntegerPairSequence) -> ProperOrdering:

@@ -11,7 +11,8 @@ whose minimum away from two trivial corner cells is the digraph splittance.
 The public functions are views over one ``Analysis`` of their sequence,
 which reads everything but the matrix itself off the two slack families
 and the orderings, in O(N) after the sort; the matrix itself is built one
-row from the previous one, by C-level arithmetic.
+row from the previous one, by C-level arithmetic.  Every cell's partition
+comes from one role walk, ``_cell_blocks``.
 """
 
 from __future__ import annotations
@@ -136,6 +137,32 @@ def _measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
     return out_form
 
 
+# Each table maps the role byte of one block to 1 and every other role to
+# 0, in the order pm, plus, minus, zero.
+_ROLE_TABLES = [bytes(role == block for role in range(256)) for block in (3, 1, 2, 0)]
+
+
+def _cell_blocks(
+    ordering: ProperOrdering, cells: Iterable[tuple[int, int]], items: Sequence
+) -> Iterator[tuple]:
+    """For each cell (k, l), in row-major order: k, l and the blocks pm,
+    plus, minus and zero of its partition, each an iterator over the
+    ``items`` (one per vertex) of its members, in vertex order.  One role
+    byte per vertex, 1 if among the top k out-major vertices plus 2 if among
+    the top l in-major ones, moves from cell to cell: O(N) in all."""
+    pos_perm, neg_perm = ordering.pos_perm, ordering.neg_perm
+    role, row, col = bytearray(len(pos_perm)), 0, 0
+    for k, l in cells:
+        for v in pos_perm[row:k]:
+            role[v] += 1
+        for v in neg_perm[col:l]:
+            role[v] += 2
+        for v in neg_perm[l:col]:
+            role[v] -= 2
+        row, col = k, l
+        yield (k, l, *(compress(items, role.translate(t)) for t in _ROLE_TABLES))
+
+
 def induced_partition(
     seq: IntegerPairSequence, ordering: ProperOrdering, k: int, l: int
 ) -> QuadPartition:
@@ -151,22 +178,8 @@ def induced_partition(
     n = seq.n
     if not (0 <= k <= n and 0 <= l <= n):
         raise IndexError(f"(k, l) = ({k}, {l}) outside [0, {n}]^2")
-    top_out = ordering.pos_prefix(k)
-    top_in = ordering.neg_prefix(l)
-    return QuadPartition(
-        n,
-        pm=top_out & top_in,
-        plus=top_out - top_in,
-        minus=top_in - top_out,
-        zero=frozenset(ordering.pos_perm[k:]).difference(top_in),
-    )
-
-
-# A vertex's role at cell (k, l) is 1 if it is among the top k out-major
-# vertices, plus 2 if among the top l in-major ones.  Each table maps the
-# role of one block to 1 and every other role to 0, in the order pm, plus,
-# minus, zero.
-_ROLE_TABLES = [bytes(role == block for role in range(256)) for block in (3, 1, 2, 0)]
+    _, _, *blocks = next(_cell_blocks(ordering, [(k, l)], range(n)))
+    return QuadPartition(n, *blocks)
 
 
 @dataclass(frozen=True)
@@ -259,7 +272,7 @@ class Analysis:
     functions below build a new analysis per call, so nothing is kept
     between calls.  Computing the ordering validates the sequence, which
     every other part needs first.  Everything except ``matrix`` costs O(N)
-    after the sort, plus O(1) per cell that ``partitions`` lists.
+    after the sort, plus O(N) per partition that ``partitions`` lists.
     ``matrix_rows``, ``zero_cells`` and ``zero_cell_blocks`` make their
     items one at a time, for a caller that keeps none of them; ``matrix``
     and ``partitions`` keep them all.
@@ -382,31 +395,16 @@ class Analysis:
     @cached_property
     def partitions(self) -> list[QuadPartition]:
         """Induced partitions of ``zero_cells``, in their order."""
-        seq, ordering = self.seq, self.ordering
-        return [induced_partition(seq, ordering, k, l) for k, l in self.zero_cells()]
+        n = self.seq.n
+        return [
+            QuadPartition(n, *blocks)
+            for _, _, *blocks in self.zero_cell_blocks(range(n))
+        ]
 
     def zero_cell_blocks(self, items: Sequence) -> Iterator[tuple]:
-        """``partitions`` as they are asked for, for a caller that keeps
-        none of them: for each of ``zero_cells``, k, l and the blocks pm,
-        plus, minus and zero, each an iterator over the ``items`` (one per
-        vertex) of its members, in vertex order.
-
-        One role byte per vertex moves from cell to cell, O(N) in all: the
-        cells come in row-major order, so senders are only added, and
-        receivers are added or dropped at the end of the in-major prefix.
-        """
-        cells = self.zero_cells()  # before the ordering, which may raise
-        pos_perm, neg_perm = self.ordering.pos_perm, self.ordering.neg_perm
-        role, row, col = bytearray(self.seq.n), 0, 0
-        for k, l in cells:
-            for v in pos_perm[row:k]:
-                role[v] += 1
-            for v in neg_perm[col:l]:
-                role[v] += 2
-            for v in neg_perm[l:col]:
-                role[v] -= 2
-            row, col = k, l
-            yield (k, l, *(compress(items, role.translate(t)) for t in _ROLE_TABLES))
+        """``_cell_blocks`` over ``zero_cells``, for a caller that keeps
+        none of them, such as the ``partitions`` command."""
+        return _cell_blocks(self.ordering, self.zero_cells(), items)
 
 
 def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:

@@ -18,7 +18,7 @@ from .errors import (
     NotGraphicError,
     OutOfRangeError,
 )
-from .sequences import capped_slack
+from .sequences import capped_slack, within
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ def _as_sequence(d: Degrees) -> IntegerSequence:
 def validate_degrees(d: Degrees) -> IntegerSequence:
     """Check the simple-graph bounds 0 <= d_i <= N - 1 and return the sequence."""
     seq = _as_sequence(d)
+    if within(seq.degrees, seq.n):
+        return seq  # else the loop words the first fault
     bound = seq.n - 1
     for i, deg in enumerate(seq.degrees):
         if deg < 0:

@@ -385,6 +385,19 @@ def validate_by_loop(seq: IntegerPairSequence) -> None:
             )
 
 
+def validate_degrees_by_loop(degrees) -> None:
+    """The entry-by-entry check that ``undirected.validate_degrees`` now
+    runs only to word the first faulty degree."""
+    bound = len(degrees) - 1
+    for i, deg in enumerate(degrees):
+        if deg < 0:
+            raise NegativeDegreeError(f"degree {i} is negative: {deg}", i)
+        if deg > bound:
+            raise OutOfRangeError(
+                f"degree {i} = {deg} exceeds the simple-graph bound {bound}", i
+            )
+
+
 def render_matrix_by_generators(matrix: SplittanceMatrix, extras) -> str:
     """``matrix --extras`` stdout, one generator per row: the formatting the
     CLI's row template replaced.  ``extras`` holds the four extra rows."""

@@ -30,12 +30,12 @@ from splitkit import (
 from splitkit.cli import InputParseError, parse_document, run
 from splitkit.oracle import (
     fulkerson_slack_quadratic,
+    induced_partition_by_prefixes,
     maximal_sequences_quadratic,
     splittance_matrix_by_rows,
     zero_cells_by_scan,
 )
 from splitkit.sequences import proper_order
-from splitkit.splittance import induced_partition
 
 from helpers import (
     gnp_degree_sequence,
@@ -787,6 +787,21 @@ class TestOracleFlag:
         assert captured.err == "oracle: partition sweep skipped (N=11 over budget)\n"
         assert len(realized) == 1 and realized[0] is not None
 
+    def test_realization_search_deeper_than_the_recursion_limit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The search places one vertex per level, 1 200 levels here; the
+        # partition sweep still stops at its own 2^20 bound, with its note.
+        path = tmp_path / "empty1200.seq"
+        path.write_text("seq\n" + "0 0\n" * 1200)
+        assert run(["check", str(path)]) == 0
+        fast = capsys.readouterr()
+        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "5000")
+        assert run(["check", "--oracle", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fast.out
+        assert captured.err == "oracle: partition sweep skipped (N=1200 over budget)\n"
+
     def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle5.digraph"
         path.write_text("digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
@@ -1003,7 +1018,7 @@ class TestRenderedOutput:
         code = 0 if cells and digraphic else 1 if digraphic else 3
         extras = (slack.s_bar, slack.s_under, maximal.m_bar, maximal.m_under)
         ordering = proper_order(seq)
-        parts = [induced_partition(seq, ordering, k, l) for k, l in cells]
+        parts = [induced_partition_by_prefixes(seq, ordering, k, l) for k, l in cells]
         for fmt in ("kv", "csv"):
             assert run(["matrix", "--extras", "--format", fmt, str(path)]) == code
             assert capsys.readouterr().out == render_matrix_by_generators(matrix, extras)

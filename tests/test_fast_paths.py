@@ -3,11 +3,11 @@ in ``splitkit.oracle``.
 
 The paths are the two slack families, the matrix rows built one from the
 previous one, the splittance, the witness cell that ``repair`` uses, the
-zero cells behind ``split_partitions`` (with their row-major order, and
-the blocks of the ``partitions`` command's role walk) and the turning
-points, and on the digraph store the edit set, the partition check and
-the degrees.  Exhaustive for small n, then seeded digraphs with N in the
-hundreds.
+zero cells behind ``split_partitions`` (with their row-major order), the
+role walk that builds every cell's partition against the prefix-set
+algebra it replaced, and the turning points, and on the digraph store the
+edit set, the partition check and the degrees.  Exhaustive for small n,
+then seeded digraphs with N in the hundreds.
 """
 
 import random
@@ -29,13 +29,14 @@ from splitkit.oracle import (
     edit_set_by_scan,
     enumerate_digraphs,
     fulkerson_slack_quadratic,
+    induced_partition_by_prefixes,
     maximal_sequences_quadratic,
     splittance_matrix_bruteforce,
     splittance_matrix_by_rows,
     zero_cells_by_scan,
 )
 from splitkit.sequences import proper_order
-from splitkit.splittance import Analysis
+from splitkit.splittance import Analysis, _cell_blocks, induced_partition
 
 from helpers import (
     gnp_degree_sequence,
@@ -66,13 +67,17 @@ def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
     k, l = best_cell_by_scan(matrix)
     assert a.best_cell == (k, l)
     assert a.splittance == matrix[k, l]
-    assert [(p.k, p.l) for p in a.partitions] == zero_cells_by_scan(matrix)
-    # The role walk that the ``partitions`` command writes from gives the
-    # same blocks, each in vertex order.
+    ordering = proper_order(seq)
+    reference = [
+        induced_partition_by_prefixes(seq, ordering, k, l)
+        for k, l in zero_cells_by_scan(matrix)
+    ]
+    assert a.partitions == reference
+    # The blocks the ``partitions`` command writes, each in vertex order.
     walked = [(k, l, *map(tuple, b)) for k, l, *b in a.zero_cell_blocks(range(seq.n))]
     assert walked == [
         (p.k, p.l, *(tuple(sorted(b)) for b in (p.pm, p.plus, p.minus, p.zero)))
-        for p in a.partitions
+        for p in reference
     ]
 
 
@@ -121,6 +126,57 @@ class TestExhaustiveSmall:
             a = Analysis(seq)
             assert a.best_cell == best_cell_by_scan(splittance_matrix_by_rows(seq)), seq
             assert a.maximal == maximal_sequences_quadratic(seq), seq
+
+
+def all_cells(n: int):
+    """Every cell (k, l) of [0, N]^2, in row-major order."""
+    return product(range(n + 1), repeat=2)
+
+
+class TestCellPartitions:
+    # ``induced_partition`` walks its one cell from an empty role array;
+    # ``split_partitions`` walks from each zero cell to the next.  Both
+    # against the prefix-set algebra, on every cell, digraphic or not.
+
+    def test_every_cell_of_every_in_range_sequence(self):
+        # Both sides depend on the ordering (and so N) only, so each cell is
+        # compared once per distinct ordering; the count shows that every
+        # sequence's ordering was among them.
+        orderings = {}
+        total = 0
+        for seq in (IntegerPairSequence(), *in_range_sequences(4)):
+            orderings.setdefault(proper_order(seq), seq)
+            total += 1
+        assert total == 66283
+        for ordering, seq in orderings.items():
+            for k, l in all_cells(seq.n):
+                expected = induced_partition_by_prefixes(seq, ordering, k, l)
+                assert induced_partition(seq, ordering, k, l) == expected, (seq, k, l)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("gnp0.3", 120), ("planted", 120), ("empty", 100), ("in-range", 150)],
+    )
+    def test_every_cell_at_large_n(self, family, n):
+        rng = random.Random(f"cells:{family}:{n}")
+        if family == "in-range":
+            seq = IntegerPairSequence(
+                (rng.randrange(n), rng.randrange(n)) for _ in range(n)
+            )
+        else:
+            seq = _family(family, rng, n)
+        ordering = proper_order(seq)
+        # One walk over all cells, in the row-major order that
+        # ``split_partitions`` walks its zero cells in.
+        for k, l, *blocks in _cell_blocks(ordering, all_cells(n), range(n)):
+            expected = induced_partition_by_prefixes(seq, ordering, k, l)
+            assert [*map(frozenset, blocks)] == [
+                expected.pm, expected.plus, expected.minus, expected.zero
+            ], (k, l)
+        for _ in range(200):
+            k, l = rng.randint(0, n), rng.randint(0, n)
+            expected = induced_partition_by_prefixes(seq, ordering, k, l)
+            assert induced_partition(seq, ordering, k, l) == expected
 
 
 def _flipped(rng: random.Random, g: Digraph, flips: int) -> Digraph:

@@ -68,6 +68,18 @@ class TestBruteRealize:
         monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 3)
         assert degree_sequence(brute_realize(ex1)) == ex1
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0, 0)] * 1100, [(1, 1)] * 1100, [(1, 0)] * 600 + [(0, 1)] * 600],
+    )
+    def test_searches_deeper_than_the_recursion_limit(self, pairs):
+        # One search level per vertex, more levels than the interpreter
+        # allows nested calls.
+        seq = IntegerPairSequence(pairs)
+        assert seq.n > sys.getrecursionlimit()
+        g = brute_realize(seq, EnumerationBudget(seq.n))
+        assert g is not None and degree_sequence(g) == seq
+
     def test_matches_inequality_test_exhaustively_small(self):
         for n in range(1, 4):
             entries = list(product(range(n), repeat=2))

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from splitkit import (
     IntegerPairSequence,
+    NegativeDegreeError,
     NotDigraphicError,
+    OutOfRangeError,
     QuadPartition,
     UnbalancedSequenceError,
     brute_realize,
@@ -161,8 +163,9 @@ class TestInducedPartition:
         assert part.pm == frozenset(range(5))
 
     def test_out_of_range_cell(self, ex1):
-        with pytest.raises(IndexError):
-            induced_partition(ex1, proper_order(ex1), 2, 6)
+        for k, l in [(2, 6), (-1, 0), (0, -1), (6, 0)]:
+            with pytest.raises(IndexError, match=r"outside \[0, 5\]\^2"):
+                induced_partition(ex1, proper_order(ex1), k, l)
 
     @given(valid_sequences())
     def test_prefix_sizes_match_cell(self, seq):
@@ -498,3 +501,16 @@ class TestSplitPartitions:
     def test_zero_measure_everywhere(self, ex1):
         for part in split_partitions(ex1):
             assert partition_measure(ex1, part) == 0
+
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([(0, 0), (2, 0)], OutOfRangeError),  # the ordering validates first
+            ([(0, 0), (-1, 0)], NegativeDegreeError),
+            ([(1, 0), (0, 0)], NotDigraphicError),
+            ([(1, 1), (0, 0)], NotDigraphicError),
+        ],
+    )
+    def test_errors_of_invalid_sequences(self, pairs, error):
+        with pytest.raises(error):
+            split_partitions(IntegerPairSequence(pairs))

@@ -9,6 +9,7 @@ import splitkit.undirected as undirected
 from splitkit import (
     EmptySequenceError,
     IntegerSequence,
+    NegativeDegreeError,
     NotGraphicError,
     OutOfRangeError,
     corrected_durfee,
@@ -26,6 +27,7 @@ from helpers import (
     planted_split_graph_degrees,
     realize_undirected,
     undirected_edit_distance,
+    validate_degrees_by_loop,
 )
 
 BASELINE = (4, 3, 3, 3, 3)
@@ -287,6 +289,46 @@ class TestSortedPass:
                 assert self.agree(planted)
                 assert undirected_splittance(planted) == 0
                 self.agree([rng.randrange(n) for _ in range(n)])
+
+
+class TestValidateDegreesInBulk:
+    # validate_degrees checks every degree by one min and one max and runs
+    # the entry loop only to word the first fault; the loop it ran on
+    # every call is kept in helpers as the reference.
+
+    @staticmethod
+    def outcome(check, degrees):
+        try:
+            check(degrees)
+        except (NegativeDegreeError, OutOfRangeError) as exc:
+            return type(exc), str(exc), exc.index
+        return None
+
+    def test_first_fault_named_like_the_loop(self):
+        rng = random.Random(606)
+        faulty = 0
+        for n in [*range(1, 6)] * 40 + [100, 250, 400] * 10:
+            degrees = [rng.randrange(n) for _ in range(n)]
+            for _ in range(rng.randrange(3)):
+                value = rng.choice([-rng.randint(1, 3), n - 1 + rng.randint(1, 3)])
+                degrees[rng.randrange(n)] = value
+            expected = self.outcome(validate_degrees_by_loop, degrees)
+            faulty += expected is not None
+            for d in (degrees, IntegerSequence(degrees)):
+                assert self.outcome(undirected.validate_degrees, d) == expected
+        assert faulty > 100
+
+    def test_messages_and_indices(self):
+        with pytest.raises(NegativeDegreeError, match="^degree 2 is negative: -1$") as e:
+            undirected.validate_degrees([1, 0, -1, 0, 9])
+        assert e.value.index == 2
+        with pytest.raises(
+            OutOfRangeError, match="^degree 1 = 5 exceeds the simple-graph bound 4$"
+        ) as e:
+            undirected.validate_degrees([1, 5, 0, -1, 0])
+        assert e.value.index == 1
+        assert undirected.validate_degrees([]) == IntegerSequence()
+        assert undirected.validate_degrees([0, 2, 1]).degrees == (0, 2, 1)
 
 
 class TestOnePassPerCall:
