@@ -27,11 +27,12 @@ gives up after 2^20 placements.  The oracle decides: a check it refuses is
 skipped with an ``oracle: ... skipped`` note.  Every command computes its
 answer, picks its exit code and runs the ``--oracle`` cross-check before
 it writes anything, so a failing oracle leaves stdout empty; an entry
-beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs.
-Those two commands then write each line as it is made, holding O(N)
-memory beyond the input, so their stdout is partial only when the process
-dies mid-write.  The argument parser is built once, when the module is
-imported.
+beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs,
+and any other non-digraphic input ends them with one ``error: sequence is
+not digraphic`` line, after the matrix.  They write each line as it is
+made, holding O(N) memory beyond the input, so their stdout is partial
+only when the process dies mid-write.  The argument parser is built once,
+when the module is imported.
 """
 
 from __future__ import annotations
@@ -282,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("file", help="input file ('-' for stdin)")
-        p.add_argument(
-            "--format",
-            choices=["kv", "csv"],
-            default="kv",
-            help="output style (matrix output is always CSV)",
-        )
+        if formats:
+            p.add_argument(
+                "--format", choices=["kv", "csv"], default="kv", help="output style"
+            )
         p.add_argument(
             "--oracle",
             action="store_true",
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("check", help="digraphic? split? splittance value"))
     matrix = sub.add_parser("matrix", help="print the splittance matrix as CSV")
-    add_common(matrix)
+    add_common(matrix, formats=False)
     matrix.add_argument(
         "--extras",
         action="store_true",
@@ -380,12 +379,13 @@ def _run(args: argparse.Namespace) -> int:
         cmd_repair(edits, args.format)
     elif args.command == "check":
         cmd_check(a, args.format)
-    elif args.command == "matrix":
-        cmd_matrix(a, args.extras)
-    elif not a.digraphic:
-        print("error: sequence is not digraphic", file=sys.stderr)
     else:
-        cmd_partitions(a, args.format)
+        if args.command == "matrix":  # the matrix is defined all the same
+            cmd_matrix(a, args.extras)
+        elif a.digraphic:
+            cmd_partitions(a, args.format)
+        if not a.digraphic:
+            print("error: sequence is not digraphic", file=sys.stderr)
     for note in skipped + failures[:1]:
         print(note, file=sys.stderr)
     return EXIT_ORACLE_DISAGREEMENT if failures else code

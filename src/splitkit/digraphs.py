@@ -187,9 +187,9 @@ def repair(g: Digraph) -> tuple[EditSet, QuadPartition]:
 
     Takes the row-major first cell of the splittance matrix of the degree
     sequence that holds its minimum away from the trivial corners, found
-    from the slacks and one matrix row without building the matrix, induces
-    that partition, and returns its edit set; the edit count equals the
-    digraph splittance.
+    from the row minima without building the matrix, induces that
+    partition, and returns its edit set; the edit count equals the digraph
+    splittance.
     """
     if g.n == 0:
         return EditSet(), QuadPartition(0)

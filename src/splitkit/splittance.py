@@ -9,9 +9,9 @@ satisfies all block constraints.  Tabulating the measure over every
 partition induced by the two degree orderings yields the splittance matrix,
 whose minimum away from two trivial corner cells is the digraph splittance.
 The public functions are views over one ``Analysis`` of their sequence,
-which reads everything but the matrix itself off the two slack families
-and the orderings, in O(N) after the sort; the matrix itself is built one
-row from the previous one, by C-level arithmetic.  Every cell's partition
+which reads every answer off the out-major slack family and the
+orderings, in O(N) after the sort; the matrix itself is built one row
+from the previous one, by C-level arithmetic.  Every cell's partition
 comes from one role walk, ``_cell_blocks``.
 """
 
@@ -256,13 +256,12 @@ class SlackPair:
     s_under: tuple[int, ...]
 
 
-def _fulkerson_slack(seq: IntegerPairSequence, ordering: ProperOrdering) -> SlackPair:
-    outs, ins = seq.out_degrees, seq.in_degrees
-    pos, neg = ordering.pos_perm, ordering.neg_perm
-    return SlackPair(
-        s_bar=capped_slack(reorder(outs, pos), reorder(ins, pos)),
-        s_under=capped_slack(reorder(ins, neg), reorder(outs, neg)),
-    )
+def _slack_family(
+    demand: tuple[int, ...], capacity: tuple[int, ...], perm: tuple[int, ...]
+) -> tuple[int, ...]:
+    # One Fulkerson family: the per-vertex ``demand`` and ``capacity``
+    # degrees, ranked by ``perm``.
+    return capped_slack(reorder(demand, perm), reorder(capacity, perm))
 
 
 class Analysis:
@@ -286,8 +285,17 @@ class Analysis:
         return proper_order(self.seq)
 
     @cached_property
+    def s_bar(self) -> tuple[int, ...]:
+        """The out-major slack family, the only one the answers read."""
+        seq = self.seq
+        return _slack_family(seq.out_degrees, seq.in_degrees, self.ordering.pos_perm)
+
+    @cached_property
     def slack(self) -> SlackPair:
-        return _fulkerson_slack(self.seq, self.ordering)
+        """Both slack families; only here is the in-major one computed."""
+        seq = self.seq
+        s_under = _slack_family(seq.in_degrees, seq.out_degrees, self.ordering.neg_perm)
+        return SlackPair(self.s_bar, s_under)
 
     @cached_property
     def matrix(self) -> SplittanceMatrix:
@@ -313,9 +321,7 @@ class Analysis:
             self.ordering  # validates the sequence; negative entries raise
         except OutOfRangeError:
             return False
-        if not self.seq.is_balanced:
-            return False
-        return min(self.slack.s_bar + self.slack.s_under) >= 0
+        return self.seq.is_balanced and min(self.s_bar) >= 0
 
     def _require_digraphic(self) -> None:
         if not self.digraphic:
@@ -323,16 +329,9 @@ class Analysis:
 
     @cached_property
     def splittance(self) -> int:
-        """The smallest interior slack.
-
-        The slacks are the row and column minima of the matrix.  Every cell
-        away from the trivial corners lies in an interior row or column,
-        except (0, 0) and (N, N), which are never below (0, N - 1) and
-        (N, 1) on a balanced sequence.
-        """
+        """The smallest row minimum, or 0 for the empty sequence."""
         self._require_digraphic()
-        n = self.seq.n
-        return min(self.slack.s_bar[1:n] + self.slack.s_under[1:n]) if n >= 2 else 0
+        return min(self.row_minima) if self.seq.n else 0
 
     @cached_property
     def split(self) -> bool:
@@ -350,7 +349,7 @@ class Analysis:
         seq, n = self.seq, self.seq.n
         in_degrees = seq.in_degrees
         last = n - 1 - max(in_degrees) + seq.sum_in - seq.sum_out
-        return (min(in_degrees), *self.slack.s_bar[1:n], last)
+        return (min(in_degrees), *self.s_bar[1:n], last)
 
     def _plateau(self, k: int) -> range:
         """Columns of row k's minimum away from the trivial corners, walked
@@ -437,8 +436,9 @@ def fulkerson_slack(seq: IntegerPairSequence) -> SlackPair:
 def is_digraphic(seq: IntegerPairSequence) -> bool:
     """True when some simple loopless digraph has this degree sequence.
 
-    Entries beyond N - 1 are unrealizable and simply yield False; negative
-    entries raise.
+    Decided by one Fulkerson family (Fulkerson-Chen-Anstee): balanced
+    totals and no negative out-major slack.  Entries beyond N - 1 are
+    unrealizable and simply yield False; negative entries raise.
     """
     return Analysis(seq).digraphic
 
@@ -447,8 +447,8 @@ def digraph_splittance(seq: IntegerPairSequence) -> int:
     """Minimum arc edits taking any realization to a split digraph.
 
     Equals the matrix minimum over all cells except the trivial corners
-    (0, N) and (N, 0), and is computed as the smallest interior slack.  The
-    empty sequence is assigned splittance 0.
+    (0, N) and (N, 0), and is computed as the smallest row minimum over
+    those cells.  The empty sequence is assigned splittance 0.
 
     Raises:
         NotDigraphicError: the sequence is not digraphic.
@@ -459,9 +459,8 @@ def digraph_splittance(seq: IntegerPairSequence) -> int:
 def is_split_sequence(seq: IntegerPairSequence) -> bool:
     """True when every realization of the (digraphic) sequence is split.
 
-    Recognized through the slack sequences: some interior entry (indices
-    1..N-1 of either family) must vanish.  Sequences with N < 2 have no
-    interior entries and are split.
+    Recognized through the row minima: the smallest must be zero.  The
+    empty sequence and the one digraphic sequence with N = 1 are split.
 
     Raises:
         NotDigraphicError: the sequence is not digraphic.

@@ -420,7 +420,16 @@ class TestMatrix:
         path.write_text("seq\n1 0\n0 0\n")
         code = run(["matrix", str(path)])
         assert code == 3
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 3
+        assert captured.err == "error: sequence is not digraphic\n"
+
+    def test_format_option_is_rejected(self, capsys):
+        # The matrix is always CSV, so the command takes no --format.
+        with pytest.raises(SystemExit) as exc:
+            run(["matrix", "--format", "csv", fixture("ex1.seq")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestPartitions:
@@ -866,16 +875,23 @@ class TestOracleFlag:
 class TestOnePassPerInput:
     # Each routine is wrapped with a counter in every splitkit module that
     # binds it, the way the benchmark's tracer patches module attributes.
-    # Only the matrix command builds the matrix; the rest read the slacks.
+    # The slack passes are counted per family, told apart by the ordering
+    # that ranks them: the answers read the out-major family (``s_bar``)
+    # alone, and only ``matrix --extras`` also computes the in-major one
+    # (``s_under``).  Only the matrix command builds the matrix.
     ROUTINES = (
         ("sequences", "proper_order"),
-        ("splittance", "_fulkerson_slack"),
+        ("splittance", "_slack_family"),
         ("splittance", "_matrix_rows"),
     )
+    PASSES = ("proper_order", "s_bar", "s_under", "_matrix_rows")
 
     def passes(self, argv, monkeypatch, capsys) -> tuple[int, tuple[int, ...]]:
-        """Exit code of ``run(argv)`` and how often each routine ran."""
+        """Exit code of ``run(argv)`` and how often each pass in ``PASSES``
+        ran: the ordering, the out-major and the in-major slack family, and
+        the matrix."""
         counts = Counter()
+        orderings = []
         modules = [
             module
             for name, module in sys.modules.items()
@@ -885,8 +901,14 @@ class TestOnePassPerInput:
             original = getattr(sys.modules[f"splitkit.{module_name}"], attr)
 
             def counted(*args, _attr=attr, _original=original):
+                result = _original(*args)
+                if _attr == "proper_order":
+                    orderings.append(result)
+                if _attr == "_slack_family":  # args: demand, capacity, perm
+                    out_major = args[2] is orderings[-1].pos_perm
+                    _attr = "s_bar" if out_major else "s_under"
                 counts[_attr] += 1
-                return _original(*args)
+                return result
 
             for module in modules:
                 for key, value in list(vars(module).items()):
@@ -894,17 +916,17 @@ class TestOnePassPerInput:
                         monkeypatch.setattr(module, key, counted)
         code = run(argv)
         capsys.readouterr()
-        return code, tuple(counts[attr] for _, attr in self.ROUTINES)
+        return code, tuple(counts[name] for name in self.PASSES)
 
     @pytest.mark.parametrize(
         "argv, passes",
         [
-            (["check", fixture("ex1.seq")], (1, 1, 0)),
-            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 0)),
-            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1)),
-            (["partitions", fixture("ex1.seq")], (1, 1, 0)),
-            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0)),
-            (["check", fixture("ex1_realization.digraph")], (1, 1, 0)),
+            (["check", fixture("ex1.seq")], (1, 1, 0, 0)),
+            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 0, 0)),
+            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1, 1)),
+            (["partitions", fixture("ex1.seq")], (1, 1, 0, 0)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (["check", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
         ],
     )
     def test_ordering_slack_and_matrix_at_most_once(
@@ -915,11 +937,14 @@ class TestOnePassPerInput:
     @pytest.mark.parametrize(
         "argv, passes",
         [
-            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0)),
-            (["repair", fixture("ex1_realization.digraph"), "--format", "csv"], (1, 1, 0)),
-            (["check", fixture("ex1_realization.digraph")], (1, 1, 0)),
-            (["partitions", fixture("ex1_realization.digraph")], (1, 1, 0)),
-            (["matrix", fixture("ex1_realization.digraph")], (1, 1, 1)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (
+                ["repair", fixture("ex1_realization.digraph"), "--format", "csv"],
+                (1, 1, 0, 0),
+            ),
+            (["check", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (["partitions", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (["matrix", fixture("ex1_realization.digraph")], (1, 1, 0, 1)),
         ],
     )
     def test_digraph_input_never_builds_the_arc_tuples(
@@ -944,7 +969,7 @@ class TestOnePassPerInput:
         path = tmp_path / "cycle.seq"
         path.write_text("seq\n" + "1 1\n" * 4)
         argv = ["partitions", str(path)]
-        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 0))
+        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 0, 0))
 
     def test_no_parser_is_built_per_request(self, capsys, monkeypatch):
         built = []
@@ -1019,9 +1044,9 @@ class TestRenderedOutput:
         extras = (slack.s_bar, slack.s_under, maximal.m_bar, maximal.m_under)
         ordering = proper_order(seq)
         parts = [induced_partition_by_prefixes(seq, ordering, k, l) for k, l in cells]
+        assert run(["matrix", "--extras", str(path)]) == code
+        assert capsys.readouterr().out == render_matrix_by_generators(matrix, extras)
         for fmt in ("kv", "csv"):
-            assert run(["matrix", "--extras", "--format", fmt, str(path)]) == code
-            assert capsys.readouterr().out == render_matrix_by_generators(matrix, extras)
             assert run(["partitions", "--format", fmt, str(path)]) == code
             captured = capsys.readouterr()
             if digraphic:

@@ -2,7 +2,8 @@
 in ``splitkit.oracle``.
 
 The paths are the two slack families, the matrix rows built one from the
-previous one, the splittance, the witness cell that ``repair`` uses, the
+previous one, digraphicality and the splittance read off the rows alone
+(against the two-family forms), the witness cell that ``repair`` uses, the
 zero cells behind ``split_partitions`` (with their row-major order), the
 role walk that builds every cell's partition against the prefix-set
 algebra it replaced, and the turning points, and on the digraph store the
@@ -12,20 +13,26 @@ then seeded digraphs with N in the hundreds.
 
 import random
 from itertools import product
+from typing import Callable
 
 import pytest
 
 from splitkit import (
     Digraph,
     IntegerPairSequence,
+    NotDigraphicError,
     QuadPartition,
+    SplittanceMatrix,
     degree_sequence,
+    digraph_splittance,
     edit_set,
+    is_digraphic,
     repair,
     verify_split_partition,
 )
 from splitkit.oracle import (
     best_cell_by_scan,
+    brute_realize,
     edit_set_by_scan,
     enumerate_digraphs,
     fulkerson_slack_quadratic,
@@ -42,6 +49,7 @@ from helpers import (
     gnp_degree_sequence,
     planted_split_digraph,
     proper_order_by_tuples,
+    random_balanced_pairs,
     random_digraph,
     random_quad_partition,
 )
@@ -232,6 +240,82 @@ class TestSeededLarge:
         assert a.matrix == matrix
         assert a.best_cell == best_cell_by_scan(matrix)
         assert a.maximal == maximal_sequences_quadratic(seq)
+
+
+def two_family_answers(seq: IntegerPairSequence) -> tuple[bool, int | None]:
+    """Digraphicality and splittance read off both slack families, the
+    forms the row-only answers replaced: digraphic when balanced with no
+    negative entry in either family, and then the splittance is the
+    smallest interior entry of both (0 for N < 2)."""
+    slack = fulkerson_slack_quadratic(seq)
+    if not (seq.is_balanced and min(slack.s_bar + slack.s_under) >= 0):
+        return False, None
+    return True, min(slack.s_bar[1 : seq.n] + slack.s_under[1 : seq.n], default=0)
+
+
+def assert_rows_decide(
+    seq: IntegerPairSequence,
+    reference_matrix: Callable[[IntegerPairSequence], SplittanceMatrix],
+) -> bool:
+    """``is_digraphic`` and ``digraph_splittance`` against the two-family
+    forms and, on a digraphic sequence, against the minimum of its
+    ``reference_matrix`` away from the trivial corners; True when the
+    sequence is digraphic."""
+    digraphic, splittance = two_family_answers(seq)
+    assert is_digraphic(seq) == digraphic, seq
+    if not digraphic:
+        with pytest.raises(NotDigraphicError):
+            digraph_splittance(seq)
+        return False
+    assert digraph_splittance(seq) == splittance, seq
+    if seq.n:
+        matrix = reference_matrix(seq)
+        assert splittance == matrix[best_cell_by_scan(matrix)], seq
+    return True
+
+
+def near_boundary_pairs(rng: random.Random, n: int, moves: int) -> IntegerPairSequence:
+    """A planted split digraph's degree sequence with ``moves`` unit shifts
+    within each degree column: still balanced and in range, and digraphic
+    or not by a slack of about one."""
+    g, _ = planted_split_digraph(rng, n)
+    seq = degree_sequence(g)
+    outs, ins = list(seq.out_degrees), list(seq.in_degrees)
+    for _ in range(moves):
+        for column in (outs, ins):
+            up, down = rng.sample(range(n), 2)
+            if column[up] < n - 1 and column[down] > 0:
+                column[up] += 1
+                column[down] -= 1
+    return IntegerPairSequence(zip(outs, ins))
+
+
+class TestRowsDecide:
+    # The answers read the out-major family alone: it decides
+    # digraphicality, and the smallest row minimum is the splittance.
+
+    def test_every_in_range_sequence(self):
+        # All 66 283 sequences with n <= 4, the empty one included.
+        total = digraphic = 0
+        for seq in (IntegerPairSequence(), *in_range_sequences(4)):
+            found = brute_realize(seq)
+            if assert_rows_decide(seq, splittance_matrix_bruteforce):
+                assert found is not None and degree_sequence(found) == seq, seq
+                digraphic += 1
+            else:
+                assert found is None, seq
+            total += 1
+        assert (total, digraphic) == (66283, 2725)
+
+    @pytest.mark.parametrize("n", [100, 200, 300, 400])
+    def test_seeded_balanced_sequences(self, n):
+        # Random balanced entries fall far outside the digraphic ones; the
+        # shifted split sequences land next to the boundary, on either side.
+        rng = random.Random(f"rows-decide:{n}")
+        sequences = [random_balanced_pairs(rng, n) for _ in range(3)]
+        sequences += [near_boundary_pairs(rng, n, moves) for moves in (1, 1, 2, 3)]
+        decided = [assert_rows_decide(s, splittance_matrix_by_rows) for s in sequences]
+        assert True in decided and False in decided
 
 
 def every_partition(n: int):
