@@ -8,7 +8,8 @@ first fault.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
-in memory (such as a ``digraph N`` header with a huge N), 3 invalid or
+(a ``digraph N`` header with a huge N, an integer of more digits than
+``int`` converts, or any input that exhausts memory), 3 invalid or
 non-digraphic input where the command needs it, 4 the oracle cross-check
 disagreed with the fast path, 5 an internal error (a fault in splitkit,
 reported as one ``error: internal error: ...`` line naming the exception
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
 import sys
 from operator import itemgetter, methodcaller
@@ -99,7 +101,7 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
         if len(header) != 2:
             raise InputParseError(f"malformed header {lines[0]!r}: expected 'digraph N'")
         try:
-            n = int(header[1])
+            n = _int(header[1], "vertex count")
         except ValueError:
             raise InputParseError(f"non-integer vertex count {header[1]!r}") from None
         if n < 0:
@@ -140,10 +142,27 @@ def _line_pairs(body: list[str], shape: str, noun: str) -> Iterator[tuple[int, i
         if len(fields) != 2:
             raise InputParseError(f"expected {shape}, got {line!r}")
         try:
-            pair = int(fields[0]), int(fields[1])
+            pair = _int(fields[0], noun), _int(fields[1], noun)
         except ValueError:
             raise InputParseError(f"non-integer {noun} in line {line!r}") from None
         yield pair
+
+
+# What ``int`` reads in base 10: a sign, then digits, single underscores
+# between them; ``\d`` takes every Unicode decimal digit, as ``int`` does.
+_DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int(token: str, noun: str) -> int:
+    """``int(token)``, or InputParseError when ``token`` is an integer with
+    more digits than ``int`` converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(token)
+    except ValueError:
+        if _DECIMAL.fullmatch(token) is None:
+            raise
+    digits = len(token.lstrip("+-").replace("_", ""))
+    raise InputParseError(f"input too large to analyze: {noun} of {digits} digits")
 
 
 def _raise_first_arc_error(body: list[str], n: int) -> NoReturn:

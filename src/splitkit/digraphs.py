@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import eq, index, itemgetter
 from typing import Iterable
 
-from .sequences import IntegerPairSequence, within
+from .sequences import IntegerPairSequence, lazy, within
 from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
@@ -107,7 +106,7 @@ class Digraph:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.succ.items())))
 
-    @cached_property
+    @lazy
     def arcs(self) -> frozenset[Arc]:
         return frozenset(_arcs(self.succ.items()))
 

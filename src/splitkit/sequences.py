@@ -9,15 +9,36 @@ are completely equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-from operator import index
-from typing import Collection, Iterable, Sequence, TypeVar
+from itertools import accumulate, repeat
+from operator import add, index, mul, sub
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from .errors import NegativeDegreeError, OutOfRangeError
 
 Pair = tuple[int, int]
 T = TypeVar("T")
+
+
+class lazy:
+    """An attribute computed by ``func`` on first read and stored in the
+    instance ``__dict__``, where every later read finds it first.
+
+    Used in place of ``functools.cached_property``, which before Python
+    3.12 takes a lock on every first read, a cost that shows on small
+    inputs.  Without a lock two threads may both compute a part on first
+    read; every part is pure, so both get equal values.
+    """
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -44,15 +65,15 @@ class IntegerPairSequence:
     def n(self) -> int:
         return len(self.out_degrees)
 
-    @cached_property
+    @lazy
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(zip(self.out_degrees, self.in_degrees))
 
-    @cached_property
+    @lazy
     def sum_out(self) -> int:
         return sum(self.out_degrees)
 
-    @cached_property
+    @lazy
     def sum_in(self) -> int:
         return sum(self.in_degrees)
 
@@ -112,12 +133,12 @@ class ProperOrdering:
     pos_perm: tuple[int, ...]
     neg_perm: tuple[int, ...]
 
-    @cached_property
+    @lazy
     def pos_rank(self) -> tuple[int, ...]:
         """Inverse of ``pos_perm``: rank of each original index."""
         return _inverse(self.pos_perm)
 
-    @cached_property
+    @lazy
     def neg_rank(self) -> tuple[int, ...]:
         """Inverse of ``neg_perm``: rank of each original index."""
         return _inverse(self.neg_perm)
@@ -130,15 +151,20 @@ def proper_order(seq: IntegerPairSequence) -> ProperOrdering:
     both permutations, which is what guarantees tie consistency.
     """
     validate(seq)
-    # One int key per entry, (N-1-first)*N + (N-1-second), orders like the
-    # pair, as both degrees lie in [0, N-1]; the stable sort keeps ties in
-    # index order.
-    n, outs, ins = seq.n, seq.out_degrees, seq.in_degrees
-    pos_keys = [(n - 1 - o) * n + n - 1 - i for o, i in zip(outs, ins)]
-    neg_keys = [(n - 1 - i) * n + n - 1 - o for o, i in zip(outs, ins)]
-    pos = sorted(range(n), key=pos_keys.__getitem__)
-    neg = sorted(range(n), key=neg_keys.__getitem__)
-    return ProperOrdering(tuple(pos), tuple(neg))
+    outs, ins = seq.out_degrees, seq.in_degrees
+    return ProperOrdering(lex_order(outs, ins), lex_order(ins, outs))
+
+
+def lex_order(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
+    """Indices in non-increasing order of ``(first[i], second[i])``, equal
+    pairs in ascending index order; every value must lie in [0, N).
+
+    One int key per entry, ``first * N + second``, orders like the pair;
+    the sort is stable under ``reverse=True``, so ties keep index order.
+    """
+    n = len(first)
+    keys = list(map(add, map(mul, first, repeat(n)), second))
+    return tuple(sorted(range(n), key=keys.__getitem__, reverse=True))
 
 
 def reorder(values: Sequence[T], perm: Sequence[int]) -> tuple[T, ...]:
@@ -173,7 +199,4 @@ def capped_slack(demand: Sequence[int], capacity: Sequence[int]) -> tuple[int, .
             head[c + 1] -= 1
     capped = accumulate(at_least_counts(capacity)[1:], initial=0)
     demanded = accumulate(demand, initial=0)
-    return tuple(
-        total - correction - need
-        for total, correction, need in zip(capped, accumulate(head), demanded)
-    )
+    return tuple(map(sub, map(sub, capped, accumulate(head)), demanded))

@@ -9,16 +9,18 @@ satisfies all block constraints.  Tabulating the measure over every
 partition induced by the two degree orderings yields the splittance matrix,
 whose minimum away from two trivial corner cells is the digraph splittance.
 The public functions are views over one ``Analysis`` of their sequence,
-which reads every answer off the out-major slack family and the
-orderings, in O(N) after the sort; the matrix itself is built one row
-from the previous one, by C-level arithmetic.  Every cell's partition
+which reads every answer off the out-major order and its slack family, in
+O(N) after one sort; the in-major order is sorted only for the parts
+beyond the answers (matrix, partitions, witness cell, turning points and
+the in-major slacks).  The matrix itself is built one row from the
+previous one, by C-level arithmetic.  Every cell's partition
 comes from one role walk, ``_cell_blocks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import add, index, neg
 from typing import Iterable, Iterator, Sequence
@@ -29,7 +31,8 @@ from .sequences import (
     ProperOrdering,
     at_least_counts,
     capped_slack,
-    proper_order,
+    lazy,
+    lex_order,
     reorder,
     validate,
 )
@@ -269,9 +272,12 @@ class Analysis:
 
     Every part is computed on first use and cached on the object; the public
     functions below build a new analysis per call, so nothing is kept
-    between calls.  Computing the ordering validates the sequence, which
-    every other part needs first.  Everything except ``matrix`` costs O(N)
-    after the sort, plus O(N) per partition that ``partitions`` lists.
+    between calls.  Computing the out-major order ``pos_perm`` validates the
+    sequence, which every other part needs first.  The answers
+    (``digraphic``, ``split``, ``splittance``) read that order alone; the
+    in-major order, and with it ``ordering`` and its ranks, is sorted only
+    when another part reads it.  Everything except ``matrix`` costs O(N)
+    after the sorts, plus O(N) per partition that ``partitions`` lists.
     ``matrix_rows``, ``zero_cells`` and ``zero_cell_blocks`` make their
     items one at a time, for a caller that keeps none of them; ``matrix``
     and ``partitions`` keep them all.
@@ -280,24 +286,34 @@ class Analysis:
     def __init__(self, seq: IntegerPairSequence):
         self.seq = seq
 
-    @cached_property
-    def ordering(self) -> ProperOrdering:
-        return proper_order(self.seq)
+    @lazy
+    def pos_perm(self) -> tuple[int, ...]:
+        """The out-major order, the only one the answers read; computing it
+        validates the sequence."""
+        seq = self.seq
+        validate(seq)
+        return lex_order(seq.out_degrees, seq.in_degrees)
 
-    @cached_property
+    @lazy
+    def ordering(self) -> ProperOrdering:
+        """Both orders; only here is the in-major one sorted."""
+        seq, pos_perm = self.seq, self.pos_perm
+        return ProperOrdering(pos_perm, lex_order(seq.in_degrees, seq.out_degrees))
+
+    @lazy
     def s_bar(self) -> tuple[int, ...]:
         """The out-major slack family, the only one the answers read."""
         seq = self.seq
-        return _slack_family(seq.out_degrees, seq.in_degrees, self.ordering.pos_perm)
+        return _slack_family(seq.out_degrees, seq.in_degrees, self.pos_perm)
 
-    @cached_property
+    @lazy
     def slack(self) -> SlackPair:
         """Both slack families; only here is the in-major one computed."""
         seq = self.seq
         s_under = _slack_family(seq.in_degrees, seq.out_degrees, self.ordering.neg_perm)
         return SlackPair(self.s_bar, s_under)
 
-    @cached_property
+    @lazy
     def matrix(self) -> SplittanceMatrix:
         return SplittanceMatrix(tuple(self.matrix_rows()))
 
@@ -305,20 +321,20 @@ class Analysis:
         """The matrix rows k = 0..N, each made as it is asked for."""
         return _matrix_rows(self.seq, self.ordering)
 
-    @cached_property
+    @lazy
     def maximal(self) -> MaximalSequences:
         m_bar = _turning_points(self.seq.out_degrees, self.ordering.neg_rank)
         return MaximalSequences(m_bar=m_bar, m_under=self._m_under)
 
-    @cached_property
+    @lazy
     def _m_under(self) -> tuple[int, ...]:
         # The row turning points alone, which the plateau walk needs.
         return _turning_points(self.seq.in_degrees, self.ordering.pos_rank)
 
-    @cached_property
+    @lazy
     def digraphic(self) -> bool:
         try:
-            self.ordering  # validates the sequence; negative entries raise
+            self.pos_perm  # validates the sequence; negative entries raise
         except OutOfRangeError:
             return False
         return self.seq.is_balanced and min(self.s_bar) >= 0
@@ -327,17 +343,17 @@ class Analysis:
         if not self.digraphic:
             raise NotDigraphicError(f"sequence {self.seq.pairs} is not digraphic")
 
-    @cached_property
+    @lazy
     def splittance(self) -> int:
         """The smallest row minimum, or 0 for the empty sequence."""
         self._require_digraphic()
         return min(self.row_minima) if self.seq.n else 0
 
-    @cached_property
+    @lazy
     def split(self) -> bool:
         return self.splittance == 0
 
-    @cached_property
+    @lazy
     def row_minima(self) -> tuple[int, ...]:
         """Minimum of each matrix row over the cells away from the trivial
         corners (0, N) and (N, 0); needs N >= 1.
@@ -368,7 +384,7 @@ class Analysis:
             start -= 1
         return range(max(start, k == n), end + 1)
 
-    @cached_property
+    @lazy
     def best_cell(self) -> tuple[int, int]:
         """Row-major first cell away from the trivial corners (0, N) and
         (N, 0) that holds the matrix minimum; needs N >= 1."""
@@ -391,7 +407,7 @@ class Analysis:
             for l in self._plateau(k)
         )
 
-    @cached_property
+    @lazy
     def partitions(self) -> list[QuadPartition]:
         """Induced partitions of ``zero_cells``, in their order."""
         n = self.seq.n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -311,6 +312,26 @@ def realize_undirected(degrees: tuple[int, ...]) -> set[frozenset[int]] | None:
             edges.add(frozenset((u, slot[1])))
 
 
+def int_by_lines(token: str, noun: str) -> int:
+    """``int(token)`` as the line walk reads it: a token that ``int``
+    refuses only for its digit count (it converts once the limit is
+    lifted) raises ``InputParseError`` as an input too large to analyze,
+    any other refused token ``ValueError``."""
+    from splitkit.cli import InputParseError
+
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            int(token)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    digits = sum(map(str.isdecimal, token))
+    raise InputParseError(f"input too large to analyze: {noun} of {digits} digits")
+
+
 def parse_digraph_by_lines(text: str) -> tuple[int, set[tuple[int, int]]]:
     """The line-at-a-time digraph parser the bulk parser replaced: the
     vertex count and the 0-based arc set, or the same ``InputParseError``
@@ -331,7 +352,7 @@ def parse_digraph_by_lines(text: str) -> tuple[int, set[tuple[int, int]]]:
         if len(fields) != 2:
             raise InputParseError(f"expected 'u v' arc, got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = int_by_lines(fields[0], "label"), int_by_lines(fields[1], "label")
         except ValueError:
             raise InputParseError(f"non-integer label in line {line!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
@@ -362,9 +383,10 @@ def parse_sequence_by_lines(text: str) -> IntegerPairSequence:
         if len(fields) != 2:
             raise InputParseError(f"expected 'out in' pair, got {line!r}")
         try:
-            pairs.append((int(fields[0]), int(fields[1])))
+            pair = int_by_lines(fields[0], "degree"), int_by_lines(fields[1], "degree")
         except ValueError:
             raise InputParseError(f"non-integer degree in line {line!r}") from None
+        pairs.append(pair)
     return IntegerPairSequence(pairs)
 
 

@@ -532,6 +532,34 @@ class TestRepair:
         assert captured.err == f"error: input too large to analyze: {n} vertices\n"
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seq\n1 {}\n", "degree of 5000 digits"),
+            ("digraph 3\n1 2\n+{} 3\n", "label of 5000 digits"),
+            ("digraph {}\n1 2\n", "vertex count of 5000 digits"),
+        ],
+        ids=["seq degree", "digraph label", "digraph header"],
+    )
+    def test_integer_over_the_int_digit_limit_exits_2(
+        self, text, message, tmp_path, capsys
+    ):
+        # int() refuses more than 4300 digits with a ValueError, which is
+        # no reason to call the token a non-integer.
+        path = tmp_path / "huge.txt"
+        path.write_text(text.format("9" * 5000))
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: input too large to analyze: {message}\n"
+
+    def test_integer_under_the_int_digit_limit_parses(self, tmp_path, capsys):
+        path = tmp_path / "huge.seq"
+        path.write_text("seq\n1 " + "9" * 4000 + "\n")
+        assert run(["check", str(path)]) == 3
+        assert capsys.readouterr() == ("digraphic=false\n", "")
+
+
 class TestEndings:
     def test_out_of_memory_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
         # The arc store is what the parser allocates; fail it the way it
@@ -875,23 +903,27 @@ class TestOracleFlag:
 class TestOnePassPerInput:
     # Each routine is wrapped with a counter in every splitkit module that
     # binds it, the way the benchmark's tracer patches module attributes.
-    # The slack passes are counted per family, told apart by the ordering
-    # that ranks them: the answers read the out-major family (``s_bar``)
-    # alone, and only ``matrix --extras`` also computes the in-major one
-    # (``s_under``).  Only the matrix command builds the matrix.
+    # The sorts and the slack passes are counted per family, told apart by
+    # the degree column that leads them (the last sequence validated): the
+    # answers read the out-major order and its family (``s_bar``) alone;
+    # the matrix, the partitions and the witness cell of ``repair`` also
+    # sort into the in-major order, and only ``matrix --extras`` computes
+    # the in-major family (``s_under``).  Only the matrix command builds
+    # the matrix.
     ROUTINES = (
-        ("sequences", "proper_order"),
+        ("sequences", "validate"),
+        ("sequences", "lex_order"),
         ("splittance", "_slack_family"),
         ("splittance", "_matrix_rows"),
     )
-    PASSES = ("proper_order", "s_bar", "s_under", "_matrix_rows")
+    PASSES = ("out_sort", "in_sort", "s_bar", "s_under", "_matrix_rows")
 
     def passes(self, argv, monkeypatch, capsys) -> tuple[int, tuple[int, ...]]:
         """Exit code of ``run(argv)`` and how often each pass in ``PASSES``
-        ran: the ordering, the out-major and the in-major slack family, and
-        the matrix."""
+        ran: the out-major and the in-major sort, the out-major and the
+        in-major slack family, and the matrix."""
         counts = Counter()
-        orderings = []
+        validated = []
         modules = [
             module
             for name, module in sys.modules.items()
@@ -901,14 +933,21 @@ class TestOnePassPerInput:
             original = getattr(sys.modules[f"splitkit.{module_name}"], attr)
 
             def counted(*args, _attr=attr, _original=original):
-                result = _original(*args)
-                if _attr == "proper_order":
-                    orderings.append(result)
-                if _attr == "_slack_family":  # args: demand, capacity, perm
-                    out_major = args[2] is orderings[-1].pos_perm
-                    _attr = "s_bar" if out_major else "s_under"
+                if _attr == "validate":
+                    validated.append(args[0])
+                    return _original(*args)
+                # lex_order(first, second) and _slack_family(demand,
+                # capacity, perm) both lead with one degree column.
+                if _attr in ("lex_order", "_slack_family"):
+                    out_major = args[0] is validated[-1].out_degrees
+                    _attr = {
+                        ("lex_order", True): "out_sort",
+                        ("lex_order", False): "in_sort",
+                        ("_slack_family", True): "s_bar",
+                        ("_slack_family", False): "s_under",
+                    }[_attr, out_major]
                 counts[_attr] += 1
-                return result
+                return _original(*args)
 
             for module in modules:
                 for key, value in list(vars(module).items()):
@@ -921,12 +960,12 @@ class TestOnePassPerInput:
     @pytest.mark.parametrize(
         "argv, passes",
         [
-            (["check", fixture("ex1.seq")], (1, 1, 0, 0)),
-            (["check", fixture("ex1.seq"), "--oracle"], (1, 1, 0, 0)),
-            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1, 1)),
-            (["partitions", fixture("ex1.seq")], (1, 1, 0, 0)),
-            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
-            (["check", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (["check", fixture("ex1.seq")], (1, 0, 1, 0, 0)),
+            (["check", fixture("ex1.seq"), "--oracle"], (1, 0, 1, 0, 0)),
+            (["matrix", fixture("ex1.seq"), "--extras"], (1, 1, 1, 1, 1)),
+            (["partitions", fixture("ex1.seq")], (1, 1, 1, 0, 0)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 1, 0, 0)),
+            (["check", fixture("ex1_realization.digraph")], (1, 0, 1, 0, 0)),
         ],
     )
     def test_ordering_slack_and_matrix_at_most_once(
@@ -937,14 +976,14 @@ class TestOnePassPerInput:
     @pytest.mark.parametrize(
         "argv, passes",
         [
-            (["repair", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
+            (["repair", fixture("ex1_realization.digraph")], (1, 1, 1, 0, 0)),
             (
                 ["repair", fixture("ex1_realization.digraph"), "--format", "csv"],
-                (1, 1, 0, 0),
+                (1, 1, 1, 0, 0),
             ),
-            (["check", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
-            (["partitions", fixture("ex1_realization.digraph")], (1, 1, 0, 0)),
-            (["matrix", fixture("ex1_realization.digraph")], (1, 1, 0, 1)),
+            (["check", fixture("ex1_realization.digraph")], (1, 0, 1, 0, 0)),
+            (["partitions", fixture("ex1_realization.digraph")], (1, 1, 1, 0, 0)),
+            (["matrix", fixture("ex1_realization.digraph")], (1, 1, 1, 0, 1)),
         ],
     )
     def test_digraph_input_never_builds_the_arc_tuples(
@@ -969,7 +1008,7 @@ class TestOnePassPerInput:
         path = tmp_path / "cycle.seq"
         path.write_text("seq\n" + "1 1\n" * 4)
         argv = ["partitions", str(path)]
-        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 0, 0))
+        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 1, 0, 0))
 
     def test_no_parser_is_built_per_request(self, capsys, monkeypatch):
         built = []

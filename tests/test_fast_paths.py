@@ -1,14 +1,18 @@
 """Differential tests: each fast path against the code it replaced, kept
 in ``splitkit.oracle``.
 
-The paths are the two slack families, the matrix rows built one from the
+The paths are the two orders, the out-major one that the answers sort
+alone and the in-major one sorted when a later part reads it (against the
+tuple sort), the two slack families, the matrix rows built one from the
 previous one, digraphicality and the splittance read off the rows alone
 (against the two-family forms), the witness cell that ``repair`` uses, the
 zero cells behind ``split_partitions`` (with their row-major order), the
 role walk that builds every cell's partition against the prefix-set
 algebra it replaced, and the turning points, and on the digraph store the
 edit set, the partition check and the degrees.  Exhaustive for small n,
-then seeded digraphs with N in the hundreds.
+then seeded digraphs with N in the hundreds and tie-heavy sequences up to
+N = 2000.  The quadratic slacks of the exhaustive sweep are computed once
+per run and shared.
 """
 
 import random
@@ -27,6 +31,7 @@ from splitkit import (
     digraph_splittance,
     edit_set,
     is_digraphic,
+    is_split_sequence,
     repair,
     verify_split_partition,
 )
@@ -42,8 +47,8 @@ from splitkit.oracle import (
     splittance_matrix_by_rows,
     zero_cells_by_scan,
 )
-from splitkit.sequences import proper_order
-from splitkit.splittance import Analysis, _cell_blocks, induced_partition
+from splitkit.sequences import lex_order, proper_order
+from splitkit.splittance import Analysis, SlackPair, _cell_blocks, induced_partition
 
 from helpers import (
     gnp_degree_sequence,
@@ -61,6 +66,15 @@ def in_range_sequences(max_n: int):
         entries = list(product(range(n), repeat=2))
         for combo in product(entries, repeat=n):
             yield IntegerPairSequence(combo)
+
+
+@pytest.fixture(scope="session")
+def quadratic_slacks() -> list:
+    """``fulkerson_slack_quadratic`` of the empty sequence and then of every
+    in-range sequence with n <= 4, in ``in_range_sequences`` order:
+    computed once per run, for every test that compares with it."""
+    everyone = (IntegerPairSequence(), *in_range_sequences(4))
+    return list(map(fulkerson_slack_quadratic, everyone))
 
 
 def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
@@ -90,13 +104,17 @@ def assert_matches_quadratic(seq: IntegerPairSequence) -> None:
 
 
 class TestExhaustiveSmall:
-    def test_slacks_on_every_in_range_sequence(self):
+    def test_slacks_on_every_in_range_sequence(self, quadratic_slacks):
         # Balanced or not, digraphic or not: all 66 282 sequences, n <= 4,
-        # with the int-key ordering the slacks rest on.
+        # with the int-key orderings the slacks rest on, both the public
+        # pair and the one the analysis builds a part at a time.
         total = 0
-        for seq in in_range_sequences(4):
-            assert proper_order(seq) == proper_order_by_tuples(seq), seq
-            assert Analysis(seq).slack == fulkerson_slack_quadratic(seq), seq
+        for seq, slack in zip(in_range_sequences(4), quadratic_slacks[1:], strict=True):
+            ordering = proper_order_by_tuples(seq)
+            assert proper_order(seq) == ordering, seq
+            a = Analysis(seq)
+            assert a.slack == slack, seq
+            assert a.ordering == ordering, seq
             total += 1
         assert total == 66282
 
@@ -242,12 +260,14 @@ class TestSeededLarge:
         assert a.maximal == maximal_sequences_quadratic(seq)
 
 
-def two_family_answers(seq: IntegerPairSequence) -> tuple[bool, int | None]:
-    """Digraphicality and splittance read off both slack families, the
-    forms the row-only answers replaced: digraphic when balanced with no
-    negative entry in either family, and then the splittance is the
-    smallest interior entry of both (0 for N < 2)."""
-    slack = fulkerson_slack_quadratic(seq)
+def two_family_answers(
+    seq: IntegerPairSequence, slack: SlackPair
+) -> tuple[bool, int | None]:
+    """Digraphicality and splittance read off both slack families
+    (``slack``, from ``fulkerson_slack_quadratic``), the forms the row-only
+    answers replaced: digraphic when balanced with no negative entry in
+    either family, and then the splittance is the smallest interior entry
+    of both (0 for N < 2)."""
     if not (seq.is_balanced and min(slack.s_bar + slack.s_under) >= 0):
         return False, None
     return True, min(slack.s_bar[1 : seq.n] + slack.s_under[1 : seq.n], default=0)
@@ -255,13 +275,14 @@ def two_family_answers(seq: IntegerPairSequence) -> tuple[bool, int | None]:
 
 def assert_rows_decide(
     seq: IntegerPairSequence,
+    slack: SlackPair,
     reference_matrix: Callable[[IntegerPairSequence], SplittanceMatrix],
 ) -> bool:
     """``is_digraphic`` and ``digraph_splittance`` against the two-family
-    forms and, on a digraphic sequence, against the minimum of its
-    ``reference_matrix`` away from the trivial corners; True when the
-    sequence is digraphic."""
-    digraphic, splittance = two_family_answers(seq)
+    forms of the quadratic ``slack`` and, on a digraphic sequence, against
+    the minimum of its ``reference_matrix`` away from the trivial corners;
+    True when the sequence is digraphic."""
+    digraphic, splittance = two_family_answers(seq, slack)
     assert is_digraphic(seq) == digraphic, seq
     if not digraphic:
         with pytest.raises(NotDigraphicError):
@@ -279,7 +300,15 @@ def near_boundary_pairs(rng: random.Random, n: int, moves: int) -> IntegerPairSe
     within each degree column: still balanced and in range, and digraphic
     or not by a slack of about one."""
     g, _ = planted_split_digraph(rng, n)
-    seq = degree_sequence(g)
+    return unit_shifts(rng, degree_sequence(g), moves)
+
+
+def unit_shifts(
+    rng: random.Random, seq: IntegerPairSequence, moves: int
+) -> IntegerPairSequence:
+    """``seq`` with ``moves`` unit shifts within each degree column, each
+    from one random entry to another where both stay in range."""
+    n = seq.n
     outs, ins = list(seq.out_degrees), list(seq.in_degrees)
     for _ in range(moves):
         for column in (outs, ins):
@@ -294,12 +323,13 @@ class TestRowsDecide:
     # The answers read the out-major family alone: it decides
     # digraphicality, and the smallest row minimum is the splittance.
 
-    def test_every_in_range_sequence(self):
+    def test_every_in_range_sequence(self, quadratic_slacks):
         # All 66 283 sequences with n <= 4, the empty one included.
         total = digraphic = 0
-        for seq in (IntegerPairSequence(), *in_range_sequences(4)):
+        everyone = (IntegerPairSequence(), *in_range_sequences(4))
+        for seq, slack in zip(everyone, quadratic_slacks, strict=True):
             found = brute_realize(seq)
-            if assert_rows_decide(seq, splittance_matrix_bruteforce):
+            if assert_rows_decide(seq, slack, splittance_matrix_bruteforce):
                 assert found is not None and degree_sequence(found) == seq, seq
                 digraphic += 1
             else:
@@ -314,8 +344,110 @@ class TestRowsDecide:
         rng = random.Random(f"rows-decide:{n}")
         sequences = [random_balanced_pairs(rng, n) for _ in range(3)]
         sequences += [near_boundary_pairs(rng, n, moves) for moves in (1, 1, 2, 3)]
-        decided = [assert_rows_decide(s, splittance_matrix_by_rows) for s in sequences]
+        decided = [
+            assert_rows_decide(s, fulkerson_slack_quadratic(s), splittance_matrix_by_rows)
+            for s in sequences
+        ]
         assert True in decided and False in decided
+
+
+def block_pairs(rng: random.Random, n: int) -> IntegerPairSequence:
+    """Degrees of the digraph whose arcs are exactly those a random quad
+    partition forces: one pair per block, so ties everywhere, and split."""
+    part = random_quad_partition(rng, n)
+    senders, receivers = part.k, part.l
+    pairs = [(0, 0)] * n
+    for v in part.pm:
+        pairs[v] = (receivers - 1, senders - 1)
+    for v in part.plus:
+        pairs[v] = (receivers, 0)
+    for v in part.minus:
+        pairs[v] = (0, senders)
+    return IntegerPairSequence(pairs)
+
+
+def tie_heavy_pairs(kind: str, rng: random.Random, n: int) -> IntegerPairSequence:
+    """A sequence whose entries take few distinct values: ``regular`` (one
+    pair (d, d), digraphic), ``levels`` (three values, the in-degrees a
+    shuffle of the out-degrees), ``blocks`` (split) or ``blocks-shifted`` (``blocks`` with
+    unit shifts within each column, next to the digraphic boundary)."""
+    if kind == "regular":
+        d = rng.randrange(n)
+        return IntegerPairSequence([(d, d)] * n)
+    if kind == "levels":
+        levels = rng.sample(range(n), 3)
+        outs = [rng.choice(levels) for _ in range(n)]
+        return IntegerPairSequence(zip(outs, rng.sample(outs, n)))
+    seq = block_pairs(rng, n)
+    return seq if kind == "blocks" else unit_shifts(rng, seq, 3)
+
+
+class TestLazyOrders:
+    # The answers sort into the out-major order alone; the in-major order
+    # is sorted when a later part reads ``ordering``.
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            ("regular", 100),
+            ("levels", 150),
+            ("blocks", 300),
+            ("blocks-shifted", 700),
+            ("levels", 2000),
+        ],
+    )
+    def test_tie_heavy_sequences(self, kind, n):
+        rng = random.Random(f"{kind}:{n}")
+        seq = tie_heavy_pairs(kind, rng, n)
+        ordering = proper_order_by_tuples(seq)
+        slack = fulkerson_slack_quadratic(seq)
+        digraphic, splittance = two_family_answers(seq, slack)
+        a = Analysis(seq)
+        assert a.pos_perm == ordering.pos_perm
+        assert a.s_bar == slack.s_bar
+        assert a.digraphic == digraphic
+        if digraphic:
+            assert (a.splittance, a.split) == (splittance, splittance == 0)
+        assert "ordering" not in vars(a)
+        assert a.ordering == ordering
+        assert a.ordering.pos_perm is a.pos_perm
+        assert a.slack == slack
+        assert proper_order(seq) == ordering
+        if kind in ("regular", "blocks"):
+            assert digraphic
+        if kind == "blocks":
+            assert splittance == 0
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((2, 1), (3, 2), (4, 2), (1, 2), (0, 3)),  # split
+            ((1, 1),) * 4,  # digraphic, not split
+            ((1, 0), (0, 0)),  # unbalanced
+        ],
+    )
+    def test_answers_make_one_out_major_sort(self, pairs, monkeypatch):
+        seq = IntegerPairSequence(pairs)
+        sorts = []
+
+        def counted(first, second):
+            sorts.append("out" if first is seq.out_degrees else "in")
+            return lex_order(first, second)
+
+        monkeypatch.setattr("splitkit.splittance.lex_order", counted)
+        for answer in (is_digraphic, is_split_sequence, digraph_splittance):
+            sorts.clear()
+            try:
+                answer(seq)
+            except NotDigraphicError:
+                pass
+            assert sorts == ["out"], answer
+        sorts.clear()
+        a = Analysis(seq)
+        if a.digraphic:
+            assert a.split == (a.splittance == 0)
+        assert "ordering" not in vars(a)
+        assert sorts == ["out"]
 
 
 def every_partition(n: int):
