@@ -3,7 +3,10 @@
 Reads a degree sequence or a labeled digraph from a plain-text file, runs
 any of the analyses, and prints exact integer results.  Vertex labels in
 files are 1-based; all internal indices are 0-based.  Both headers share
-one bulk tokenizer; a file it refuses is walked line by line to word the
+one bulk parse that reads the text a block of ``_BLOCK`` characters at a
+time: beyond the text itself it holds the O(N + M) integers it keeps (M
+the lines) and the line and token strings of one block.  Only a file it
+refuses is walked again, line by line and a block at a time, to word the
 first fault.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
@@ -31,9 +34,9 @@ it writes anything, so a failing oracle leaves stdout empty; an entry
 beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs,
 and any other non-digraphic input ends them with one ``error: sequence is
 not digraphic`` line, after the matrix.  They write each line as it is
-made, holding O(N) memory beyond the input, so their stdout is partial
-only when the process dies mid-write.  The argument parser is built once,
-when the module is imported.
+made, holding O(N) memory beyond the parsed input, so their stdout is
+partial only when the process dies mid-write.  The argument parser is
+built once, when the module is imported.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import os
 import re
 import signal
 import sys
+from itertools import chain
 from operator import itemgetter, methodcaller
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .digraphs import Digraph, EditSet, degree_sequence, repair
 from .errors import BudgetExceededError, SequenceValidationError, SplitkitError
@@ -79,27 +83,22 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     followed by one ``u v`` arc per line with 1-based labels.  Blank lines
     and ``#`` comments are ignored.
     """
-    rows = text.splitlines()
-    if "#" in text:
-        rows = map(itemgetter(0), map(methodcaller("partition", "#"), rows))
-    lines = list(filter(None, map(str.strip, rows)))
-    if not lines:
-        raise InputParseError("empty input: expected a 'seq' or 'digraph N' header")
-
-    header = lines[0].split()
-    body = lines[1:]
+    first, body = _header(text)
+    header = first.split()
 
     if header[0] == "seq":
         if len(header) != 1:
-            raise InputParseError(f"malformed header {lines[0]!r}: expected 'seq'")
+            raise InputParseError(f"malformed header {first!r}: expected 'seq'")
         columns = _columns(body, 0)
         if columns is None:  # the walk words the first faulty line
-            return IntegerPairSequence(_line_pairs(body, "'out in' pair", "degree"))
+            return IntegerPairSequence(
+                _line_pairs(_body_lines(text), "'out in' pair", "degree")
+            )
         return IntegerPairSequence(zip(*columns))
 
     if header[0] == "digraph":
         if len(header) != 2:
-            raise InputParseError(f"malformed header {lines[0]!r}: expected 'digraph N'")
+            raise InputParseError(f"malformed header {first!r}: expected 'digraph N'")
         try:
             n = _int(header[1], "vertex count")
         except ValueError:
@@ -113,31 +112,82 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             try:
                 return Digraph.from_lists(n, *columns)
             except ValueError:  # range, loop or repeat: word it line by line
-                pass
-        _raise_first_arc_error(body, n)
+                del columns  # freed before the walk, which keeps its own arcs
+        _raise_first_arc_error(_body_lines(text), n)
 
-    raise InputParseError(f"unknown header {lines[0]!r}: expected 'seq' or 'digraph N'")
-
-
-def _columns(body: list[str], base: int) -> tuple[list[int], list[int]] | None:
-    """The two integer columns of the lines ``body``, each entry less ``base``,
-    or None when a line is not two integers: C-level passes over all lines
-    at once, each distinct token converted once."""
-    if not set(map(len, map(str.split, body))) <= {2}:
-        return None
-    tokens = " ".join(body).split()
-    try:
-        value = {token: int(token) - base for token in set(tokens)}
-    except ValueError:
-        return None
-    values = list(map(value.__getitem__, tokens))
-    return values[0::2], values[1::2]
+    raise InputParseError(f"unknown header {first!r}: expected 'seq' or 'digraph N'")
 
 
-def _line_pairs(body: list[str], shape: str, noun: str) -> Iterator[tuple[int, int]]:
+# Characters per parse block: beyond the integer columns, the parse holds
+# the line and token strings of one block at a time.
+_BLOCK = 1 << 17
+
+
+def _lines(block: str) -> list[str]:
+    """The lines of ``block`` without comments, stripped, blank ones left out."""
+    rows = block.splitlines()
+    if "#" in block:
+        rows = map(itemgetter(0), map(methodcaller("partition", "#"), rows))
+    return list(filter(None, map(str.strip, rows)))
+
+
+def _blocks(text: str) -> Iterator[list[str]]:
+    """``_lines`` of each block of ``text``, in order: each block but the
+    last has at least ``_BLOCK`` characters and ends just after a
+    ``"\\n"``, which always ends a line, so the blocks hold the lines of the
+    whole text.  ``_lines`` is a function of its own so that neither a
+    block nor its raw lines stay referenced here past the yield."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        yield _lines(text[start:cut])
+        start = cut
+
+
+def _header(text: str) -> tuple[str, Iterator[list[str]]]:
+    """The first line of ``text`` that is not blank, and the lines after
+    it, one list per block."""
+    blocks = filter(None, _blocks(text))
+    lines = next(blocks, None)
+    if lines is None:
+        raise InputParseError("empty input: expected a 'seq' or 'digraph N' header")
+    return lines[0], chain([lines[1:]], blocks)
+
+
+def _body_lines(text: str) -> Iterator[str]:
+    """The lines after the header, made one block at a time, for the walk
+    that words a fault."""
+    return chain.from_iterable(_header(text)[1])
+
+
+def _columns(
+    blocks: Iterable[list[str]], base: int
+) -> tuple[list[int], list[int]] | None:
+    """The two integer columns of the lines in ``blocks``, each entry less
+    ``base``, or None when a line is not two integers: C-level passes over
+    one block at a time, each distinct token converted once."""
+    value: dict[str, int] = {}
+    first: list[int] = []
+    second: list[int] = []
+    for lines in blocks:
+        if not set(map(len, map(str.split, lines))) <= {2}:
+            return None
+        tokens = " ".join(lines).split()
+        try:
+            value.update({t: int(t) - base for t in set(tokens).difference(value)})
+        except ValueError:
+            return None
+        first += map(value.__getitem__, tokens[0::2])
+        second += map(value.__getitem__, tokens[1::2])
+    return first, second
+
+
+def _line_pairs(
+    lines: Iterable[str], shape: str, noun: str
+) -> Iterator[tuple[int, int]]:
     """Each line's two integers, one line at a time; raises for the first
     line that is not ``shape`` with integer ``noun``s."""
-    for line in body:
+    for line in lines:
         fields = line.split()
         if len(fields) != 2:
             raise InputParseError(f"expected {shape}, got {line!r}")
@@ -165,17 +215,19 @@ def _int(token: str, noun: str) -> int:
     raise InputParseError(f"input too large to analyze: {noun} of {digits} digits")
 
 
-def _raise_first_arc_error(body: list[str], n: int) -> NoReturn:
-    """Word the first faulty arc line, checking one line at a time."""
-    arcs = set()
-    for u, v in _line_pairs(body, "'u v' arc", "label"):
+def _raise_first_arc_error(lines: Iterable[str], n: int) -> NoReturn:
+    """Word the first faulty arc line, checking one line at a time; an arc
+    seen is kept as the one int ``u * n + v``."""
+    seen = set()
+    for u, v in _line_pairs(lines, "'u v' arc", "label"):
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
         if u == v:
             raise InputParseError(f"loop at vertex {u} not allowed")
-        if (u, v) in arcs:
+        key = u * n + v
+        if key in seen:
             raise InputParseError(f"duplicate arc ({u}, {v})")
-        arcs.add((u, v))
+        seen.add(key)
     raise AssertionError("the bulk arc checks failed on lines the loop accepts")
 
 

@@ -418,8 +418,15 @@ class Analysis:
 
     def zero_cell_blocks(self, items: Sequence) -> Iterator[tuple]:
         """``_cell_blocks`` over ``zero_cells``, for a caller that keeps
-        none of them, such as the ``partitions`` command."""
-        return _cell_blocks(self.ordering, self.zero_cells(), items)
+        none of them, such as the ``partitions`` command.  The in-major
+        order is read only once a zero cell is known: a sequence that is
+        not split never sorts it."""
+        self.pos_perm  # validates first: an entry beyond N - 1 raises as such
+        cells = self.zero_cells()
+        first = next(cells, None)
+        if first is None:
+            return iter(())
+        return _cell_blocks(self.ordering, chain((first,), cells), items)
 
 
 def splittance_matrix(seq: IntegerPairSequence) -> SplittanceMatrix:

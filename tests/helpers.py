@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import os
 import random
+import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
+import splitkit
 from splitkit import (
     Digraph,
     IntegerPairSequence,
@@ -16,6 +21,42 @@ from splitkit import (
     SplittanceMatrix,
 )
 from splitkit.sequences import ProperOrdering
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child process that imports the splitkit this
+    suite imported, whatever the working directory and whatever else is
+    installed."""
+    package_root = str(Path(splitkit.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
+def traced_peaks(prelude: str, calls: list[str]) -> list[tuple]:
+    """Run ``prelude`` in a new interpreter that has imported ``sys``, then
+    each expression of ``calls`` under ``tracemalloc``: for each call, its
+    value (a literal) and the peak of memory traced while it ran, in bytes.
+    A new interpreter, so that nothing an earlier test left in memory hides
+    what a call allocates; each value is printed to ``sys.__stdout__``, so
+    a call may replace ``sys.stdout``."""
+    code = (
+        "import sys, tracemalloc\n"
+        + prelude
+        + "for call in sys.argv[1:]:\n"
+        "    tracemalloc.start()\n"
+        "    value = eval(call)\n"
+        "    peak = tracemalloc.get_traced_memory()[1]\n"
+        "    tracemalloc.stop()\n"
+        "    print(repr((value, peak)), file=sys.__stdout__)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *calls],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return [ast.literal_eval(line) for line in result.stdout.splitlines()]
 
 
 # The order spec that proper_order's sort keys implement.

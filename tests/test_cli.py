@@ -1,7 +1,6 @@
 import argparse
 import importlib.metadata
 import io
-import os
 import random
 import shutil
 import signal
@@ -38,6 +37,7 @@ from splitkit.oracle import (
 from splitkit.sequences import proper_order
 
 from helpers import (
+    child_env,
     gnp_degree_sequence,
     parse_digraph_by_lines,
     parse_sequence_by_lines,
@@ -45,6 +45,7 @@ from helpers import (
     random_balanced_pairs,
     render_matrix_by_generators,
     render_partitions_by_sort,
+    traced_peaks,
 )
 
 try:
@@ -70,15 +71,6 @@ ENTRY_POINT_RUNNER = (
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
-
-
-def child_env() -> dict[str, str]:
-    """The environment for a child process that imports the splitkit this
-    suite imported, whatever the working directory and whatever else is
-    installed."""
-    package_root = str(Path(splitkit.__file__).resolve().parents[1])
-    pythonpath = [package_root, os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
 
 
 def read_fixture(name: str) -> str:
@@ -263,6 +255,35 @@ class TestBulkParser:
         doc = parse_document(f"{self.HEADER}\n{self.ODD_TEXT}")
         assert self.value(doc) == self.odd_value()
 
+    # Line breaks of several kinds that ``str.splitlines`` knows, and runs
+    # of blanks between the two fields.
+    BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+    SEPARATORS = [" ", "\t", "   ", " \t\t "]
+
+    def test_mixed_line_breaks_and_separators(self, tmp_path, capsys):
+        rng = random.Random(2028)
+        faults = sorted(self.FAULTS.values())
+        for _ in range(150):
+            lines = self.valid_lines(rng, rng.randint(0, 12))
+            if rng.random() < 0.4:
+                lines.insert(rng.randint(0, len(lines)), rng.choice(faults))
+            lines = [rng.choice(self.SEPARATORS).join(line.split()) for line in lines]
+            lead = rng.sample(["", "  ", "# a comment", "\t# another"], rng.randint(0, 4))
+            text = "".join(
+                line + rng.choice(self.BREAKS) for line in [*lead, self.HEADER, *lines]
+            )
+            self.assert_same_outcome(text, tmp_path, capsys)
+
+    @pytest.mark.parametrize("after", BREAKS)
+    def test_header_anywhere_among_line_breaks(self, after, tmp_path, capsys):
+        # After blank and comment lines, and on one "\n"-ended stretch of
+        # text with the body lines that follow it.
+        expected = self.by_lines(f"{self.HEADER}\n1 2\n3 4\n5 6\n7 8\n")
+        for lead in ["", "\n\n", "# c\n\n  \r\n\t# d\r", " \x0b#\u2028"]:
+            text = f"{lead}{self.HEADER}{after}1\t2\r3   4\x0b5 \t 6\n7 8{after}"
+            assert self.by_lines(text) == expected
+            self.assert_same_outcome(text, tmp_path, capsys)
+
 
 class TestBulkSequenceParser(TestBulkParser):
     """The bulk checks of ``parse_document`` on the ``seq`` header against
@@ -306,23 +327,78 @@ class TestBulkSequenceParser(TestBulkParser):
         self.assert_same_outcome(text, tmp_path, capsys)
 
 
+@pytest.fixture(params=[1, 16])
+def small_blocks(request, monkeypatch):
+    """Parse blocks of a few characters, so that every file spans many
+    blocks and each line is the first or the last of some block."""
+    monkeypatch.setattr(cli, "_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBulkParserInSmallBlocks(TestBulkParser):
+    """``TestBulkParser`` with blocks of a few characters."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBulkSequenceParserInSmallBlocks(TestBulkSequenceParser):
+    """``TestBulkSequenceParser`` with blocks of a few characters."""
+
+
 class TestColumns:
-    # ``_columns`` converts each distinct token once through a table and
-    # reads every copy of it from there; lines repeated three times give
-    # the same columns three times over.
+    # ``_columns`` reads its lines one block (a list of lines) at a time and
+    # converts each distinct token once, through one table that every
+    # block reads: lines repeated in three blocks give the same columns
+    # three times over.
     LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "\u0661\u0662 \uff18"]
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("base", [0, 1])
     def test_columns_are_the_integers_less_base(self, base, copies):
         values = [int(token) - base for token in " ".join(self.LINES).split()]
-        columns = cli._columns(self.LINES * copies, base)
+        columns = cli._columns([self.LINES] * copies, base)
         assert columns == (values[0::2] * copies, values[1::2] * copies)
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd"])
     def test_non_integer_token_gives_none(self, copies, bad):
-        assert cli._columns((self.LINES + [f"3 {bad}"]) * copies, 1) is None
+        blocks = [self.LINES] * (copies - 1) + [self.LINES + [f"3 {bad}"]]
+        assert cli._columns(blocks, 1) is None
+
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
+        lines = self.LINES * 3
+        blocks = [lines[i:i + per_block] for i in range(0, len(lines), per_block)]
+        converted = []
+
+        def counted(token):
+            converted.append(token)
+            return int(token)
+
+        monkeypatch.setattr(cli, "int", counted, raising=False)
+        values = [int(token) - 1 for token in " ".join(lines).split()]
+        assert cli._columns(blocks, 1) == (values[0::2], values[1::2])
+        assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
+
+
+class TestParseMemory:
+    def test_repair_parses_in_linear_memory(self, tmp_path):
+        # The complete digraph on 317 vertices: 100 172 arcs, 0.7 MB of
+        # text, and no edits to make.  The parse keeps two integer columns
+        # and the strings of one block; the walk that words a repeated arc
+        # on the last line keeps one block and every arc seen as one int.
+        # Neither may trace 16 MiB; a parse that split the whole text at
+        # once traced 22.7 MiB on either file.
+        n = 317
+        labels = range(1, n + 1)
+        arcs = "".join(f"{u} {v}\n" for u in labels for v in labels if u != v)
+        valid, repeated = tmp_path / "complete.digraph", tmp_path / "repeated.digraph"
+        valid.write_text(f"digraph {n}\n{arcs}")
+        repeated.write_text(f"digraph {n}\n{arcs}1 2\n")
+        calls = [f"run(['repair', {str(path)!r}])" for path in (valid, repeated)]
+        rows = traced_peaks("from splitkit.cli import run\n", calls)
+        assert [code for code, _ in rows] == [0, 2]
+        for _, peak in rows:
+            assert peak < 16 << 20
 
 
 class TestCheck:
@@ -1008,7 +1084,7 @@ class TestOnePassPerInput:
         path = tmp_path / "cycle.seq"
         path.write_text("seq\n" + "1 1\n" * 4)
         argv = ["partitions", str(path)]
-        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 1, 1, 0, 0))
+        assert self.passes(argv, monkeypatch, capsys) == (1, (1, 0, 1, 0, 0))
 
     def test_no_parser_is_built_per_request(self, capsys, monkeypatch):
         built = []
@@ -1145,15 +1221,13 @@ class TestStreamedWriters:
         self.assert_writers_match_the_library(seq, path, capsys)
 
     def test_writers_hold_linear_memory(self, tmp_path):
-        # A new interpreter, so that nothing an earlier test left in memory
-        # hides what the writers allocate.  The empty sequence on 1500
-        # vertices has 3000 zero cells; each command writes over 10 MB into
-        # a sink that only counts characters, and neither may trace more
-        # than a fixed 4 MB, whatever the number of cells it lists.
+        # The empty sequence on 1500 vertices has 3000 zero cells; each
+        # command writes over 10 MB into a sink that only counts characters,
+        # and neither may trace more than a fixed 4 MB, whatever the number
+        # of cells it lists.
         path = tmp_path / "empty1500.seq"
         path.write_text("seq\n" + "0 0\n" * 1500)
-        code = (
-            "import sys, tracemalloc\n"
+        prelude = (
             "from splitkit.cli import run\n"
             "class Sink:\n"
             "    chars = 0\n"
@@ -1161,23 +1235,13 @@ class TestStreamedWriters:
             "        self.chars += len(text)\n"
             "    def flush(self):\n"
             "        pass\n"
-            "for command in ('partitions', 'matrix'):\n"
+            "def written(command, path):\n"
             "    sys.stdout = sink = Sink()\n"
-            "    tracemalloc.start()\n"
-            "    code = run([command, sys.argv[1]])\n"
-            "    peak = tracemalloc.get_traced_memory()[1]\n"
-            "    tracemalloc.stop()\n"
-            "    print(command, code, sink.chars, peak, file=sys.__stdout__)\n"
+            "    return run([command, path]), sink.chars\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(path)],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
-        assert result.returncode == 0, result.stderr
-        rows = [line.split() for line in result.stdout.splitlines()]
-        assert [row[:2] for row in rows] == [["partitions", "0"], ["matrix", "0"]]
-        for _, _, chars, peak in rows:
-            assert int(chars) > 10**7
-            assert int(peak) < 4 << 20
+        calls = [f"written({cmd!r}, {str(path)!r})" for cmd in ("partitions", "matrix")]
+        rows = traced_peaks(prelude, calls)
+        assert [code for (code, _), _ in rows] == [0, 0]
+        for (_, chars), peak in rows:
+            assert chars > 10**7
+            assert peak < 4 << 20

@@ -1,14 +1,10 @@
 import dataclasses
-import os
 import random
-import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
-import splitkit
 from splitkit import (
     BudgetExceededError,
     Digraph,
@@ -25,7 +21,7 @@ from splitkit import oracle, splittance
 from splitkit.oracle import enumerate_digraphs, nontrivial_partitions
 from splitkit.sequences import validate
 
-from helpers import random_balanced_pairs
+from helpers import random_balanced_pairs, traced_peaks
 
 
 class TestEnumerateDigraphs:
@@ -193,23 +189,11 @@ class TestBudget:
         assert swept == [10]
 
     def test_sweep_streams_its_partitions(self):
-        # A new interpreter, so that nothing an earlier test left in memory
-        # hides what the sweep allocates.
-        code = (
-            "import tracemalloc\n"
+        prelude = (
             "from splitkit import IntegerPairSequence, brute_min_partition_measure\n"
             "seq = IntegerPairSequence([(1, 1)] * 7)\n"
-            "tracemalloc.start()\n"
-            "measure = brute_min_partition_measure(seq)\n"
-            "print(measure, tracemalloc.get_traced_memory()[1])\n"
         )
-        package_root = str(Path(splitkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": package_root}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        measure, peak = map(int, result.stdout.split())
+        [(measure, peak)] = traced_peaks(prelude, ["brute_min_partition_measure(seq)"])
         assert measure == digraph_splittance(IntegerPairSequence([(1, 1)] * 7))
         assert peak < 1 << 20
 
