@@ -5,9 +5,9 @@ any of the analyses, and prints exact integer results.  Vertex labels in
 files are 1-based; all internal indices are 0-based.  Both headers share
 one bulk parse that reads the text a block of ``_BLOCK`` characters at a
 time: beyond the text itself it holds the O(N + M) integers it keeps (M
-the lines) and the line and token strings of one block.  Only a file it
-refuses is walked again, line by line and a block at a time, to word the
-first fault.
+the lines), one string per distinct token and the line and token strings
+of one block.  Only a file it refuses is walked again, line by line and a
+block at a time, to word the first fault.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -163,22 +163,22 @@ def _body_lines(text: str) -> Iterator[str]:
 def _columns(
     blocks: Iterable[list[str]], base: int
 ) -> tuple[list[int], list[int]] | None:
-    """The two integer columns of the lines in ``blocks``, each entry less
-    ``base``, or None when a line is not two integers: C-level passes over
-    one block at a time, each distinct token converted once."""
+    """The two integer columns of the lines in ``blocks`` less ``base``, or
+    None if a line is not two integers: per block, one join with a ``;``
+    after each line, one split, each distinct token converted once."""
     value: dict[str, int] = {}
     first: list[int] = []
     second: list[int] = []
-    for lines in blocks:
-        if not set(map(len, map(str.split, lines))) <= {2}:
+    for lines in filter(None, blocks):
+        tokens, rows = (" ; ".join(lines) + " ;").split(), len(lines)
+        if (len(tokens), tokens.count(";"), tokens[2::3].count(";")) != (3 * rows, rows, rows):
             return None
-        tokens = " ".join(lines).split()
         try:
-            value.update({t: int(t) - base for t in set(tokens).difference(value)})
+            value.update({t: int(t) - base for t in set(tokens).difference(value, ";")})
         except ValueError:
             return None
-        first += map(value.__getitem__, tokens[0::2])
-        second += map(value.__getitem__, tokens[1::2])
+        first += map(value.__getitem__, tokens[0::3])
+        second += map(value.__getitem__, tokens[1::3])
     return first, second
 
 

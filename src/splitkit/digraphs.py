@@ -19,8 +19,10 @@ from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
 
-# Maps the digits of format(mask, "b") to bytes that are false for "0".
+# Maps the digits of format(mask, "b") to bytes that are false for "0",
+# and back.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -34,8 +36,12 @@ def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
     return [(u, v) for u, mask in rows if mask for v in _bits(mask)]
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    return sum(map((1).__lshift__, vertices))
+def _mask(n: int, vertices: Iterable[int]) -> int:
+    """The int with bit v set for each v in ``vertices``, all in [0, n)."""
+    flags = bytearray(n)
+    for v in vertices:
+        flags[v] = 1
+    return int(flags[::-1].translate(_BYTE_BITS) or b"0", 2)
 
 
 @dataclass(frozen=True)
@@ -170,11 +176,11 @@ def edit_set(g: Digraph, part: QuadPartition) -> EditSet:
     if part.n != g.n:
         raise ValueError(f"partition covers {part.n} vertices, digraph has {g.n}")
     succ = g.succ
-    receivers = _mask(part.pm | part.minus)
+    receivers = _mask(g.n, part.pm | part.minus)
     add = _arcs(
         (u, receivers & ~succ.get(u, 0) & ~(1 << u)) for u in part.pm | part.plus
     )
-    protected = _mask(part.plus | part.zero)
+    protected = _mask(g.n, part.plus | part.zero)
     remove = _arcs(
         (u, succ[u] & protected) for u in part.minus | part.zero if u in succ
     )

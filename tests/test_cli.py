@@ -128,6 +128,7 @@ class TestBulkParser:
     FAULTS = {
         "one field": "3",
         "three fields": "1 2 3",
+        "five fields": "1 2 3 4 5",
         "non-integer": "1 x",
         "decimal point": "1.0 2",
         "double underscore": "1__0 2",
@@ -139,6 +140,12 @@ class TestBulkParser:
         "signed loop": "+4 04",
         "form feed": "1\f2",
         "more digits than int reads": "1 " + "9" * 5000,
+        # The bulk parse ends each line with a ";" token of its own.
+        "semicolon second": "1 ;",
+        "semicolon first": "; 2",
+        "lone semicolon": ";",
+        "two semicolons": "; ;",
+        "semicolon inside": "1;2 3",
     }
     MESSAGES = {
         "1 2 3": "expected 'u v' arc, got '1 2 3'",
@@ -357,12 +364,32 @@ class TestColumns:
         values = [int(token) - base for token in " ".join(self.LINES).split()]
         columns = cli._columns([self.LINES] * copies, base)
         assert columns == (values[0::2] * copies, values[1::2] * copies)
+        # A block with no lines, as the header's own block can be, adds none.
+        assert cli._columns([[], *[self.LINES, []] * copies], base) == columns
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd"])
     def test_non_integer_token_gives_none(self, copies, bad):
         blocks = [self.LINES] * (copies - 1) + [self.LINES + [f"3 {bad}"]]
         assert cli._columns(blocks, 1) is None
+
+    # 3L tokens with L ";", yet the 2L fields split 1 + 3 or 3 + 1; five
+    # fields, whose ";" still falls at every third place; and a line that is
+    # a lone ";", the token the bulk parse ends each line with.
+    @pytest.mark.parametrize(
+        "lines", [["3", "1 2 3"], ["1 2 3", "3"], ["1 2 3 4 5"], ["1 2", ";"]]
+    )
+    def test_misplaced_fields_give_none(self, lines):
+        assert cli._columns([lines], 0) is None
+        assert cli._columns([self.LINES, [], lines + self.LINES], 1) is None
+        for header, by_lines in [("seq", parse_sequence_by_lines),
+                                 ("digraph 12", parse_digraph_by_lines)]:
+            text = "\n".join([header, "1 2", *lines, "3 4"])
+            with pytest.raises(InputParseError) as expected:
+                by_lines(text)
+            with pytest.raises(InputParseError) as raised:
+                parse_document(text)
+            assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
@@ -378,6 +405,7 @@ class TestColumns:
         values = [int(token) - 1 for token in " ".join(lines).split()]
         assert cli._columns(blocks, 1) == (values[0::2], values[1::2])
         assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
+        assert ";" not in converted
 
 
 class TestParseMemory:

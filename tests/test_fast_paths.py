@@ -9,10 +9,10 @@ previous one, digraphicality and the splittance read off the rows alone
 zero cells behind ``split_partitions`` (with their row-major order), the
 role walk that builds every cell's partition against the prefix-set
 algebra it replaced, and the turning points, and on the digraph store the
-edit set, the partition check and the degrees.  Exhaustive for small n,
-then seeded digraphs with N in the hundreds and tie-heavy sequences up to
-N = 2000.  The quadratic slacks of the exhaustive sweep are computed once
-per run and shared.
+edit set, its vertex masks, the partition check and the degrees.
+Exhaustive for small n, then seeded digraphs with N in the hundreds and
+tie-heavy sequences up to N = 2000.  The quadratic slacks of the
+exhaustive sweep are computed once per run and shared.
 """
 
 import random
@@ -35,6 +35,7 @@ from splitkit import (
     repair,
     verify_split_partition,
 )
+from splitkit.digraphs import _mask
 from splitkit.oracle import (
     best_cell_by_scan,
     brute_realize,
@@ -527,6 +528,14 @@ class TestDigraphStore:
             assert_store_matches_scan(g, planted)
         for _ in range(3):
             assert_store_matches_scan(g, random_quad_partition(rng, n))
+
+    def test_vertex_masks_are_sums_of_shifts(self):
+        rng = random.Random(10_000)
+        cases = [(0, ()), (6, ()), (6, range(6)), (10_000, range(10_000))]
+        for n in (1, 7, 8, 9, 63, 64, 65, 500, 4_099, 10_000):
+            cases.append((n, rng.sample(range(n), rng.randint(0, n))))
+        for n, vertices in cases:
+            assert _mask(n, vertices) == sum(1 << v for v in vertices), n
 
     def test_arcs_round_trip_and_has_arc(self):
         rng = random.Random(2718)
