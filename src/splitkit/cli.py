@@ -6,8 +6,8 @@ files are 1-based; all internal indices are 0-based.  Both headers share
 one bulk parse that reads the text a block of ``_BLOCK`` characters at a
 time: beyond the text itself it holds the O(N + M) integers it keeps (M
 the lines), one string per distinct token and the line and token strings
-of one block.  Only a file it refuses is walked again, line by line and a
-block at a time, to word the first fault.
+of one block.  Each block is read once: a fault is worded from the one
+block the parse refuses, a line at a time, and the integers before it.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -89,12 +89,10 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {first!r}: expected 'seq'")
-        columns = _columns(body, 0)
-        if columns is None:  # the walk words the first faulty line
-            return IntegerPairSequence(
-                _line_pairs(_body_lines(text), "'out in' pair", "degree")
-            )
-        return IntegerPairSequence(zip(*columns))
+        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree")
+        if fault is not None:
+            raise fault
+        return IntegerPairSequence(zip(out_degrees, in_degrees))
 
     if header[0] == "digraph":
         if len(header) != 2:
@@ -107,13 +105,18 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"negative vertex count {n}")
         if n > sys.maxsize:  # no list of n degrees fits in memory
             raise InputParseError(f"input too large to analyze: {n} vertices")
-        columns = _columns(body, 1)
-        if columns is not None:
-            try:
-                return Digraph.from_lists(n, *columns)
-            except ValueError:  # range, loop or repeat: word it line by line
-                del columns  # freed before the walk, which keeps its own arcs
-        _raise_first_arc_error(_body_lines(text), n)
+        sources, targets, fault = _columns(body, 1, "'u v' arc", "label")
+        try:
+            digraph = Digraph.from_lists(n, sources, targets)
+        except (ValueError, MemoryError) as exc:  # a bad arc, or too large to store
+            if isinstance(exc, MemoryError) and fault is None:
+                raise
+            digraph = None  # the walk runs once the build is freed
+        if digraph is None:
+            _raise_first_arc_error(n, sources, targets, fault)
+        if fault is not None:  # the arcs before the faulty line are sound
+            raise fault
+        return digraph
 
     raise InputParseError(f"unknown header {first!r}: expected 'seq' or 'digraph N'")
 
@@ -154,48 +157,42 @@ def _header(text: str) -> tuple[str, Iterator[list[str]]]:
     return lines[0], chain([lines[1:]], blocks)
 
 
-def _body_lines(text: str) -> Iterator[str]:
-    """The lines after the header, made one block at a time, for the walk
-    that words a fault."""
-    return chain.from_iterable(_header(text)[1])
-
-
 def _columns(
-    blocks: Iterable[list[str]], base: int
-) -> tuple[list[int], list[int]] | None:
-    """The two integer columns of the lines in ``blocks`` less ``base``, or
-    None if a line is not two integers: per block, one join with a ``;``
-    after each line, one split, each distinct token converted once."""
+    blocks: Iterable[list[str]], base: int, shape: str, noun: str
+) -> tuple[list[int], list[int], InputParseError | None]:
+    """The integer columns, less ``base``, of the lines in ``blocks`` before
+    the first that is not ``shape`` with integer ``noun``s, and the error
+    that words that line, or None: per block, one join with a ``;`` after
+    each line, one split, each distinct token converted once."""
     value: dict[str, int] = {}
     first: list[int] = []
     second: list[int] = []
     for lines in filter(None, blocks):
         tokens, rows = (" ; ".join(lines) + " ;").split(), len(lines)
         if (len(tokens), tokens.count(";"), tokens[2::3].count(";")) != (3 * rows, rows, rows):
-            return None
+            break
         try:
             value.update({t: int(t) - base for t in set(tokens).difference(value, ";")})
         except ValueError:
-            return None
+            break
         first += map(value.__getitem__, tokens[0::3])
         second += map(value.__getitem__, tokens[1::3])
-    return first, second
-
-
-def _line_pairs(
-    lines: Iterable[str], shape: str, noun: str
-) -> Iterator[tuple[int, int]]:
-    """Each line's two integers, one line at a time; raises for the first
-    line that is not ``shape`` with integer ``noun``s."""
-    for line in lines:
-        fields = line.split()
-        if len(fields) != 2:
-            raise InputParseError(f"expected {shape}, got {line!r}")
-        try:
-            pair = _int(fields[0], noun), _int(fields[1], noun)
-        except ValueError:
-            raise InputParseError(f"non-integer {noun} in line {line!r}") from None
-        yield pair
+    else:
+        return first, second, None
+    try:  # the refused block, one line at a time: word its first faulty line
+        for line in lines:
+            fields = line.split()
+            if len(fields) != 2:
+                raise InputParseError(f"expected {shape}, got {line!r}")
+            try:
+                u, v = _int(fields[0], noun), _int(fields[1], noun)
+            except ValueError:
+                raise InputParseError(f"non-integer {noun} in line {line!r}") from None
+            first.append(u - base)
+            second.append(v - base)
+    except InputParseError as fault:
+        return first, second, fault
+    raise AssertionError("the bulk checks refused a block the line walk accepts")
 
 
 # What ``int`` reads in base 10: a sign, then digits, single underscores
@@ -215,20 +212,22 @@ def _int(token: str, noun: str) -> int:
     raise InputParseError(f"input too large to analyze: {noun} of {digits} digits")
 
 
-def _raise_first_arc_error(lines: Iterable[str], n: int) -> NoReturn:
-    """Word the first faulty arc line, checking one line at a time; an arc
-    seen is kept as the one int ``u * n + v``."""
+def _raise_first_arc_error(
+    n: int, sources: list[int], targets: list[int], fault: InputParseError | None
+) -> NoReturn:
+    """Word the first faulty arc of the columns, one arc at a time, each
+    arc seen kept as the one int ``u * n + v``; if none is, raise ``fault``."""
     seen = set()
-    for u, v in _line_pairs(lines, "'u v' arc", "label"):
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
+    for u, v in zip(sources, targets):
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputParseError(f"arc ({u + 1}, {v + 1}) outside labels [1, {n}]")
         if u == v:
-            raise InputParseError(f"loop at vertex {u} not allowed")
+            raise InputParseError(f"loop at vertex {u + 1} not allowed")
         key = u * n + v
         if key in seen:
-            raise InputParseError(f"duplicate arc ({u}, {v})")
+            raise InputParseError(f"duplicate arc ({u + 1}, {v + 1})")
         seen.add(key)
-    raise AssertionError("the bulk arc checks failed on lines the loop accepts")
+    raise fault or AssertionError("Digraph refused arcs the walk accepts")
 
 
 def _bool(value: bool) -> str:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -355,23 +356,45 @@ class TestColumns:
     # ``_columns`` reads its lines one block (a list of lines) at a time and
     # converts each distinct token once, through one table that every
     # block reads: lines repeated in three blocks give the same columns
-    # three times over.
+    # three times over.  A faulty line gives none of its integers: the
+    # columns end with the line before it, and the error that comes with
+    # them words it as the line-at-a-time parsers do.
     LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "\u0661\u0662 \uff18"]
+    # (header, base, shape, noun, line-at-a-time parser) per header.
+    SHAPES = [
+        ("seq", 0, "'out in' pair", "degree", parse_sequence_by_lines),
+        ("digraph 12", 1, "'u v' arc", "label", parse_digraph_by_lines),
+    ]
+
+    @staticmethod
+    def values(lines: list[str], base: int) -> list[list[int]]:
+        integers = [int(token) - base for token in " ".join(lines).split()]
+        return [integers[0::2], integers[1::2]]
+
+    @staticmethod
+    def message(by_lines, text: str) -> str:
+        with pytest.raises(InputParseError) as expected:
+            by_lines(text)
+        return str(expected.value)
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("base", [0, 1])
     def test_columns_are_the_integers_less_base(self, base, copies):
-        values = [int(token) - base for token in " ".join(self.LINES).split()]
-        columns = cli._columns([self.LINES] * copies, base)
-        assert columns == (values[0::2] * copies, values[1::2] * copies)
-        # A block with no lines, as the header's own block can be, adds none.
-        assert cli._columns([[], *[self.LINES, []] * copies], base) == columns
+        for _, _, shape, noun, _ in self.SHAPES:
+            columns = cli._columns([self.LINES] * copies, base, shape, noun)
+            assert columns == (*self.values(self.LINES * copies, base), None)
+            # A block with no lines, as the header's own block can be, adds none.
+            blocks = [[], *[self.LINES, []] * copies]
+            assert cli._columns(blocks, base, shape, noun) == columns
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd"])
     def test_non_integer_token_gives_none(self, copies, bad):
-        blocks = [self.LINES] * (copies - 1) + [self.LINES + [f"3 {bad}"]]
-        assert cli._columns(blocks, 1) is None
+        blocks = [self.LINES] * (copies - 1) + [self.LINES + [f"3 {bad}", "1 2"]]
+        for header, base, shape, noun, by_lines in self.SHAPES:
+            *columns, fault = cli._columns(blocks, base, shape, noun)
+            assert columns == self.values(self.LINES * copies, base)
+            assert str(fault) == self.message(by_lines, f"{header}\n3 {bad}\n")
 
     # 3L tokens with L ";", yet the 2L fields split 1 + 3 or 3 + 1; five
     # fields, whose ";" still falls at every third place; and a line that is
@@ -380,16 +403,19 @@ class TestColumns:
         "lines", [["3", "1 2 3"], ["1 2 3", "3"], ["1 2 3 4 5"], ["1 2", ";"]]
     )
     def test_misplaced_fields_give_none(self, lines):
-        assert cli._columns([lines], 0) is None
-        assert cli._columns([self.LINES, [], lines + self.LINES], 1) is None
-        for header, by_lines in [("seq", parse_sequence_by_lines),
-                                 ("digraph 12", parse_digraph_by_lines)]:
+        ahead = list(takewhile(lambda line: len(line.split()) == 2, lines))
+        for header, base, shape, noun, by_lines in self.SHAPES:
+            message = self.message(by_lines, "\n".join([header, *lines]))
+            *columns, fault = cli._columns([lines], base, shape, noun)
+            assert (columns, str(fault)) == (self.values(ahead, base), message)
+            blocks = [self.LINES, [], lines + self.LINES]
+            *columns, fault = cli._columns(blocks, base, shape, noun)
+            assert columns == self.values(self.LINES + ahead, base)
+            assert str(fault) == message
             text = "\n".join([header, "1 2", *lines, "3 4"])
-            with pytest.raises(InputParseError) as expected:
-                by_lines(text)
             with pytest.raises(InputParseError) as raised:
                 parse_document(text)
-            assert str(raised.value) == str(expected.value)
+            assert str(raised.value) == self.message(by_lines, text)
 
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
@@ -402,29 +428,67 @@ class TestColumns:
             return int(token)
 
         monkeypatch.setattr(cli, "int", counted, raising=False)
-        values = [int(token) - 1 for token in " ".join(lines).split()]
-        assert cli._columns(blocks, 1) == (values[0::2], values[1::2])
+        assert cli._columns(blocks, 1, "'u v' arc", "label") == (
+            *self.values(lines, 1), None
+        )
         assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
         assert ";" not in converted
+
+
+class TestReadOnce:
+    # The complete digraph on 20 vertices, its last arc on the last line or
+    # a faulty line in its place, padded to one length so that every file
+    # cuts into the same blocks.
+    ARCS = [f"{u} {v}" for u in range(1, 21) for v in range(1, 21) if u != v]
+    LAST = {
+        "valid": ARCS[-1],
+        "malformed": "1 2 3",
+        "out of range": "2 21",
+        "loop": "4 4",
+        "repeat": ARCS[0],
+    }
+
+    @pytest.mark.parametrize("header", ["digraph 20", "seq"])
+    @pytest.mark.usefixtures("small_blocks")
+    def test_each_block_is_read_once(self, header, monkeypatch):
+        texts = {
+            last: "\n".join([header, *self.ARCS[:-1], line.ljust(5)]) + "\n"
+            for last, line in self.LAST.items()
+        }
+        blocks = len(list(cli._blocks(texts["valid"])))
+        read, calls = cli._lines, []
+        monkeypatch.setattr(cli, "_lines", lambda block: calls.append(block) or read(block))
+        counts = {}
+        for last, text in texts.items():
+            calls.clear()
+            try:
+                parse_document(text)
+            except InputParseError:
+                assert last != "valid"
+            counts[last] = len(calls)
+        assert counts == dict.fromkeys(texts, blocks)
 
 
 class TestParseMemory:
     def test_repair_parses_in_linear_memory(self, tmp_path):
         # The complete digraph on 317 vertices: 100 172 arcs, 0.7 MB of
         # text, and no edits to make.  The parse keeps two integer columns
-        # and the strings of one block; the walk that words a repeated arc
-        # on the last line keeps one block and every arc seen as one int.
-        # Neither may trace 16 MiB; a parse that split the whole text at
-        # once traced 22.7 MiB on either file.
+        # and the strings of one block.  A faulty last line adds a walk of
+        # its own block; a repeated or out-of-range arc adds a walk of the
+        # columns that keeps every arc seen as one int.  None may trace 16
+        # MiB; a parse that split the whole text at once traced 22.7 MiB on
+        # the valid file.
         n = 317
         labels = range(1, n + 1)
         arcs = "".join(f"{u} {v}\n" for u in labels for v in labels if u != v)
-        valid, repeated = tmp_path / "complete.digraph", tmp_path / "repeated.digraph"
-        valid.write_text(f"digraph {n}\n{arcs}")
-        repeated.write_text(f"digraph {n}\n{arcs}1 2\n")
-        calls = [f"run(['repair', {str(path)!r}])" for path in (valid, repeated)]
+        paths = []
+        for name, last in [("complete", ""), ("repeated", "1 2\n"),
+                           ("malformed", "1 2 3\n"), ("out-of-range", f"2 {n + 1}\n")]:
+            paths.append(tmp_path / f"{name}.digraph")
+            paths[-1].write_text(f"digraph {n}\n{arcs}{last}")
+        calls = [f"run(['repair', {str(path)!r}])" for path in paths]
         rows = traced_peaks("from splitkit.cli import run\n", calls)
-        assert [code for code, _ in rows] == [0, 2]
+        assert [code for code, _ in rows] == [0, 2, 2, 2]
         for _, peak in rows:
             assert peak < 16 << 20
 
@@ -678,6 +742,24 @@ class TestEndings:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: input too large to analyze: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("1 2\nx\n", "expected 'u v' arc, got 'x'"), ("1 2\n1 2\nx\n", "duplicate arc (1, 2)")],
+    )
+    def test_line_fault_wins_over_out_of_memory(
+        self, body, message, tmp_path, capsys, monkeypatch
+    ):
+        # A store too large to build for the arcs before a faulty line hides
+        # neither that line's fault nor an arc fault before it.
+        def out_of_memory(cls, n, sources, targets):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.Digraph, "from_lists", classmethod(out_of_memory))
+        path = tmp_path / "faulty.digraph"
+        path.write_text(f"digraph {10 ** 18}\n{body}")
+        assert run(["repair", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, attribute",
