@@ -8,10 +8,10 @@ into ``plus | zero``.  Everything else is unconstrained.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, index, itemgetter
+from itertools import compress, repeat
+from operator import eq, getitem, index, itemgetter, setitem
 from typing import Iterable
 
 from .sequences import IntegerPairSequence, lazy, within
@@ -36,12 +36,43 @@ def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
     return [(u, v) for u, mask in rows if mask for v in _bits(mask)]
 
 
+def _flags_int(flags: bytearray) -> int:
+    """The int with bit v set where ``flags[v]`` is 1; every byte is 0 or 1."""
+    return int(flags[::-1].translate(_BYTE_BITS) or b"0", 2)
+
+
 def _mask(n: int, vertices: Iterable[int]) -> int:
     """The int with bit v set for each v in ``vertices``, all in [0, n)."""
     flags = bytearray(n)
     for v in vertices:
         flags[v] = 1
-    return int(flags[::-1].translate(_BYTE_BITS) or b"0", 2)
+    return _flags_int(flags)
+
+
+def _byte_rows(
+    n: int, sources: list[int], targets: list[int]
+) -> tuple[dict[int, int], Counter[int]] | None:
+    """``(succ, indegree)`` of a dense list with no fault but repeats, its
+    labels checked on their distinct values before one scatter marks a
+    byte per arc and the diagonal bytes show loops; None for any other."""
+    try:
+        rows = dict.fromkeys(sources)
+        if len(sources) < len(rows) * max(16, n // 16):
+            return None
+        indegree = Counter(targets)
+        if not (within(rows, n) and within(indegree, n)):
+            return None
+        sum(map(index, rows))  # a source such as 1.5 raises TypeError
+        for u in rows:
+            rows[u] = bytearray(n)
+        deque(map(setitem, map(rows.__getitem__, sources), targets, repeat(1)), 0)
+    except TypeError:  # a label that is not an integer
+        return None
+    if any(map(getitem, rows.values(), rows)):
+        return None
+    for u, row in rows.items():
+        rows[u] = _flags_int(row)
+    return rows, indegree
 
 
 @dataclass(frozen=True)
@@ -49,9 +80,16 @@ class Digraph:
     """A simple loopless digraph on vertices 0..n-1; arc (u, v) points u -> v.
 
     The store is one out-neighbour bitset per vertex that has out-arcs (bit
-    v of ``succ[u]`` is set when u -> v) and the in-degree of every vertex
-    that has in-arcs (``indegree``); nothing is kept for other vertices.
-    ``arcs``, the frozenset of (u, v) tuples, is built on first use.
+    v of ``succ[u]`` is set when u -> v), in the order the sources first
+    appear, and the in-degree of every vertex that has in-arcs
+    (``indegree``); nothing is kept for other vertices.  ``arcs``, the
+    frozenset of (u, v) tuples, is built on first use.
+
+    M arcs from S distinct sources are built one of two ways.  When
+    M >= S * max(16, n // 16), each row is a ``bytearray(n)`` that one
+    C-level scatter marks: O(M + S * n) byte operations, at most 16 bytes
+    an arc.  Otherwise each arc ORs ``1 << v`` into its row: O(M * n / w)
+    word operations, w the machine word size.
     """
 
     n: int
@@ -76,32 +114,48 @@ class Digraph:
         return g
 
     def _fill(self, n: int, sources: list[int], targets: list[int]) -> None:
-        # The one build and the one check of every arc list.  Labels are
-        # checked on their distinct values, the keys of ``indegree`` and then
-        # of ``succ``, so the checks cost O(N) beyond the loop test; every
-        # target is checked before it becomes a shift count.
+        # The one build and the one check of every arc list.  A dense list
+        # with no fault but repeats gets its rows from ``_byte_rows``; every
+        # other list takes the word build below, whose checks word the
+        # faults: labels on their distinct values (the keys of ``indegree``,
+        # then of ``succ``), every target before it becomes a shift count.
+        # So the faults are raised in this order, which float labels show:
+        #   1. n not an integer (TypeError), n < 0, lists of unequal length;
+        #   2. the first arc in list order with u == v, (2.0, 2) included;
+        #   3. if every target lies in [0, n): a target that is not an
+        #      integer, or a source first seen as one that is not
+        #      (TypeError), then the first arc with a source outside [0, n);
+        #      otherwise the first arc with a label outside [0, n), whatever
+        #      other labels are floats;
+        #   4. a repeated arc.
+        # A source 2.0 after a source 2 is accepted, as 2.
         n = index(n)
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         if len(sources) != len(targets):
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
-        if any(map(eq, sources, targets)):
-            u = next(u for u, v in zip(sources, targets) if u == v)
-            raise ValueError(f"loop at vertex {u} not allowed")
-        indegree = Counter(targets)
-        succ: dict[int, int] = {}
-        targets_in_range = within(indegree, n)
-        if targets_in_range:
-            get = succ.get
-            for u, v in zip(sources, targets):
-                succ[u] = get(u, 0) | 1 << v
-            sum(map(index, succ))  # a source such as 1.5 raises TypeError
-        if not (targets_in_range and within(succ, n)):
-            u, v = next(
-                (u, v) for u, v in zip(sources, targets)
-                if not (0 <= u < n and 0 <= v < n)
-            )
-            raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
+        # Below 17 vertices no row of a loopless list holds 16 arcs.
+        dense = _byte_rows(n, sources, targets) if n > 16 else None
+        if dense is not None:
+            succ, indegree = dense
+        else:
+            if any(map(eq, sources, targets)):
+                u = next(u for u, v in zip(sources, targets) if u == v)
+                raise ValueError(f"loop at vertex {u} not allowed")
+            indegree = Counter(targets)
+            succ = {}
+            targets_in_range = within(indegree, n)
+            if targets_in_range:
+                get = succ.get
+                for u, v in zip(sources, targets):
+                    succ[u] = get(u, 0) | 1 << v
+                sum(map(index, succ))  # a source such as 1.5 raises TypeError
+            if not (targets_in_range and within(succ, n)):
+                u, v = next(
+                    (u, v) for u, v in zip(sources, targets)
+                    if not (0 <= u < n and 0 <= v < n)
+                )
+                raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
         distinct = sum(map(int.bit_count, succ.values()))
         if distinct != len(sources):
             raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import splitkit.digraphs as digraphs
 from splitkit import (
     Digraph,
     EditSet,
@@ -150,6 +152,139 @@ class TestArcContract:
             # Digraph(...) merges repeats; from_lists would reject them.
             assert Digraph(n, arcs + arcs[: len(arcs) // 3]) == g
             assert g.arcs == frozenset(arcs)
+
+
+def build_outcome(n, sources, targets):
+    """What ``Digraph.from_lists`` gives: the exception class with the
+    message of a ``ValueError``, or the store with its order."""
+    try:
+        g = Digraph.from_lists(n, list(sources), list(targets))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc) if isinstance(exc, ValueError) else None
+    return Digraph, repr(g)
+
+
+def word_build_outcome(monkeypatch, n, sources, targets):
+    """``build_outcome`` with every list sent to the word build."""
+    with monkeypatch.context() as patch:
+        patch.setattr(digraphs, "_byte_rows", lambda n, sources, targets: None)
+        return build_outcome(n, sources, targets)
+
+
+class TestDenseFaults:
+    """A dense arc list raises what the word build raises, in the order the
+    ``Digraph._fill`` comment states."""
+
+    N = 20  # 380 arcs from 20 sources: dense, as 380 >= 20 * 16
+
+    @staticmethod
+    def complete(n):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        return [u for u, _ in arcs], [v for _, v in arcs]
+
+    # (planted (position, source, target) arcs, expected outcome).
+    ORDER = {
+        "loop before a float target": (
+            [(5, 3, 3), (9, 1, 2.5)], (ValueError, "loop at vertex 3 not allowed")
+        ),
+        "loop after a float target": (
+            [(5, 1, 2.5), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
+        ),
+        "loop of a float and an int": (
+            [(9, 2.0, 2), (12, 4, 4)], (ValueError, "loop at vertex 2.0 not allowed")
+        ),
+        "loop after a range fault": (
+            [(5, 1, 20), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
+        ),
+        "loop and a repeat": (
+            [(5, 0, 1), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
+        ),
+        "float target after a source range fault": (
+            [(5, 20, 1), (9, 1, 2.5)], (TypeError, None)
+        ),
+        "integral float target": ([(5, 1, 2.0)], (TypeError, None)),
+        "float source first seen": ([(0, 0.5, 1)], (TypeError, None)),
+        "float source after a source range fault": (
+            [(5, -1, 3), (9, 0.5, 1)], (TypeError, None)
+        ),
+        "target range fault after a float": (
+            [(5, 1, 2.5), (9, 4, 20)], (ValueError, "arc (4, 20) outside vertex range [0, 20)")
+        ),
+        "negative target after a float source": (
+            [(0, 0.5, 1), (9, 4, -2)], (ValueError, "arc (4, -2) outside vertex range [0, 20)")
+        ),
+        "first of two range faults": (
+            [(5, -1, 3), (9, 4, 21)], (ValueError, "arc (-1, 3) outside vertex range [0, 20)")
+        ),
+        "source range fault": (
+            [(9, 20, 1)], (ValueError, "arc (20, 1) outside vertex range [0, 20)")
+        ),
+        "repeat": ([(5, 0, 1)], (ValueError, "381 arcs given, 380 distinct")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORDER))
+    def test_documented_order(self, monkeypatch, case):
+        planted, expected = self.ORDER[case]
+        sources, targets = self.complete(self.N)
+        # Inserted one after another, so later positions count the earlier
+        # insertions.
+        for i, u, v in planted:
+            sources.insert(i, u)
+            targets.insert(i, v)
+        assert build_outcome(self.N, sources, targets) == expected
+        assert word_build_outcome(monkeypatch, self.N, sources, targets) == expected
+
+    def test_integral_float_source_after_its_int(self, monkeypatch):
+        # Its row is the int's; the word build has accepted this too.
+        sources, targets = self.complete(self.N)
+        sources[-1], targets[-1] = 19.0, 18
+        outcome = build_outcome(self.N, sources, targets)
+        assert outcome == (Digraph, repr(Digraph(self.N, zip(*self.complete(self.N)))))
+        assert word_build_outcome(monkeypatch, self.N, sources, targets) == outcome
+
+    def test_planted_faults_raise_as_the_word_build(self, monkeypatch):
+        # Dense lists at N >= 64, each with one to three planted faults.
+        rng = random.Random(2020)
+        rows_ran = Counter()
+        byte_rows = digraphs._byte_rows
+
+        def spy(n, sources, targets):
+            built = byte_rows(n, sources, targets)
+            rows_ran[built is not None] += 1
+            return built
+
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(64, 80)
+            p = rng.choice((0.4, 1.0))
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+            rng.shuffle(arcs)
+            sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(sources))
+                side = sources if rng.random() < 0.5 else targets
+                kind = rng.randrange(6)
+                if kind == 0:
+                    targets[i] = sources[i]
+                elif kind == 1:
+                    side[i] = n + rng.randrange(3)
+                elif kind == 2:
+                    side[i] = -1 - rng.randrange(3)
+                elif kind == 3:
+                    j = rng.randrange(len(sources) + 1)
+                    sources.insert(j, sources[i])
+                    targets.insert(j, targets[i])
+                elif kind == 4:
+                    side[i] += 0.5
+                else:
+                    side[i] = float(side[i])
+            expected = word_build_outcome(monkeypatch, n, sources, targets)
+            with monkeypatch.context() as patch:
+                patch.setattr(digraphs, "_byte_rows", spy)
+                assert build_outcome(n, sources, targets) == expected
+            outcomes[expected[0]] += 1
+        assert set(outcomes) == {Digraph, TypeError, ValueError}, outcomes
+        assert rows_ran[True] > 10 and rows_ran[False] > 100, rows_ran
 
 
 class TestDegreeSequence:

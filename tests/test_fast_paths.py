@@ -8,7 +8,8 @@ previous one, digraphicality and the splittance read off the rows alone
 (against the two-family forms), the witness cell that ``repair`` uses, the
 zero cells behind ``split_partitions`` (with their row-major order), the
 role walk that builds every cell's partition against the prefix-set
-algebra it replaced, and the turning points, and on the digraph store the
+algebra it replaced, and the turning points, and on the digraph store its
+two builds (byte rows and word ORs) against the store's definition, the
 edit set, its vertex masks, the partition check and the degrees.
 Exhaustive for small n, then seeded digraphs with N in the hundreds and
 tie-heavy sequences up to N = 2000.  The quadratic slacks of the
@@ -16,6 +17,7 @@ exhaustive sweep are computed once per run and shared.
 """
 
 import random
+from collections import Counter
 from itertools import product
 from typing import Callable
 
@@ -35,7 +37,7 @@ from splitkit import (
     repair,
     verify_split_partition,
 )
-from splitkit.digraphs import _mask
+from splitkit.digraphs import _byte_rows, _mask
 from splitkit.oracle import (
     best_cell_by_scan,
     brute_realize,
@@ -58,6 +60,7 @@ from helpers import (
     random_balanced_pairs,
     random_digraph,
     random_quad_partition,
+    traced_peaks,
 )
 
 
@@ -528,6 +531,75 @@ class TestDigraphStore:
             assert_store_matches_scan(g, planted)
         for _ in range(3):
             assert_store_matches_scan(g, random_quad_partition(rng, n))
+
+    @pytest.mark.parametrize(
+        "n, senders, fill",
+        [
+            # (vertices, distinct sources, arcs per source): byte rows when
+            # fill >= max(16, n // 16) and n > 16, word ORs otherwise.
+            (300, 300, 17), (300, 300, 18), (300, 40, 299), (500, 500, 30),
+            (500, 500, 31), (500, 7, 200), (400, 400, 2), (700, 90, 43),
+            (17, 17, 16), (17, 17, 15), (16, 16, 15), (9, 5, 8), (3, 3, 2),
+        ],
+    )
+    def test_both_builds_match_the_definitions(self, n, senders, fill):
+        rng = random.Random(f"rows:{n}:{senders}:{fill}")
+        arcs = [
+            (u, v)
+            for u in rng.sample(range(n), senders)
+            for v in rng.sample([v for v in range(n) if v != u], fill)
+        ]
+        rng.shuffle(arcs)
+        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+        succ: dict[int, int] = {}
+        for u, v in arcs:
+            succ[u] = succ.get(u, 0) + (1 << v)
+        assert list(succ) == list(dict.fromkeys(sources))
+        byte_rows = n > 16 and _byte_rows(n, sources, targets) is not None
+        assert byte_rows == (n > 16 and fill >= max(16, n // 16))
+        repeats = rng.sample(arcs, len(arcs) // 5)
+        for g in Digraph.from_lists(n, sources, targets), Digraph(n, arcs + repeats):
+            assert g.n == n
+            # Same items in the same order: sources by first appearance.
+            assert list(g.succ.items()) == list(succ.items())
+            assert list(g.indegree.items()) == list(Counter(targets).items())
+
+    def test_build_peaks(self):
+        # A sparse list stays on word ORs: 8 000 arcs from about 3 400
+        # sources at N = 4 000 trace about 1.6 MB, where rows of N bytes
+        # would take about 14 MB.  On the complete digraph at N = 500 the
+        # byte rows add at most N^2 bytes and a little per row to the word
+        # build's peak.
+        prelude = (
+            "import random\n"
+            "import splitkit.digraphs as digraphs\n"
+            "from splitkit.digraphs import Digraph\n"
+            "def words(n, sources, targets):\n"
+            "    byte_rows, digraphs._byte_rows = digraphs._byte_rows, lambda *a: None\n"
+            "    try:\n"
+            "        return len(Digraph.from_lists(n, sources, targets).succ)\n"
+            "    finally:\n"
+            "        digraphs._byte_rows = byte_rows\n"
+            "rng = random.Random(4000)\n"
+            "arcs = set()\n"
+            "while len(arcs) < 8000:\n"
+            "    u, v = rng.randrange(4000), rng.randrange(4000)\n"
+            "    if u != v:\n"
+            "        arcs.add((u, v))\n"
+            "sparse = [u for u, _ in arcs], [v for _, v in arcs]\n"
+            "arcs = [(u, v) for u in range(500) for v in range(500) if u != v]\n"
+            "rng.shuffle(arcs)\n"
+            "complete = [u for u, _ in arcs], [v for _, v in arcs]\n"
+        )
+        calls = [
+            "len(Digraph.from_lists(4000, *sparse).succ)",
+            "len(Digraph.from_lists(500, *complete).succ)",
+            "words(500, *complete)",
+        ]
+        (senders, sparse), (_, rows), (_, words) = traced_peaks(prelude, calls)
+        assert senders * 4000 > 4 * (3 << 20)
+        assert sparse < 3 << 20
+        assert rows <= words + 500 * 500 + 256 * 500
 
     def test_vertex_masks_are_sums_of_shifts(self):
         rng = random.Random(10_000)
