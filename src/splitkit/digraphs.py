@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, getitem, index, itemgetter, setitem
-from typing import Iterable
+from itertools import chain, compress, repeat
+from operator import eq, index, itemgetter, setitem
+from typing import Iterable, NoReturn
 
 from .sequences import IntegerPairSequence, lazy, within
 from .splittance import Analysis, QuadPartition, induced_partition
@@ -49,30 +49,32 @@ def _mask(n: int, vertices: Iterable[int]) -> int:
     return _flags_int(flags)
 
 
-def _byte_rows(
-    n: int, sources: list[int], targets: list[int]
-) -> tuple[dict[int, int], Counter[int]] | None:
-    """``(succ, indegree)`` of a dense list with no fault but repeats, its
-    labels checked on their distinct values before one scatter marks a
-    byte per arc and the diagonal bytes show loops; None for any other."""
-    try:
-        rows = dict.fromkeys(sources)
-        if len(sources) < len(rows) * max(16, n // 16):
-            return None
-        indegree = Counter(targets)
-        if not (within(rows, n) and within(indegree, n)):
-            return None
-        sum(map(index, rows))  # a source such as 1.5 raises TypeError
-        for u in rows:
-            rows[u] = bytearray(n)
-        deque(map(setitem, map(rows.__getitem__, sources), targets, repeat(1)), 0)
-    except TypeError:  # a label that is not an integer
-        return None
-    if any(map(getitem, rows.values(), rows)):
-        return None
-    for u, row in rows.items():
-        rows[u] = _flags_int(row)
-    return rows, indegree
+def _dense(n: int, arcs: int, sources: int) -> bool:
+    """Whether ``arcs`` arcs from ``sources`` distinct sources on n vertices
+    fill byte rows, at most 16 bytes an arc, rather than OR words."""
+    return n > 16 and arcs >= sources * max(16, n // 16)
+
+
+def _vertex_count(n: int) -> int:
+    n = index(n)
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
+    return n
+
+
+def _raise_arc_fault(
+    n: int, sources: list[int], targets: list[int], distinct: int
+) -> NoReturn:
+    """Raise the fault of an arc list the build refused: TypeError for a
+    label that is not an integer, else the ValueError of the first loop,
+    the first arc with a label outside [0, n), or ``distinct`` arcs."""
+    deque(map(index, chain(sources, targets)), 0)
+    for u in compress(sources, map(eq, sources, targets)):
+        raise ValueError(f"loop at vertex {u} not allowed")
+    for u, v in zip(sources, targets):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
+    raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,9 @@ class Digraph:
     C-level scatter marks: O(M + S * n) byte operations, at most 16 bytes
     an arc.  Otherwise each arc ORs ``1 << v`` into its row: O(M * n / w)
     word operations, w the machine word size.
+
+    Both constructors raise faults in the order ``from_lists`` states,
+    except that ``Digraph(n, arcs)`` merges repeated arcs.
     """
 
     n: int
@@ -97,68 +102,46 @@ class Digraph:
     indegree: Counter[int]
 
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
+        n = _vertex_count(n)
         pairs = list(dict.fromkeys((index(u), index(v)) for u, v in arcs))
-        self._fill(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+        self._build(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
         """The digraph with arcs ``sources[i] -> targets[i]``.
 
-        Raises:
-            ValueError: the first of these faults: n is negative, the lists
-                differ in length, an arc is a loop, a label lies outside
-                [0, n), or an arc repeats.
+        Raises the first of these faults: n is not an integer (TypeError) or
+        is negative, the lists differ in length, a label is not an integer
+        (TypeError), an arc is a loop, a label lies outside [0, n), an arc
+        repeats; the ValueError of an arc names the first such arc.
         """
         g = cls.__new__(cls)
-        g._fill(n, sources, targets)
+        g._build(_vertex_count(n), sources, targets)
         return g
 
-    def _fill(self, n: int, sources: list[int], targets: list[int]) -> None:
-        # The one build and the one check of every arc list.  A dense list
-        # with no fault but repeats gets its rows from ``_byte_rows``; every
-        # other list takes the word build below, whose checks word the
-        # faults: labels on their distinct values (the keys of ``indegree``,
-        # then of ``succ``), every target before it becomes a shift count.
-        # So the faults are raised in this order, which float labels show:
-        #   1. n not an integer (TypeError), n < 0, lists of unequal length;
-        #   2. the first arc in list order with u == v, (2.0, 2) included;
-        #   3. if every target lies in [0, n): a target that is not an
-        #      integer, or a source first seen as one that is not
-        #      (TypeError), then the first arc with a source outside [0, n);
-        #      otherwise the first arc with a label outside [0, n), whatever
-        #      other labels are floats;
-        #   4. a repeated arc.
-        # A source 2.0 after a source 2 is accepted, as 2.
-        n = index(n)
-        if n < 0:
-            raise ValueError(f"negative vertex count {n}")
+    def _build(self, n: int, sources: list[int], targets: list[int]) -> None:
         if len(sources) != len(targets):
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
-        # Below 17 vertices no row of a loopless list holds 16 arcs.
-        dense = _byte_rows(n, sources, targets) if n > 16 else None
-        if dense is not None:
-            succ, indegree = dense
-        else:
-            if any(map(eq, sources, targets)):
-                u = next(u for u, v in zip(sources, targets) if u == v)
-                raise ValueError(f"loop at vertex {u} not allowed")
-            indegree = Counter(targets)
-            succ = {}
-            targets_in_range = within(indegree, n)
-            if targets_in_range:
-                get = succ.get
+        succ = dict.fromkeys(sources, 0)
+        indegree = Counter(targets)
+        distinct = -1  # not counted: a label outside [0, n), or a loop
+        if within(succ, n) and within(indegree, n):
+            index(sum(sources))  # a source 2.0 after a 2 would share its row
+            if _dense(n, len(sources), len(succ)):
+                for u in succ:
+                    succ[u] = bytearray(n)
+                deque(map(setitem, map(succ.__getitem__, sources), targets, repeat(1)), 0)
+                loop = any(row[u] for u, row in succ.items())
+                for u, row in succ.items():
+                    succ[u] = _flags_int(row)
+            else:
                 for u, v in zip(sources, targets):
-                    succ[u] = get(u, 0) | 1 << v
-                sum(map(index, succ))  # a source such as 1.5 raises TypeError
-            if not (targets_in_range and within(succ, n)):
-                u, v = next(
-                    (u, v) for u, v in zip(sources, targets)
-                    if not (0 <= u < n and 0 <= v < n)
-                )
-                raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
-        distinct = sum(map(int.bit_count, succ.values()))
+                    succ[u] |= 1 << v
+                loop = any(mask >> u & 1 for u, mask in succ.items())
+            if not loop:
+                distinct = sum(map(int.bit_count, succ.values()))
         if distinct != len(sources):
-            raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
+            _raise_arc_fault(n, sources, targets, distinct)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "indegree", indegree)
@@ -171,6 +154,7 @@ class Digraph:
         return frozenset(_arcs(self.succ.items()))
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = index(u), index(v)
         return v >= 0 and self.succ.get(u, 0) >> v & 1 == 1
 
     def apply(self, edits: "EditSet") -> "Digraph":

@@ -20,7 +20,6 @@ comes from one role walk, ``_cell_blocks``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import add, index, neg
 from typing import Iterable, Iterator, Sequence
@@ -36,11 +35,6 @@ from .sequences import (
     reorder,
     validate,
 )
-
-
-@lru_cache(maxsize=8)
-def _vertices(n: int) -> frozenset[int]:
-    return frozenset(range(n))
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,8 @@ class QuadPartition:
         minus, zero = frozenset(minus), frozenset(zero)
         members = pm.union(plus, minus, zero)
         sum(map(index, members))  # a member such as 0.0 or "0" raises TypeError
-        if len(pm) + len(plus) + len(minus) + len(zero) != n or members != _vertices(n):
+        sizes = len(pm) + len(plus) + len(minus) + len(zero)
+        if sizes != n or members != frozenset(range(n)):
             raise ValueError("blocks must partition range(n)")
         self.__dict__.update(n=n, pm=pm, plus=plus, minus=minus, zero=zero)
 

@@ -75,6 +75,15 @@ class TestDigraph:
         with pytest.raises(TypeError):
             Digraph.from_lists(n, [u for u, _ in arcs], [v for _, v in arcs])
 
+    @pytest.mark.parametrize("u, v", [(2.0, 1), (2, 1.0), ("2", 1), (0.5, 1)])
+    def test_has_arc_rejects_non_integral_labels(self, u, v):
+        # has_arc(2.0, 1) used to answer True, and has_arc(2, 1.0) raised
+        # from the shift.
+        g = Digraph(3, [(2, 1)])
+        assert g.has_arc(2, 1) and not g.has_arc(1, 2)
+        with pytest.raises(TypeError):
+            g.has_arc(u, v)
+
     @pytest.mark.parametrize(
         "add, remove", [([(0, 1.5)], []), ([], [(2.0, 1)]), ([("0", 1)], [])]
     )
@@ -127,6 +136,12 @@ class TestArcContract:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("n", [2**63, 10**12])
+    def test_no_arcs_on_a_huge_vertex_count(self, n):
+        # Nothing is sized by n before an arc asks for it.
+        for g in Digraph(n), Digraph.from_lists(n, [], []):
+            assert (g.n, g.succ, g.indegree) == (n, {}, Counter())
+
     def test_lists_of_different_lengths_raise(self):
         # Zipped unchecked, [0] and [1, 2] would give one arc and two in-degrees.
         with pytest.raises(ValueError, match="^1 sources but 2 targets$"):
@@ -164,16 +179,25 @@ def build_outcome(n, sources, targets):
     return Digraph, repr(g)
 
 
+def pairs_outcome(n, sources, targets):
+    """``build_outcome`` for ``Digraph(n, arcs)`` on the same arcs."""
+    try:
+        g = Digraph(n, zip(sources, targets))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc) if isinstance(exc, ValueError) else None
+    return Digraph, repr(g)
+
+
 def word_build_outcome(monkeypatch, n, sources, targets):
-    """``build_outcome`` with every list sent to the word build."""
+    """``build_outcome`` with every list sent to the word fill."""
     with monkeypatch.context() as patch:
-        patch.setattr(digraphs, "_byte_rows", lambda n, sources, targets: None)
+        patch.setattr(digraphs, "_dense", lambda n, arcs, sources: False)
         return build_outcome(n, sources, targets)
 
 
 class TestDenseFaults:
-    """A dense arc list raises what the word build raises, in the order the
-    ``Digraph._fill`` comment states."""
+    """A dense arc list raises what the word fill raises, in the order the
+    ``Digraph.from_lists`` docstring states."""
 
     N = 20  # 380 arcs from 20 sources: dense, as 380 >= 20 * 16
 
@@ -184,15 +208,9 @@ class TestDenseFaults:
 
     # (planted (position, source, target) arcs, expected outcome).
     ORDER = {
-        "loop before a float target": (
-            [(5, 3, 3), (9, 1, 2.5)], (ValueError, "loop at vertex 3 not allowed")
-        ),
-        "loop after a float target": (
-            [(5, 1, 2.5), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
-        ),
-        "loop of a float and an int": (
-            [(9, 2.0, 2), (12, 4, 4)], (ValueError, "loop at vertex 2.0 not allowed")
-        ),
+        "loop before a float target": ([(5, 3, 3), (9, 1, 2.5)], (TypeError, None)),
+        "loop after a float target": ([(5, 1, 2.5), (9, 3, 3)], (TypeError, None)),
+        "loop of a float and an int": ([(9, 2.0, 2), (12, 4, 4)], (TypeError, None)),
         "loop after a range fault": (
             [(5, 1, 20), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
         ),
@@ -207,11 +225,9 @@ class TestDenseFaults:
         "float source after a source range fault": (
             [(5, -1, 3), (9, 0.5, 1)], (TypeError, None)
         ),
-        "target range fault after a float": (
-            [(5, 1, 2.5), (9, 4, 20)], (ValueError, "arc (4, 20) outside vertex range [0, 20)")
-        ),
+        "target range fault after a float": ([(5, 1, 2.5), (9, 4, 20)], (TypeError, None)),
         "negative target after a float source": (
-            [(0, 0.5, 1), (9, 4, -2)], (ValueError, "arc (4, -2) outside vertex range [0, 20)")
+            [(0, 0.5, 1), (9, 4, -2)], (TypeError, None)
         ),
         "first of two range faults": (
             [(5, -1, 3), (9, 4, 21)], (ValueError, "arc (-1, 3) outside vertex range [0, 20)")
@@ -222,38 +238,66 @@ class TestDenseFaults:
         "repeat": ([(5, 0, 1)], (ValueError, "381 arcs given, 380 distinct")),
     }
 
-    @pytest.mark.parametrize("case", sorted(ORDER))
-    def test_documented_order(self, monkeypatch, case):
-        planted, expected = self.ORDER[case]
-        sources, targets = self.complete(self.N)
+    @classmethod
+    def planted(cls, case):
+        planted, expected = cls.ORDER[case]
+        sources, targets = cls.complete(cls.N)
         # Inserted one after another, so later positions count the earlier
         # insertions.
         for i, u, v in planted:
             sources.insert(i, u)
             targets.insert(i, v)
+        return sources, targets, expected
+
+    @pytest.mark.parametrize("case", sorted(ORDER))
+    def test_documented_order(self, monkeypatch, case):
+        sources, targets, expected = self.planted(case)
         assert build_outcome(self.N, sources, targets) == expected
         assert word_build_outcome(monkeypatch, self.N, sources, targets) == expected
 
     def test_integral_float_source_after_its_int(self, monkeypatch):
-        # Its row is the int's; the word build has accepted this too.
+        # It would share the int's row; both fills refuse it.
         sources, targets = self.complete(self.N)
         sources[-1], targets[-1] = 19.0, 18
-        outcome = build_outcome(self.N, sources, targets)
-        assert outcome == (Digraph, repr(Digraph(self.N, zip(*self.complete(self.N)))))
-        assert word_build_outcome(monkeypatch, self.N, sources, targets) == outcome
+        assert build_outcome(self.N, sources, targets) == (TypeError, None)
+        assert word_build_outcome(monkeypatch, self.N, sources, targets) == (TypeError, None)
+
+    @pytest.mark.parametrize(
+        "kind, case",
+        [("fault", fault) for fault in sorted(TestArcContract.FAULTS)]
+        + [("order", case) for case in sorted(ORDER)]
+        + [("float source after its int", n) for n in (5, 20)],
+    )
+    def test_one_contract(self, kind, case):
+        # Both constructors raise the same class, and the same message for
+        # a ValueError, except that Digraph(n, arcs) merges repeats.
+        if kind == "fault":
+            n, arcs, _ = TestArcContract.FAULTS[case]
+            sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+        elif kind == "order":
+            n, (sources, targets, _) = self.N, self.planted(case)
+        else:
+            n, sources, targets = case, [2, 2.0], [0, 1]
+        from_lists = build_outcome(n, sources, targets)
+        from_pairs = pairs_outcome(n, sources, targets)
+        assert from_lists[0] is not Digraph
+        if from_lists[1] and "distinct" in from_lists[1]:
+            distinct = list(dict.fromkeys(zip(sources, targets)))
+            assert from_pairs == (Digraph, repr(Digraph.from_lists(n, *zip(*distinct))))
+        else:
+            assert from_pairs == from_lists
 
     def test_planted_faults_raise_as_the_word_build(self, monkeypatch):
         # Dense lists at N >= 64, each with one to three planted faults.
         rng = random.Random(2020)
-        rows_ran = Counter()
-        byte_rows = digraphs._byte_rows
+        dense = digraphs._dense
+        fills = []
 
-        def spy(n, sources, targets):
-            built = byte_rows(n, sources, targets)
-            rows_ran[built is not None] += 1
-            return built
+        def spy(*counts):
+            fills.append(dense(*counts))
+            return fills[-1]
 
-        outcomes = Counter()
+        outcomes, rows_ran = Counter(), Counter()
         for _ in range(300):
             n = rng.randint(64, 80)
             p = rng.choice((0.4, 1.0))
@@ -279,12 +323,20 @@ class TestDenseFaults:
                 else:
                     side[i] = float(side[i])
             expected = word_build_outcome(monkeypatch, n, sources, targets)
+            fills.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(digraphs, "_byte_rows", spy)
+                patch.setattr(digraphs, "_dense", spy)
                 assert build_outcome(n, sources, targets) == expected
             outcomes[expected[0]] += 1
-        assert set(outcomes) == {Digraph, TypeError, ValueError}, outcomes
-        assert rows_ran[True] > 10 and rows_ran[False] > 100, rows_ran
+            # The fill runs once its labels are in range and its sources
+            # integers: a loop, a float target or a repeat is left to it.
+            assert fills in ([], [True]), fills
+            if fills:
+                rows_ran[expected[0]] += 1
+        # Every planted fault is refused, a float equal to an int included,
+        # and the byte fill itself refuses both kinds.
+        assert set(outcomes) == {TypeError, ValueError}, outcomes
+        assert min(rows_ran[TypeError], rows_ran[ValueError]) > 10, rows_ran
 
 
 class TestDegreeSequence:

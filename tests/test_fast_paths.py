@@ -23,6 +23,7 @@ from typing import Callable
 
 import pytest
 
+import splitkit.digraphs as digraphs
 from splitkit import (
     Digraph,
     IntegerPairSequence,
@@ -37,7 +38,7 @@ from splitkit import (
     repair,
     verify_split_partition,
 )
-from splitkit.digraphs import _byte_rows, _mask
+from splitkit.digraphs import _mask
 from splitkit.oracle import (
     best_cell_by_scan,
     brute_realize,
@@ -542,7 +543,7 @@ class TestDigraphStore:
             (17, 17, 16), (17, 17, 15), (16, 16, 15), (9, 5, 8), (3, 3, 2),
         ],
     )
-    def test_both_builds_match_the_definitions(self, n, senders, fill):
+    def test_both_builds_match_the_definitions(self, monkeypatch, n, senders, fill):
         rng = random.Random(f"rows:{n}:{senders}:{fill}")
         arcs = [
             (u, v)
@@ -555,10 +556,23 @@ class TestDigraphStore:
         for u, v in arcs:
             succ[u] = succ.get(u, 0) + (1 << v)
         assert list(succ) == list(dict.fromkeys(sources))
-        byte_rows = n > 16 and _byte_rows(n, sources, targets) is not None
-        assert byte_rows == (n > 16 and fill >= max(16, n // 16))
+        fills = []
+        dense = digraphs._dense
+
+        def spy(*counts):
+            fills.append(dense(*counts))
+            return fills[-1]
+
+        monkeypatch.setattr(digraphs, "_dense", spy)
+        g = Digraph.from_lists(n, sources, targets)
+        assert fills == [n > 16 and fill >= max(16, n // 16)]
         repeats = rng.sample(arcs, len(arcs) // 5)
-        for g in Digraph.from_lists(n, sources, targets), Digraph(n, arcs + repeats):
+        built = [g, Digraph(n, arcs + repeats)]
+        # Each fill on every list, whatever the rule would pick.
+        for byte_rows in False, True:
+            monkeypatch.setattr(digraphs, "_dense", lambda *a: byte_rows)
+            built += [Digraph.from_lists(n, sources, targets), Digraph(n, arcs + repeats)]
+        for g in built:
             assert g.n == n
             # Same items in the same order: sources by first appearance.
             assert list(g.succ.items()) == list(succ.items())
@@ -575,11 +589,11 @@ class TestDigraphStore:
             "import splitkit.digraphs as digraphs\n"
             "from splitkit.digraphs import Digraph\n"
             "def words(n, sources, targets):\n"
-            "    byte_rows, digraphs._byte_rows = digraphs._byte_rows, lambda *a: None\n"
+            "    dense, digraphs._dense = digraphs._dense, lambda *a: False\n"
             "    try:\n"
             "        return len(Digraph.from_lists(n, sources, targets).succ)\n"
             "    finally:\n"
-            "        digraphs._byte_rows = byte_rows\n"
+            "        digraphs._dense = dense\n"
             "rng = random.Random(4000)\n"
             "arcs = set()\n"
             "while len(arcs) < 8000:\n"
@@ -590,16 +604,24 @@ class TestDigraphStore:
             "arcs = [(u, v) for u in range(500) for v in range(500) if u != v]\n"
             "rng.shuffle(arcs)\n"
             "complete = [u for u, _ in arcs], [v for _, v in arcs]\n"
+            "star = [0] * 10000, list(range(1, 10001))\n"
         )
         calls = [
             "len(Digraph.from_lists(4000, *sparse).succ)",
             "len(Digraph.from_lists(500, *complete).succ)",
             "words(500, *complete)",
+            "len(Digraph.from_lists(160000, *star).succ)",
+            "words(160000, *star)",
         ]
-        (senders, sparse), (_, rows), (_, words) = traced_peaks(prelude, calls)
+        peaks = traced_peaks(prelude, calls)
+        (senders, sparse), (_, rows), (_, words), (_, star), (_, star_words) = peaks
         assert senders * 4000 > 4 * (3 << 20)
         assert sparse < 3 << 20
         assert rows <= words + 500 * 500 + 256 * 500
+        # One dense source: 10 000 arcs = N // 16 fill one row of N bytes,
+        # 16 bytes an arc, and its conversion to an int copies it twice.
+        # A list of N row slots would add 8 * N bytes more.
+        assert star <= star_words + 3 * 160000
 
     def test_vertex_masks_are_sums_of_shifts(self):
         rng = random.Random(10_000)
