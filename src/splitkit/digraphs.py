@@ -12,7 +12,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, index, itemgetter, setitem
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .sequences import IntegerPairSequence, lazy, within
 from .splittance import Analysis, QuadPartition, induced_partition
@@ -77,6 +77,29 @@ def _raise_arc_fault(
     raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
 
 
+def _pair(arc: Iterable[int]) -> tuple[int, int]:
+    """The two labels of ``arc``, or the ValueError that names it."""
+    try:
+        u, v = arc
+    except (TypeError, ValueError):
+        raise ValueError(f"arc {arc!r} is not a pair") from None
+    return u, v
+
+
+def _label_pairs(arcs: Iterable[Iterable[int]]) -> Iterator[Arc]:
+    """Each arc as a pair of ints, in order: the ValueError of the first
+    arc that is not a pair, else the TypeError of a label that is not an
+    integer."""
+    arcs = iter(arcs)
+    for u, v in map(_pair, arcs):
+        try:
+            pair = index(u), index(v)
+        except TypeError:
+            deque(map(_pair, arcs), 0)  # a later arc that is not a pair comes first
+            raise
+        yield pair
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A simple loopless digraph on vertices 0..n-1; arc (u, v) points u -> v.
@@ -94,7 +117,10 @@ class Digraph:
     word operations, w the machine word size.
 
     Both constructors raise faults in the order ``from_lists`` states,
-    except that ``Digraph(n, arcs)`` merges repeated arcs.
+    except that ``Digraph(n, arcs)`` merges repeated arcs, and in place
+    of the lengths of the two lists checks that each arc is a pair: the
+    first arc that is not raises a ValueError that names it, after the
+    faults of n and before those of the labels.
     """
 
     n: int
@@ -103,7 +129,7 @@ class Digraph:
 
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
         n = _vertex_count(n)
-        pairs = list(dict.fromkeys((index(u), index(v)) for u, v in arcs))
+        pairs = list(dict.fromkeys(_label_pairs(arcs)))
         self._build(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
 
     @classmethod
@@ -119,7 +145,19 @@ class Digraph:
         g._build(_vertex_count(n), sources, targets)
         return g
 
-    def _build(self, n: int, sources: list[int], targets: list[int]) -> None:
+    @classmethod
+    def _unworded(cls, n: int, sources: list[int], targets: list[int]) -> Digraph | None:
+        """``from_lists`` for an int n >= 0 and two int lists of one length,
+        or None where it would raise the ValueError of an arc, which is
+        left unworded."""
+        g = cls.__new__(cls)
+        return g if g._build(n, sources, targets, word=False) else None
+
+    def _build(
+        self, n: int, sources: list[int], targets: list[int], word: bool = True
+    ) -> bool:
+        """Store the arcs and return True, or for a list at fault raise its
+        fault if ``word``, else return False."""
         if len(sources) != len(targets):
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
         succ = dict.fromkeys(sources, 0)
@@ -141,10 +179,13 @@ class Digraph:
             if not loop:
                 distinct = sum(map(int.bit_count, succ.values()))
         if distinct != len(sources):
-            _raise_arc_fault(n, sources, targets, distinct)
+            if word:
+                _raise_arc_fault(n, sources, targets, distinct)
+            return False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "indegree", indegree)
+        return True
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.succ.items())))

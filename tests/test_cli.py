@@ -263,6 +263,33 @@ class TestBulkParser:
         doc = parse_document(f"{self.HEADER}\n{self.ODD_TEXT}")
         assert self.value(doc) == self.odd_value()
 
+    # Lines at the edge of the skeleton form ("u v\n" lines, split once
+    # per block with no line list): each is parsed as the line parser
+    # reads it, in the middle of a file and on its last line, with or
+    # without a final "\n".
+    SKELETON_EDGES = {
+        "plain": "3 4",
+        "semicolon field": "3 ;",
+        "leading space": " 3 4",
+        "two spaces": "3  4",
+        "trailing space": "3 4 ",
+        "tab": "3\t4",
+        "hash inside a field": "3 4#5",
+        "hash starts a field": "3 #4",
+        "non-ASCII digits": "\u0663 \u0664",
+        "empty first field": " 4",
+        "empty second field": "3 ",
+        "unit separator": "3\x1f4",
+        "NUL inside a field": "3 4\x00",
+    }
+
+    @pytest.mark.parametrize("edge", sorted(SKELETON_EDGES))
+    def test_skeleton_edges(self, edge, tmp_path, capsys):
+        for lines in (["1 2", self.SKELETON_EDGES[edge], "5 6"], ["1 2", self.SKELETON_EDGES[edge]]):
+            for ending in ("", "\n"):
+                text = f"{self.HEADER}\n" + "\n".join(lines) + ending
+                self.assert_same_outcome(text, tmp_path, capsys)
+
     # Line breaks of several kinds that ``str.splitlines`` knows, and runs
     # of blanks between the two fields.
     BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
@@ -352,19 +379,165 @@ class TestBulkSequenceParserInSmallBlocks(TestBulkSequenceParser):
     """``TestBulkSequenceParser`` with blocks of a few characters."""
 
 
+@pytest.fixture(params=[1, 16, 4096, 1 << 17])
+def any_blocks(request, monkeypatch):
+    """Parse blocks of a few characters, of 4096, and of the default size."""
+    monkeypatch.setattr(cli, "_BLOCK", request.param)
+
+
+class TestSkeletonPath:
+    """Seeded files written twice: in skeleton form, "u v\\n" lines that the
+    parse splits once per block with no line list, and in noisy form, with
+    comments, blank lines, tabs, runs of blanks and CRLF, which take the
+    ``;`` sentinel path.  Both forms give the same columns, or the same
+    fault message and exit code, through ``parse_document`` and ``run``."""
+
+    # (kind, n, p): G(n, p) digraphs, the complete digraph, and the degree
+    # sequences of G(n, p) digraphs.
+    FILES = [
+        ("gnp", 100, 0.2),
+        ("gnp", 600, 0.02),
+        ("complete", 100, 1.0),
+        ("seq", 350, 0.05),
+        ("seq", 600, 0.02),
+    ]
+    # Planted faulty lines; a line fault is worded from the line itself, so
+    # the noisy form keeps the inside of a planted line as it is.
+    FAULTS = {
+        "digraph": ["1 2 3", "1 x", "1 ;", "; 1", "{n} 1", "5 5", "{repeat}", "1_ 2"],
+        "seq": ["1 2 3", "1 x", "1 ;", "7", "0x1 2"],
+    }
+
+    @staticmethod
+    def lines(kind: str, n: int, p: float, seed: str) -> tuple[str, list[str]]:
+        rng = random.Random(seed)
+        if kind == "seq":
+            seq = gnp_degree_sequence(rng, n, p)
+            return "seq", [f"{o} {i}" for o, i in seq.pairs]
+        arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                if u != v and (p == 1.0 or rng.random() < p)]
+        rng.shuffle(arcs)
+        return f"digraph {n}", [f"{u} {v}" for u, v in arcs]
+
+    @staticmethod
+    def skeleton(header: str, lines: list[str]) -> str:
+        return "".join(f"{line}\n" for line in [header, *lines])
+
+    @staticmethod
+    def noisy(rng: random.Random, header: str, lines: list[str], keep: int) -> str:
+        """``lines`` under ``header`` with noise between and around the
+        fields of every line but the one at ``keep``, which gets noise
+        around it only."""
+        text = [f"# seeded {rng.random()}", "", header.replace(" ", "\t ")]
+        for i, line in enumerate(lines):
+            if i != keep:
+                line = rng.choice([" ", "\t", "  ", " \t", "\xa0"]).join(line.split())
+            text.append(
+                rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t# c", "  #"])
+            )
+            if rng.random() < 0.05:
+                text.append(rng.choice(["", "  ", "# only a comment"]))
+        ending = rng.choice(["\n", "\r\n"])
+        return ending.join(text) + rng.choice(["", ending])
+
+    @staticmethod
+    def outcome(text: str, command: str, path: Path, capsys):
+        """What ``parse_document`` gives (its value, or its fault message)
+        and what ``run`` writes and returns on ``text``."""
+        try:
+            doc = parse_document(text)
+        except InputParseError as exc:
+            parsed = str(exc)
+        else:
+            parsed = (doc.n, doc.succ, doc.indegree) if isinstance(doc, cli.Digraph) else doc.pairs
+        path.write_bytes(text.encode())
+        code = run([command, str(path)])
+        return parsed, code, capsys.readouterr()
+
+    def assert_forms_agree(self, header, lines, keep, seed, tmp_path, capsys):
+        command = "check" if header == "seq" else "repair"
+        skeleton = self.outcome(self.skeleton(header, lines), command, tmp_path / "a", capsys)
+        noisy = self.noisy(random.Random(seed), header, lines, keep)
+        assert self.outcome(noisy, command, tmp_path / "b", capsys) == skeleton
+        return skeleton
+
+    @pytest.mark.parametrize("kind, n, p", FILES)
+    @pytest.mark.usefixtures("any_blocks")
+    def test_valid_files_agree(self, kind, n, p, tmp_path, capsys):
+        seed = f"valid:{kind}:{n}"
+        header, lines = self.lines(kind, n, p, seed)
+        parsed, code, _ = self.assert_forms_agree(header, lines, -1, seed, tmp_path, capsys)
+        if kind == "seq":
+            assert parsed == gnp_degree_sequence(random.Random(seed), n, p).pairs
+        else:
+            g = cli.Digraph(n, [[int(label) - 1 for label in line.split()] for line in lines])
+            assert parsed == (g.n, g.succ, g.indegree)
+        assert code in (0, 1)
+
+    # (kind, n, p, characters per block): each file at two block sizes, so
+    # that the planted lines fall in the first, a middle and the last block.
+    FAULT_FILES = [
+        ("gnp", 100, 0.2, 1),
+        ("gnp", 100, 0.2, 4096),
+        ("gnp", 600, 0.005, 16),
+        ("gnp", 600, 0.005, 1 << 17),
+        ("complete", 100, 1.0, 4096),
+        ("seq", 350, 0.05, 1),
+        ("seq", 350, 0.05, 1 << 17),
+        ("seq", 600, 0.02, 16),
+        ("seq", 600, 0.02, 4096),
+    ]
+
+    @pytest.mark.parametrize("kind, n, p, block", FAULT_FILES)
+    def test_planted_faults_agree(self, kind, n, p, block, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        header, lines = self.lines(kind, n, p, f"faults:{kind}:{n}")
+        for fault in self.FAULTS[header.split()[0]]:
+            for at in (0, len(lines) // 2, len(lines)):
+                line = fault.format(n=n + 1, repeat=lines[at // 2] if at else lines[0])
+                planted = lines[:at] + [line] + lines[at:]
+                seed = f"{kind}:{n}:{fault}:{at}"
+                parsed, code, written = self.assert_forms_agree(
+                    header, planted, at, seed, tmp_path, capsys
+                )
+                assert code == 2 and written.err == f"error: {parsed}\n", (fault, at)
+                by_lines = parse_sequence_by_lines if kind == "seq" else parse_digraph_by_lines
+                with pytest.raises(InputParseError) as expected:
+                    by_lines(self.skeleton(header, planted))
+                assert str(expected.value) == parsed
+
+    def test_complete_digraph_at_600(self, tmp_path, capsys):
+        # 359 400 arc lines in 23 blocks of the default size.
+        header, lines = self.lines("complete", 600, 1.0, "complete")
+        parsed, code, written = self.assert_forms_agree(
+            header, lines, -1, "complete", tmp_path, capsys
+        )
+        assert (code, written.out, written.err) == (0, "", "")
+        assert sum(parsed[2].values()) == len(lines)
+
+
 class TestColumns:
-    # ``_columns`` reads its lines one block (a list of lines) at a time and
-    # converts each distinct token once, through one table that every
-    # block reads: lines repeated in three blocks give the same columns
-    # three times over.  A faulty line gives none of its integers: the
-    # columns end with the line before it, and the error that comes with
-    # them words it as the line-at-a-time parsers do.
-    LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "\u0661\u0662 \uff18"]
+    # ``_columns`` reads its text one block at a time and converts each
+    # distinct token once, through one table that every block reads: lines
+    # repeated in three blocks give the same columns three times over.  A
+    # faulty line gives none of its integers: the columns end with the line
+    # before it, and the error that comes with them words it as the
+    # line-at-a-time parsers do.  Every test runs on blocks of both forms:
+    # skeleton ("u v\n" lines, split with no line list) and noisy (tabs,
+    # no-break spaces, comments and CRLF: the ``;`` sentinel path).
+    LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "012 1_8"]
+    FORMS = ("skeleton", "noisy")
     # (header, base, shape, noun, line-at-a-time parser) per header.
     SHAPES = [
         ("seq", 0, "'out in' pair", "degree", parse_sequence_by_lines),
         ("digraph 12", 1, "'u v' arc", "label", parse_digraph_by_lines),
     ]
+
+    @staticmethod
+    def block(lines: list[str], form: str) -> str:
+        if form == "skeleton":
+            return "".join(line + "\n" for line in lines)
+        return "".join("\t" + line.replace(" ", "\xa0\t") + "  # c\r\n" for line in lines)
 
     @staticmethod
     def values(lines: list[str], base: int) -> list[list[int]]:
@@ -379,48 +552,60 @@ class TestColumns:
 
     @pytest.mark.parametrize("copies", [1, 3])
     @pytest.mark.parametrize("base", [0, 1])
-    def test_columns_are_the_integers_less_base(self, base, copies):
-        for _, _, shape, noun, _ in self.SHAPES:
-            columns = cli._columns([self.LINES] * copies, base, shape, noun)
-            assert columns == (*self.values(self.LINES * copies, base), None)
-            # A block with no lines, as the header's own block can be, adds none.
-            blocks = [[], *[self.LINES, []] * copies]
-            assert cli._columns(blocks, base, shape, noun) == columns
+    def test_columns_are_the_integers_less_base(self, base, copies, monkeypatch):
+        read, split = cli._lines, []
+        monkeypatch.setattr(cli, "_lines", lambda block: split.append(block) or read(block))
+        for form in self.FORMS:
+            text = self.block(self.LINES, form)
+            for _, _, shape, noun, _ in self.SHAPES:
+                split.clear()
+                columns = cli._columns([text] * copies, base, shape, noun)
+                assert columns == (*self.values(self.LINES * copies, base), None)
+                # A block in skeleton form is never split into lines.
+                assert split == ([] if form == "skeleton" else [text] * copies)
+                # An empty block, as the header's own stretch can give, adds none.
+                blocks = ["", *[text, ""] * copies]
+                assert cli._columns(blocks, base, shape, noun) == columns
 
+    # Tokens that ``int`` refuses; on the skeleton path a ``;`` field is one.
     @pytest.mark.parametrize("copies", [1, 3])
-    @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd"])
+    @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd", ";"])
     def test_non_integer_token_gives_none(self, copies, bad):
-        blocks = [self.LINES] * (copies - 1) + [self.LINES + [f"3 {bad}", "1 2"]]
-        for header, base, shape, noun, by_lines in self.SHAPES:
-            *columns, fault = cli._columns(blocks, base, shape, noun)
-            assert columns == self.values(self.LINES * copies, base)
-            assert str(fault) == self.message(by_lines, f"{header}\n3 {bad}\n")
+        for form in self.FORMS:
+            text = self.block(self.LINES, form)
+            blocks = [text] * (copies - 1) + [text + self.block([f"3 {bad}", "1 2"], form)]
+            for header, base, shape, noun, by_lines in self.SHAPES:
+                *columns, fault = cli._columns(blocks, base, shape, noun)
+                assert columns == self.values(self.LINES * copies, base)
+                expected = self.message(by_lines, f"{header}\n" + self.block([f"3 {bad}"], form))
+                assert str(fault) == expected
 
     # 3L tokens with L ";", yet the 2L fields split 1 + 3 or 3 + 1; five
     # fields, whose ";" still falls at every third place; and a line that is
-    # a lone ";", the token the bulk parse ends each line with.
+    # a lone ";", the token the sentinel path ends each line with.
     @pytest.mark.parametrize(
         "lines", [["3", "1 2 3"], ["1 2 3", "3"], ["1 2 3 4 5"], ["1 2", ";"]]
     )
     def test_misplaced_fields_give_none(self, lines):
         ahead = list(takewhile(lambda line: len(line.split()) == 2, lines))
-        for header, base, shape, noun, by_lines in self.SHAPES:
-            message = self.message(by_lines, "\n".join([header, *lines]))
-            *columns, fault = cli._columns([lines], base, shape, noun)
-            assert (columns, str(fault)) == (self.values(ahead, base), message)
-            blocks = [self.LINES, [], lines + self.LINES]
-            *columns, fault = cli._columns(blocks, base, shape, noun)
-            assert columns == self.values(self.LINES + ahead, base)
-            assert str(fault) == message
-            text = "\n".join([header, "1 2", *lines, "3 4"])
-            with pytest.raises(InputParseError) as raised:
-                parse_document(text)
-            assert str(raised.value) == self.message(by_lines, text)
+        for form in self.FORMS:
+            faulty = self.block(lines, form)
+            for header, base, shape, noun, by_lines in self.SHAPES:
+                message = self.message(by_lines, f"{header}\n{faulty}")
+                *columns, fault = cli._columns([faulty], base, shape, noun)
+                assert (columns, str(fault)) == (self.values(ahead, base), message)
+                blocks = [self.block(self.LINES, form), "", faulty + self.block(self.LINES, form)]
+                *columns, fault = cli._columns(blocks, base, shape, noun)
+                assert columns == self.values(self.LINES + ahead, base)
+                assert str(fault) == message
+                text = f"{header}\n" + self.block(["1 2", *lines, "3 4"], form)
+                with pytest.raises(InputParseError) as raised:
+                    parse_document(text)
+                assert str(raised.value) == self.message(by_lines, text)
 
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
         lines = self.LINES * 3
-        blocks = [lines[i:i + per_block] for i in range(0, len(lines), per_block)]
         converted = []
 
         def counted(token):
@@ -428,17 +613,25 @@ class TestColumns:
             return int(token)
 
         monkeypatch.setattr(cli, "int", counted, raising=False)
-        assert cli._columns(blocks, 1, "'u v' arc", "label") == (
-            *self.values(lines, 1), None
-        )
-        assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
-        assert ";" not in converted
+        for form in self.FORMS:
+            blocks = [
+                self.block(lines[i:i + per_block], form)
+                for i in range(0, len(lines), per_block)
+            ]
+            converted.clear()
+            assert cli._columns(blocks, 1, "'u v' arc", "label") == (
+                *self.values(lines, 1), None
+            )
+            assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
+            assert ";" not in converted
 
 
 class TestReadOnce:
     # The complete digraph on 20 vertices, its last arc on the last line or
-    # a faulty line in its place, padded to one length so that every file
-    # cuts into the same blocks.
+    # a faulty line in its place.  In skeleton form only the header's own
+    # stretch is split into lines, and a block the bulk checks refuse at
+    # most once more; in noisy form (tabs) every block is split once, the
+    # refused one too.
     ARCS = [f"{u} {v}" for u in range(1, 21) for v in range(1, 21) if u != v]
     LAST = {
         "valid": ARCS[-1],
@@ -451,22 +644,53 @@ class TestReadOnce:
     @pytest.mark.parametrize("header", ["digraph 20", "seq"])
     @pytest.mark.usefixtures("small_blocks")
     def test_each_block_is_read_once(self, header, monkeypatch):
-        texts = {
-            last: "\n".join([header, *self.ARCS[:-1], line.ljust(5)]) + "\n"
-            for last, line in self.LAST.items()
-        }
-        blocks = len(list(cli._blocks(texts["valid"])))
         read, calls = cli._lines, []
         monkeypatch.setattr(cli, "_lines", lambda block: calls.append(block) or read(block))
-        counts = {}
-        for last, text in texts.items():
-            calls.clear()
-            try:
-                parse_document(text)
-            except InputParseError:
-                assert last != "valid"
-            counts[last] = len(calls)
-        assert counts == dict.fromkeys(texts, blocks)
+        for last, line in self.LAST.items():
+            for separator in (" ", "\t"):
+                body = "".join(f"{arc}\n" for arc in [*self.ARCS[:-1], line])
+                text = f"{header}\n" + body.replace(" ", separator)
+                blocks = list(cli._blocks(text, len(header) + 1))
+                calls.clear()
+                try:
+                    parse_document(text)
+                except InputParseError:
+                    assert last != "valid"
+                assert calls[0] == f"{header}\n"
+                if separator == "\t":
+                    assert calls[1:] == blocks
+                else:
+                    assert calls[1:] == (blocks[-1:] if last == "malformed" else [])
+
+
+class TestOneWordingWalk:
+    # A refused ``digraph`` file is worded by one walk of its columns: the
+    # build the CLI runs refuses without wording, so the library's own
+    # wording walk never runs, for the byte-row build (the complete digraph
+    # on 20 vertices) or the word build (a path on 400 vertices).
+    FILES = {
+        "dense": (20, [(u, v) for u in range(1, 21) for v in range(1, 21) if u != v]),
+        "sparse": (400, [(u, u + 1) for u in range(1, 400)]),
+    }
+
+    @pytest.mark.parametrize("last", ["{n} {n}", "1 {m}", "0 3", "{repeat}"])
+    @pytest.mark.parametrize("store", sorted(FILES))
+    def test_the_library_wording_never_runs(self, store, last, tmp_path, capsys, monkeypatch):
+        n, arcs = self.FILES[store]
+        lines = [f"{u} {v}" for u, v in arcs]
+        lines.append(last.format(n=n, m=n + 1, repeat=lines[len(lines) // 2]))
+        text = "".join(f"{line}\n" for line in [f"digraph {n}", *lines])
+        with pytest.raises(InputParseError) as expected:
+            parse_digraph_by_lines(text)
+        worded = []
+        monkeypatch.setattr(
+            "splitkit.digraphs._raise_arc_fault", lambda *args: worded.append(args)
+        )
+        path = tmp_path / "faulty.digraph"
+        path.write_text(text)
+        assert run(["repair", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+        assert worded == []
 
 
 class TestParseMemory:
@@ -735,7 +959,7 @@ class TestEndings:
         def out_of_memory(cls, n, sources, targets):
             raise MemoryError
 
-        monkeypatch.setattr(cli.Digraph, "from_lists", classmethod(out_of_memory))
+        monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))
         path = tmp_path / "cycle.digraph"
         path.write_text("digraph 4\n1 2\n2 3\n3 4\n4 1\n")
         assert run(["repair", str(path)]) == 2
@@ -755,7 +979,7 @@ class TestEndings:
         def out_of_memory(cls, n, sources, targets):
             raise MemoryError
 
-        monkeypatch.setattr(cli.Digraph, "from_lists", classmethod(out_of_memory))
+        monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))
         path = tmp_path / "faulty.digraph"
         path.write_text(f"digraph {10 ** 18}\n{body}")
         assert run(["repair", str(path)]) == 2

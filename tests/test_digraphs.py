@@ -110,17 +110,40 @@ class TestArcContract:
         ),
         "n < 0": (-3, [], "negative vertex count -3"),
         "loop after a range fault": (3, [(0, 5), (2, 2)], "loop at vertex 2 not allowed"),
+        # Arcs that are not pairs, which only Digraph(n, arcs) can be given:
+        # the first one is named, before any fault of a label.
+        "three labels": (3, [(0, 1), (0, 1, 2)], "arc (0, 1, 2) is not a pair"),
+        "one label": (3, [(0,)], "arc (0,) is not a pair"),
+        "a bare int": (3, [(0, 1), 5], "arc 5 is not a pair"),
+        "not a pair after a float label": (
+            3, [(0, 1.5), (1, 2), [2, 0, 1]], "arc [2, 0, 1] is not a pair"
+        ),
     }
+
+    @staticmethod
+    def lists(arcs):
+        """The source and target lists of ``arcs``, or None when an arc is
+        not a pair, which ``from_lists`` cannot be given."""
+        if all(isinstance(arc, tuple) and len(arc) == 2 for arc in arcs):
+            return [u for u, _ in arcs], [v for _, v in arcs]
+        return None
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_both_constructors_raise_the_same_message(self, fault):
         n, arcs, message = self.FAULTS[fault]
-        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
         with pytest.raises(ValueError) as from_pairs:
             Digraph(n, arcs)
-        with pytest.raises(ValueError) as from_lists:
-            Digraph.from_lists(n, sources, targets)
-        assert str(from_pairs.value) == str(from_lists.value) == message
+        assert str(from_pairs.value) == message
+        if self.lists(arcs) is not None:
+            with pytest.raises(ValueError) as from_lists:
+                Digraph.from_lists(n, *self.lists(arcs))
+            assert str(from_lists.value) == message
+
+    def test_an_arc_may_be_an_iterator(self):
+        # Each arc is unpacked once, so an arc that is an iterator counts.
+        assert Digraph(3, [iter((0, 1)), iter([2, 1])]) == Digraph(3, [(0, 1), (2, 1)])
+        with pytest.raises(ValueError, match=r"^arc <list_iterator object at .*> is not a pair$"):
+            Digraph(3, [(0, 1), iter([2])])
 
     @pytest.mark.parametrize(
         "build",
@@ -264,7 +287,11 @@ class TestDenseFaults:
 
     @pytest.mark.parametrize(
         "kind, case",
-        [("fault", fault) for fault in sorted(TestArcContract.FAULTS)]
+        [
+            ("fault", fault)
+            for fault, (_, arcs, _) in sorted(TestArcContract.FAULTS.items())
+            if TestArcContract.lists(arcs) is not None
+        ]
         + [("order", case) for case in sorted(ORDER)]
         + [("float source after its int", n) for n in (5, 20)],
     )
@@ -273,7 +300,7 @@ class TestDenseFaults:
         # a ValueError, except that Digraph(n, arcs) merges repeats.
         if kind == "fault":
             n, arcs, _ = TestArcContract.FAULTS[case]
-            sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+            sources, targets = TestArcContract.lists(arcs)
         elif kind == "order":
             n, (sources, targets, _) = self.N, self.planted(case)
         else:
