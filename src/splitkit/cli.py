@@ -2,19 +2,21 @@
 
 Reads a degree sequence or a labeled digraph from a plain-text file, runs
 any of the analyses, and prints exact integer results.  Vertex labels in
-files are 1-based; all internal indices are 0-based.  Both headers share
-one bulk parse.  It cuts the header off at the end of the header's own
-``"\n"``-ended stretch, then reads the text a block of at least
-``_BLOCK`` characters at a time and picks each block's path from its
-form.  A block in skeleton form, each line two fields with one space
-between them and a ``"\n"`` after them, is checked by two C-level passes
-and split once, with no line list (about 0.23 us a line); any other block
-is split into lines, joined with a ``;`` sentinel after each line and
-split again (about 0.35-0.39 us a line).  Beyond the text itself the parse
-holds the O(N + M) integers it keeps (M the lines), one string per
-distinct token and the strings of one block.  A block is split into lines
-at most once: a fault is worded from the one block the parse refuses, a
-line at a time, and the integers before it.
+files are 1-based; all internal indices are 0-based.  A FILE is read as
+strict UTF-8 with universal newlines, and ``-`` is file descriptor 0, read
+by the same ``open``: the interpreter's stdio settings never reach the
+parse.  Both headers share one bulk parse.  It cuts the header off at the
+end of the header's own ``"\n"``-ended stretch, then reads the text a
+block of at least ``_BLOCK`` characters at a time and picks each block's
+path from its form.  A block in skeleton form, each line two fields with
+one space between them and a ``"\n"`` after them, is checked by two
+C-level passes and split once, with no line list; any other block is
+split into lines, joined with a ``;`` sentinel after each line and split
+again.  Beyond the text itself the parse holds the O(N + M) integers it
+keeps (M the lines), one string per distinct token and the strings of one
+block.  A block is split into lines at most once: a fault is worded from
+the one block the parse refuses, a line at a time, and the integers
+before it.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -24,10 +26,11 @@ non-digraphic input where the command needs it, 4 the oracle cross-check
 disagreed with the fast path, 5 an internal error (a fault in splitkit,
 reported as one ``error: internal error: ...`` line naming the exception
 and the file and line that raised it).  A FILE that cannot be read or is
-not UTF-8 exits 2 with one ``error: cannot read FILE: ...`` line.  The
-``splitkit`` command restores the default ``SIGPIPE`` action where the
-platform has one, so a reader that closes its end of stdout early ends
-the command silently, with status 141 in a shell, as it ends ``cat``.
+not UTF-8, a closed stdin for ``-`` included, exits 2 with one ``error:
+cannot read FILE: ...`` line.  The ``splitkit`` command restores the
+default ``SIGPIPE`` action where the platform has one, so a reader that
+closes its end of stdout early ends the command silently, with status 141
+in a shell, as it ends ``cat``.
 
 ``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
 unset), the largest input any brute-force check takes; whatever the cap,
@@ -88,7 +91,8 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     A sequence file starts with a ``seq`` header followed by one
     ``out in`` pair per line; a digraph file starts with ``digraph N``
     followed by one ``u v`` arc per line with 1-based labels.  Blank lines
-    and ``#`` comments are ignored.
+    and ``#`` comments are ignored.  ``text`` is as ``_read`` returns it:
+    decoded, with each ``"\\r\\n"`` and ``"\\r"`` already a ``"\\n"``.
     """
     first, body = _header(text)
     header = first.split()
@@ -204,13 +208,10 @@ def _columns(
     that words that line, or None.
 
     A block in skeleton form (``_skeleton_fields``) is split once, with no
-    line list: about 0.23 us a line on the ``repair-large`` inputs.  Any
-    other block is line-split and checked by the ``;`` sentinel
-    (``_sentinel_fields``): about 0.35-0.39 us a line on the same inputs
-    with a tab between the fields (2-core host, Python 3.11.7).  Each
-    distinct field is converted once, through one table that every block
-    reads, and a refused block is walked a line at a time to word its
-    first faulty line.
+    line list.  Any other block is line-split and checked by the ``;``
+    sentinel (``_sentinel_fields``).  Each distinct field is converted
+    once, through one table that every block reads, and a refused block is
+    walked a line at a time to word its first faulty line.
     """
     value: dict[str, int] = {}
     first: list[int] = []
@@ -454,11 +455,9 @@ def run(argv: list[str] | None = None) -> int:
 
 def _read(file: str) -> str:
     try:
-        if file == "-":
-            return sys.stdin.read()
-        with open(file, encoding="utf-8") as handle:
+        with open(0 if file == "-" else file, encoding="utf-8", closefd=file != "-") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise InputParseError(f"cannot read {file}: {exc}") from None
 
 

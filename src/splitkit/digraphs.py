@@ -209,14 +209,18 @@ class Digraph:
 
 @dataclass(frozen=True)
 class EditSet:
-    """An arc repair: ``add`` must be absent from the graph, ``remove`` present."""
+    """An arc repair: ``add`` must be absent from the graph, ``remove`` present.
+
+    Arcs are read as ``Digraph(n, arcs)`` reads them: the ValueError of an
+    arc that is not a pair, the TypeError of a label that is not an integer.
+    """
 
     add: frozenset[Arc]
     remove: frozenset[Arc]
 
     def __init__(self, add: Iterable[Arc] = (), remove: Iterable[Arc] = ()):
-        add_set = frozenset((index(u), index(v)) for u, v in add)
-        remove_set = frozenset((index(u), index(v)) for u, v in remove)
+        add_set = frozenset(_label_pairs(add))
+        remove_set = frozenset(_label_pairs(remove))
         if add_set & remove_set:
             raise ValueError("an arc cannot be both added and removed")
         object.__setattr__(self, "add", add_set)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import ge, index
 from typing import Iterable, Union
 
@@ -99,16 +100,12 @@ def splittance_sequence(d: Degrees) -> list[Fraction]:
     the rest)``.  Values are exact rationals; half-integers occur only for
     sequences that are not graphic.
     """
-    seq = validate_degrees(d)
-    ordered = seq.sorted_desc()
+    ordered = validate_degrees(d).sorted_desc()
     total = sum(ordered)
-    sigma = []
-    prefix = 0
-    for k in range(seq.n + 1):
-        if k > 0:
-            prefix += ordered[k - 1]
-        sigma.append(Fraction(k * (k - 1) - prefix + (total - prefix), 2))
-    return sigma
+    return [
+        Fraction(k * (k - 1) + total - 2 * prefix, 2)
+        for k, prefix in enumerate(accumulate(ordered, initial=0))
+    ]
 
 
 def eg_slack(d: Degrees) -> list[int]:

@@ -1,6 +1,6 @@
 import argparse
 import importlib.metadata
-import io
+import os
 import random
 import shutil
 import signal
@@ -76,6 +76,40 @@ def fixture(name: str) -> str:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def command_outcome(
+    argv: list[str], stdin: Path, env: dict[str, str], encoding: str = "utf-8"
+) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``splitkit argv`` run in a new
+    interpreter under ``env``, with file descriptor 0 reading ``stdin``."""
+    with open(stdin, "rb") as handle:
+        child = subprocess.run(
+            [sys.executable, "-m", "splitkit.cli", *argv],
+            stdin=handle,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+    return child.returncode, child.stdout.decode(encoding), child.stderr.decode(encoding)
+
+
+@pytest.fixture
+def stdin_bytes(tmp_path):
+    """A function that points file descriptor 0 at a file holding the bytes
+    it is given, for ``-`` to read in-process.  The test's fd 0 comes back
+    after it, and no test reads it: on a terminal that read would block."""
+    saved = os.dup(0)
+
+    def feed(data: bytes) -> None:
+        path = tmp_path / "stdin"
+        path.write_bytes(data)
+        with open(path, "rb") as handle:
+            os.dup2(handle.fileno(), 0)
+
+    yield feed
+    os.dup2(saved, 0)
+    os.close(saved)
 
 
 class TestParseDocument:
@@ -764,11 +798,10 @@ class TestCheck:
     def test_missing_file_exits_2(self):
         assert run(["check", "/definitely/not/here.seq"]) == 2
 
-    def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO("seq\n0 0\n"))
+    def test_stdin_input(self, capsys, stdin_bytes):
+        stdin_bytes(b"seq\n0 0\n")
         assert run(["check", "-"]) == 0
+        assert capsys.readouterr() == ("digraphic=true\nsplit=true\nsplittance=0\n", "")
 
 
 class TestMatrix:
@@ -1041,22 +1074,17 @@ class TestEndings:
         assert captured.out == ""
         assert captured.err == f"error: cannot read {path}: {UNDECODABLE}\n"
 
-    @pytest.mark.parametrize(
-        "errors, message",
-        [
-            ("strict", f"cannot read -: {UNDECODABLE}"),
-            # How a C-locale interpreter reads stdin: the bytes reach the parser.
-            ("surrogateescape", "non-integer degree in line '\\udcff\\udcfe 1'"),
-        ],
-        ids=["strict", "surrogateescape"],
-    )
-    def test_stdin_not_utf8_exits_2(self, errors, message, capsys, monkeypatch):
-        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
-        monkeypatch.setattr(sys, "stdin", stdin)
-        assert run(["check", "-"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin_not_utf8_exits_2(self, errors, tmp_path):
+        # ``-`` is read as a FILE is, whatever error handler the
+        # interpreter gives its own stdin (surrogateescape is what a
+        # C-locale interpreter uses).
+        path = tmp_path / "bad.seq"
+        path.write_bytes(NOT_UTF8)
+        env = {**child_env(), "PYTHONIOENCODING": f"utf-8:{errors}"}
+        assert command_outcome(["check", "-"], path, env) == (
+            2, "", f"error: cannot read -: {UNDECODABLE}\n"
+        )
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
     def test_closed_stdout_ends_silently(self, tmp_path):
@@ -1076,6 +1104,97 @@ class TestEndings:
             child.stdout.close()
             assert child.wait(timeout=60) == -signal.SIGPIPE
             assert child.stderr.read() == b""
+
+
+class TestStdinIsAFile:
+    # ``-`` is file descriptor 0, opened as any FILE is: strict UTF-8 and
+    # universal newlines.  The same bytes give the same exit code, stdout
+    # and stderr through ``-`` as by path, but for ``-`` in place of the
+    # path where stderr names the file.
+    COMPLETE = "".join(f"{u} {v}\n" for u in range(1, 5) for v in range(1, 5) if u != v)
+    INPUTS = {
+        "skeleton": f"digraph 4\n{COMPLETE}".encode(),
+        "crlf": f"digraph 4\n{COMPLETE}1 2 3\n".replace("\n", "\r\n").encode(),
+        "cr": f"digraph 5\n{COMPLETE}".replace("\n", "\r").encode(),
+        "noisy": b"# a path\n\nseq\n1\t0  # first\n\n1 1\r\n0 1\n",
+        "bom": b"\xef\xbb\xbfseq\n0 0\n",
+        "empty": b"",
+        "not-utf8": NOT_UTF8,
+        "latin-1": b"digraph 2\n1\xa02\n",
+    }
+    # Stdio settings of the interpreter, and the encoding of its output.
+    STDIO = {
+        "default": ({}, "utf-8"),
+        "C-locale": ({"LC_ALL": "C"}, "utf-8"),
+        "latin-1": ({"PYTHONIOENCODING": "latin-1"}, "latin-1"),
+        "utf-16": ({"PYTHONIOENCODING": "utf-16"}, "utf-16"),
+        "utf-8-mode": ({"PYTHONUTF8": "1"}, "utf-8"),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_same_outcome_as_by_path(self, name, command, tmp_path, capsys, stdin_bytes):
+        path = tmp_path / name
+        path.write_bytes(self.INPUTS[name])
+        code = run([command, str(path)])
+        out, err = capsys.readouterr()
+        stdin_bytes(self.INPUTS[name])
+        assert (run([command, "-"]), *capsys.readouterr()) == (
+            code, out, err.replace(str(path), "-")
+        )
+
+    @pytest.mark.parametrize("name", ["crlf", "not-utf8", "latin-1"])
+    @pytest.mark.parametrize("stdio", sorted(STDIO))
+    def test_stdio_settings_do_not_reach_the_read(self, stdio, name, tmp_path):
+        settings, encoding = self.STDIO[stdio]
+        unset = ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")
+        env = {k: v for k, v in child_env().items() if k not in unset}
+        env.update(settings)
+        path = tmp_path / name
+        path.write_bytes(self.INPUTS[name])
+        code, out, err = command_outcome(["repair", str(path)], path, env, encoding)
+        assert command_outcome(["repair", "-"], path, env, encoding) == (
+            code, out, err.replace(str(path), "-")
+        )
+        if name != "crlf":
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 0 before exec")
+    def test_closed_stdin_exits_2(self):
+        child = subprocess.run(
+            [sys.executable, "-m", "splitkit.cli", "check", "-"],
+            capture_output=True,
+            env=child_env(),
+            preexec_fn=lambda: os.close(0),
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, b"", b"error: cannot read -: [Errno 9] Bad file descriptor\n"
+        )
+
+    def test_cr_only_file_parses_in_blocks(self, tmp_path):
+        # The complete digraph on 500 vertices with a lone "\r" ending each
+        # line: read without newline translation, its text would hold no
+        # "\n" to cut blocks at, and the parse would split it whole.
+        n = 500
+        labels = range(1, n + 1)
+        arcs = "".join(f"{u} {v}\r" for u in labels for v in labels if u != v)
+        path = tmp_path / "complete.digraph"
+        path.write_text(f"digraph {n}\r{arcs}", newline="")
+        prelude = (
+            "import os\n"
+            "from splitkit.cli import run\n"
+            "def through_stdin(path):\n"
+            "    fd = os.open(path, os.O_RDONLY)\n"
+            "    os.dup2(fd, 0)\n"
+            "    os.close(fd)\n"
+            "    return run(['repair', '-'])\n"
+        )
+        calls = [f"run(['repair', {str(path)!r}])", f"through_stdin({str(path)!r})"]
+        (by_path, path_peak), (through_stdin, stdin_peak) = traced_peaks(prelude, calls)
+        assert by_path == through_stdin == 0
+        assert stdin_peak <= 1.1 * path_peak
 
 
 class TestOracleFlag:

@@ -91,6 +91,21 @@ class TestDigraph:
         with pytest.raises(TypeError):
             EditSet(add, remove)
 
+    @pytest.mark.parametrize(
+        "add, remove, message",
+        [
+            ([(0, 1, 2)], [], "arc (0, 1, 2) is not a pair"),
+            ([], [5], "arc 5 is not a pair"),
+            ([(0, 1)], [(1,)], "arc (1,) is not a pair"),
+            ([(0, 1.5), [2, 0, 1]], [], "arc [2, 0, 1] is not a pair"),
+        ],
+    )
+    def test_edit_set_rejects_an_arc_that_is_not_a_pair(self, add, remove, message):
+        # The arc front end of ``Digraph(n, arcs)``: the same ValueError.
+        with pytest.raises(ValueError) as raised:
+            EditSet(add, remove)
+        assert str(raised.value) == message
+
 
 class TestArcContract:
     """``Digraph(n, arcs)`` and ``Digraph.from_lists`` keep one contract."""

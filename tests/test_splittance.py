@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from splitkit import (
     is_digraphic,
     is_split_sequence,
     maximal_sequences,
+    repair,
     split_partitions,
     splittance_matrix,
     splittance_sequence,
@@ -278,6 +280,40 @@ class TestDigraphSplittance:
 
     def test_empty_sequence_is_zero(self):
         assert digraph_splittance(IntegerPairSequence([])) == 0
+
+
+class TestDegreeExtremeBound:
+    """The splittance is at most min(min_in, N-1-max_in, min_out,
+    N-1-max_out): row 0's minimum away from the trivial corners is the
+    smallest in-degree, row N's is N - 1 less the largest, and the
+    column minima give the same for out-degrees.  Each pair of terms sums
+    to at most N - 1, so a repair writes at most (N - 1) // 2 edits."""
+
+    @staticmethod
+    def bound(seq: IntegerPairSequence) -> int:
+        last = seq.n - 1
+        outs, ins = seq.out_degrees, seq.in_degrees
+        return min(min(ins), last - max(ins), min(outs), last - max(outs))
+
+    def test_every_small_digraphic_sequence(self):
+        digraphic = 0
+        for n in (1, 2, 3, 4):
+            entries = list(product(range(n), repeat=2))
+            for combo in product(entries, repeat=n):
+                seq = IntegerPairSequence(combo)
+                if is_digraphic(seq):
+                    assert digraph_splittance(seq) <= self.bound(seq) <= (n - 1) // 2, combo
+                    digraphic += 1
+        assert digraphic == 2724
+
+    def test_repair_of_seeded_gnp_digraphs(self):
+        rng = random.Random(4181)
+        for _ in range(60):
+            n = rng.randrange(20, 300)
+            g = random_digraph(rng, n, rng.choice([0.02, 0.1, 0.5, 0.9, 0.98]))
+            seq = degree_sequence(g)
+            edits, _ = repair(g)
+            assert edits.size == digraph_splittance(seq) <= self.bound(seq) <= (n - 1) // 2
 
 
 class TestMaximalSequences:

@@ -63,6 +63,16 @@ class TestSplittanceSequence:
         assert values[0] == Fraction(3, 2)
         assert all(isinstance(v, Fraction) for v in values)
 
+    def test_matches_the_definition(self):
+        rng = random.Random(1597)
+        for n in range(1, 41):
+            degs = [rng.randrange(n) for _ in range(n)]
+            ordered = sorted(degs, reverse=True)
+            assert splittance_sequence(degs) == [
+                Fraction(k * (k - 1) - sum(ordered[:k]) + sum(ordered[k:]), 2)
+                for k in range(n + 1)
+            ]
+
     def test_single_minimum_region(self):
         # Non-increasing up to the corrected Durfee index, strictly
         # increasing beyond it.
