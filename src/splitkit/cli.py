@@ -3,20 +3,22 @@
 Reads a degree sequence or a labeled digraph from a plain-text file, runs
 any of the analyses, and prints exact integer results.  Vertex labels in
 files are 1-based; all internal indices are 0-based.  A FILE is read as
-strict UTF-8 with universal newlines, and ``-`` is file descriptor 0, read
-by the same ``open``: the interpreter's stdio settings never reach the
-parse.  Both headers share one bulk parse.  It cuts the header off at the
-end of the header's own ``"\n"``-ended stretch, then reads the text a
-block of at least ``_BLOCK`` characters at a time and picks each block's
-path from its form.  A block in skeleton form, each line two fields with
-one space between them and a ``"\n"`` after them, is checked by two
-C-level passes and split once, with no line list; any other block is
-split into lines, joined with a ``;`` sentinel after each line and split
-again.  Beyond the text itself the parse holds the O(N + M) integers it
-keeps (M the lines), one string per distinct token and the strings of one
-block.  A block is split into lines at most once: a fault is worded from
-the one block the parse refuses, a line at a time, and the integers
-before it.
+strict UTF-8 with universal newlines, one leading byte-order mark dropped,
+and ``-`` is file descriptor 0, read by the same ``open``: the
+interpreter's stdio settings never reach the parse.  Both headers share
+one bulk parse.  It cuts the header off at the end of the header's own
+``"\n"``-ended stretch, then reads the text a block of at least ``_BLOCK``
+characters at a time and picks each block's path from its form.  A block
+in skeleton form, each line two fields with one space between them and a
+``"\n"`` after them, is checked by two C-level passes and split once,
+with no line list; any other block is split into lines, joined with a
+``;`` sentinel after each line and split again.  Either way each column
+of the block is one ``map`` through a table that converts a token the
+first time it is looked up.  Beyond the text itself the parse holds the
+O(N + M) integers it keeps (M the lines), one string per distinct token
+and the strings of one block.  A block is split into lines at most once:
+a fault is worded from the one block the parse refuses, a line at a time,
+and the integers before it.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -132,9 +134,12 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     raise InputParseError(f"unknown header {first!r}: expected 'seq' or 'digraph N'")
 
 
-# Characters per parse block: beyond the integer columns, the parse holds
-# the strings of one block at a time.
-_BLOCK = 1 << 17
+# Characters per parse block, about 1 000 lines: beyond the integer
+# columns, the parse holds the strings of one block at a time.  Small
+# blocks keep those strings in memory the process has already touched;
+# blocks of 2^17 characters made it map and fault in fresh pages for each
+# block's 34 000 token strings (README "Costs").
+_BLOCK = 1 << 13
 
 # Every ASCII byte but ``#`` and the whitespace that ``str.split`` and
 # ``str.splitlines`` know: deleting them from a block leaves its blanks
@@ -200,6 +205,20 @@ def _sentinel_fields(lines: list[str]) -> list[str] | None:
     return tokens
 
 
+class _Table(dict):
+    """Each token seen, mapped to ``int(token) - base``: a lookup of a new
+    token converts it and stores the result, so each distinct token is
+    converted once."""
+
+    def __init__(self, base: int) -> None:
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, token: str) -> int:
+        self[token] = value = int(token) - self.base
+        return value
+
+
 def _columns(
     blocks: Iterable[str], base: int, shape: str, noun: str
 ) -> tuple[list[int], list[int], InputParseError | None]:
@@ -209,11 +228,13 @@ def _columns(
 
     A block in skeleton form (``_skeleton_fields``) is split once, with no
     line list.  Any other block is line-split and checked by the ``;``
-    sentinel (``_sentinel_fields``).  Each distinct field is converted
-    once, through one table that every block reads, and a refused block is
-    walked a line at a time to word its first faulty line.
+    sentinel (``_sentinel_fields``).  Either way each column of the block
+    is one C-level ``map`` over its fields through one ``_Table`` that
+    every block reads, one lookup a token.  A token ``int`` refuses stops
+    the map mid-block: that block's integers are taken off both columns,
+    and the block is walked a line at a time to word its first faulty line.
     """
-    value: dict[str, int] = {}
+    value = _Table(base).__getitem__
     first: list[int] = []
     second: list[int] = []
     for block in blocks:
@@ -224,12 +245,13 @@ def _columns(
             fields = _sentinel_fields(lines)
             if fields is None:
                 break
+        mark = len(first)
         try:
-            value.update({t: int(t) - base for t in set(fields).difference(value)})
+            first += map(value, fields[0::2])
+            second += map(value, fields[1::2])
         except ValueError:
+            del first[mark:], second[mark:]
             break
-        first += map(value.__getitem__, fields[0::2])
-        second += map(value.__getitem__, fields[1::2])
     else:
         return first, second, None
     try:  # the refused block, one line at a time: word its first faulty line
@@ -456,7 +478,7 @@ def run(argv: list[str] | None = None) -> int:
 def _read(file: str) -> str:
     try:
         with open(0 if file == "-" else file, encoding="utf-8", closefd=file != "-") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeError) as exc:
         raise InputParseError(f"cannot read {file}: {exc}") from None
 

@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from itertools import takewhile
+from itertools import product, takewhile
 from pathlib import Path
 
 import pytest
@@ -415,7 +415,8 @@ class TestBulkSequenceParserInSmallBlocks(TestBulkSequenceParser):
 
 @pytest.fixture(params=[1, 16, 4096, 1 << 17])
 def any_blocks(request, monkeypatch):
-    """Parse blocks of a few characters, of 4096, and of the default size."""
+    """Parse blocks of a few characters, of 4096, and of 2^17, sixteen
+    times the default size."""
     monkeypatch.setattr(cli, "_BLOCK", request.param)
 
 
@@ -541,7 +542,7 @@ class TestSkeletonPath:
                 assert str(expected.value) == parsed
 
     def test_complete_digraph_at_600(self, tmp_path, capsys):
-        # 359 400 arc lines in 23 blocks of the default size.
+        # 359 400 arc lines, 2.7 MB, in 336 blocks of the default size.
         header, lines = self.lines("complete", 600, 1.0, "complete")
         parsed, code, written = self.assert_forms_agree(
             header, lines, -1, "complete", tmp_path, capsys
@@ -601,17 +602,23 @@ class TestColumns:
                 blocks = ["", *[text, ""] * copies]
                 assert cli._columns(blocks, base, shape, noun) == columns
 
-    # Tokens that ``int`` refuses; on the skeleton path a ``;`` field is one.
+    # Tokens that ``int`` refuses, in either column, after good lines of
+    # their block: the table stops mid-block with part of the block's
+    # integers on one column or both, and none of them may stay.  On the
+    # skeleton path a ``;`` field is one such token; so is an integer of
+    # more digits than ``int`` converts, which is worded as too large.
     @pytest.mark.parametrize("copies", [1, 3])
-    @pytest.mark.parametrize("bad", ["x", "1.0", "1__0", "\u00bd", ";"])
+    @pytest.mark.parametrize(
+        "bad", ["x", "1.0", "1__0", "\u00bd", ";", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_non_integer_token_gives_none(self, copies, bad):
-        for form in self.FORMS:
+        for line, form in product([f"3 {bad}", f"{bad} 3"], self.FORMS):
             text = self.block(self.LINES, form)
-            blocks = [text] * (copies - 1) + [text + self.block([f"3 {bad}", "1 2"], form)]
+            blocks = [text] * (copies - 1) + [text + self.block([line, "1 2"], form)]
             for header, base, shape, noun, by_lines in self.SHAPES:
                 *columns, fault = cli._columns(blocks, base, shape, noun)
                 assert columns == self.values(self.LINES * copies, base)
-                expected = self.message(by_lines, f"{header}\n" + self.block([f"3 {bad}"], form))
+                expected = self.message(by_lines, f"{header}\n" + self.block([line], form))
                 assert str(fault) == expected
 
     # 3L tokens with L ";", yet the 2L fields split 1 + 3 or 3 + 1; five
@@ -658,6 +665,25 @@ class TestColumns:
             )
             assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
             assert ";" not in converted
+
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_blocks_of_both_forms_share_one_table(self, per_block, monkeypatch):
+        # Blocks in skeleton and noisy form in turn: still each distinct
+        # token converted once.
+        lines = self.LINES * 3
+        converted = []
+
+        def counted(token):
+            converted.append(token)
+            return int(token)
+
+        monkeypatch.setattr(cli, "int", counted, raising=False)
+        blocks = [
+            self.block(lines[i:i + per_block], self.FORMS[i // per_block % 2])
+            for i in range(0, len(lines), per_block)
+        ]
+        assert cli._columns(blocks, 1, "'u v' arc", "label") == (*self.values(lines, 1), None)
+        assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
 
 
 class TestReadOnce:
@@ -749,6 +775,21 @@ class TestParseMemory:
         assert [code for code, _ in rows] == [0, 2, 2, 2]
         for _, peak in rows:
             assert peak < 16 << 20
+
+    def test_parse_holds_little_beyond_its_columns(self):
+        # The complete digraph on 500 vertices: 249 500 arcs, 1.9 MB of
+        # text, made before the trace starts.  Its two integer columns take
+        # 3.8 MiB; the parse may trace 5 MiB in all.  Blocks of 2^17
+        # characters traced 7.5 MiB.
+        prelude = (
+            "from splitkit.cli import parse_document\n"
+            "labels = range(1, 501)\n"
+            "text = 'digraph 500\\n' + ''.join(\n"
+            "    f'{u} {v}\\n' for u in labels for v in labels if u != v)\n"
+        )
+        [(n, peak)] = traced_peaks(prelude, ["parse_document(text).n"])
+        assert n == 500
+        assert peak < 5 << 20
 
 
 class TestCheck:
@@ -1172,6 +1213,47 @@ class TestStdinIsAFile:
         assert (child.returncode, child.stdout, child.stderr) == (
             2, b"", b"error: cannot read -: [Errno 9] Bad file descriptor\n"
         )
+
+    # One leading byte-order mark is dropped, by path and through ``-``:
+    # each fixture, under a command that reads it, gives the same exit
+    # code, stdout and stderr with the mark as without.
+    FIXTURE_RUNS = [
+        ("check", "ex1.seq"),
+        ("matrix", "dirext.seq"),
+        ("partitions", "ex1.seq"),
+        ("repair", "ex1_realization.digraph"),
+    ]
+
+    @pytest.mark.parametrize("command, name", FIXTURE_RUNS)
+    def test_leading_byte_order_mark_is_dropped(
+        self, command, name, tmp_path, capsys, stdin_bytes
+    ):
+        marked = b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes()
+        expected = (run([command, fixture(name)]), *capsys.readouterr())
+        path = tmp_path / name
+        path.write_bytes(marked)
+        assert (run([command, str(path)]), *capsys.readouterr()) == expected
+        stdin_bytes(marked)
+        assert (run([command, "-"]), *capsys.readouterr()) == expected
+
+    # A U+FEFF anywhere else is text like any other, and a mark cut short
+    # is not UTF-8.
+    MARKED = {
+        "second-mark": (b"\xef\xbb\xbf\xef\xbb\xbfseq\n0 0\n", "unknown header '\\ufeffseq'"),
+        "second-line": (b"\n\xef\xbb\xbfseq\n0 0\n", "unknown header '\\ufeffseq'"),
+        "field": (b"seq\n\xef\xbb\xbf0 0\n", "non-integer degree in line '\\ufeff0 0'"),
+        "line-end": (b"seq\n0 0\xef\xbb\xbf\n", "non-integer degree in line '0 0\\ufeff'"),
+        "cut-short": (b"\xef\xbb", "cannot read {path}: 'utf-8' codec can't decode bytes"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MARKED))
+    def test_byte_order_mark_elsewhere_is_refused(self, name, tmp_path, capsys):
+        data, message = self.MARKED[name]
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message.format(path=path))
 
     def test_cr_only_file_parses_in_blocks(self, tmp_path):
         # The complete digraph on 500 vertices with a lone "\r" ending each
