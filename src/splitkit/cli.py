@@ -14,11 +14,14 @@ in skeleton form, each line two fields with one space between them and a
 with no line list; any other block is split into lines, joined with a
 ``;`` sentinel after each line and split again.  Either way each column
 of the block is one ``map`` through a table that converts a token the
-first time it is looked up.  Beyond the text itself the parse holds the
-O(N + M) integers it keeps (M the lines), one string per distinct token
-and the strings of one block.  A block is split into lines at most once:
-a fault is worded from the one block the parse refuses, a line at a time,
-and the integers before it.
+first time it is looked up.  In a ``digraph`` file each column maps
+through a table of its own that reads a new token from that one, and so
+keeps the column's tokens in the order first seen: the ``Digraph`` build
+takes its distinct labels from there.  Beyond the text itself the parse
+holds the O(N + M) integers it keeps (M the lines), a string per
+distinct token of each column and the strings of one block.  A block is
+split into lines at most once: a fault is worded from the one block the
+parse refuses, a line at a time, and the integers before it.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -58,11 +61,13 @@ import os
 import re
 import signal
 import sys
+from collections import defaultdict
+from functools import partial
 from itertools import chain
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, NoReturn
 
-from .digraphs import Digraph, EditSet, degree_sequence, repair
+from .digraphs import Digraph, EditSet, _dense, degree_sequence, repair
 from .errors import BudgetExceededError, SequenceValidationError, SplitkitError
 from .oracle import (
     DEFAULT_BUDGET,
@@ -98,11 +103,14 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     """
     first, body = _header(text)
     header = first.split()
+    # At least the lines after the header: each ends in "\n" but the last,
+    # and none with fields is shorter than "1 2\n".
+    size = min(text.count("\n"), len(text) // 4)
 
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {first!r}: expected 'seq'")
-        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree")
+        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree", size=size)
         if fault is not None:
             raise fault
         return IntegerPairSequence(zip(out_degrees, in_degrees))
@@ -118,17 +126,17 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"negative vertex count {n}")
         if n > sys.maxsize:  # no list of n degrees fits in memory
             raise InputParseError(f"input too large to analyze: {n} vertices")
-        sources, targets, fault = _columns(body, 1, "'u v' arc", "label")
-        try:  # None for a bad arc, which the walk below words
-            digraph = Digraph._unworded(n, sources, targets)
-        except MemoryError:  # too large to store
-            if fault is None:
-                raise
-            digraph = None  # the walk runs once the build is freed
-        if digraph is None:
+        table = _Table(1)
+        heads, tails = _Seen(table), _Seen(table)
+        sources, targets, fault = _columns(
+            body, 1, "'u v' arc", "label", (heads, tails), size
+        )
+        if fault is not None:  # an arc before the faulty line may be at fault first
             _raise_first_arc_error(n, sources, targets, fault)
-        if fault is not None:  # the arcs before the faulty line are sound
-            raise fault
+        orders = dict.fromkeys(heads.values()), dict.fromkeys(tails.values())
+        digraph = Digraph._unworded(n, sources, targets, orders)
+        if digraph is None:  # a bad arc, which the walk words
+            _raise_first_arc_error(n, sources, targets, None)
         return digraph
 
     raise InputParseError(f"unknown header {first!r}: expected 'seq' or 'digraph N'")
@@ -219,8 +227,27 @@ class _Table(dict):
         return value
 
 
+class _Seen(dict):
+    """The tokens of one column, in the order first seen, each mapped to
+    its value in ``table``: a lookup of a new token reads ``table`` and
+    stores the result."""
+
+    def __init__(self, table: _Table) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, token: str) -> int:
+        self[token] = value = self.table[token]
+        return value
+
+
 def _columns(
-    blocks: Iterable[str], base: int, shape: str, noun: str
+    blocks: Iterable[str],
+    base: int,
+    shape: str,
+    noun: str,
+    tables: tuple[_Seen, _Seen] | None = None,
+    size: int = 0,
 ) -> tuple[list[int], list[int], InputParseError | None]:
     """The integer columns, less ``base``, of the lines in ``blocks`` before
     the first that is not ``shape`` with integer ``noun``s, and the error
@@ -229,14 +256,18 @@ def _columns(
     A block in skeleton form (``_skeleton_fields``) is split once, with no
     line list.  Any other block is line-split and checked by the ``;``
     sentinel (``_sentinel_fields``).  Either way each column of the block
-    is one C-level ``map`` over its fields through one ``_Table`` that
-    every block reads, one lookup a token.  A token ``int`` refuses stops
-    the map mid-block: that block's integers are taken off both columns,
-    and the block is walked a line at a time to word its first faulty line.
+    is one C-level ``map`` over its fields, one lookup a token, through one
+    ``_Table`` that every block reads, or through one of ``tables`` a
+    column, which then keep each column's tokens in the order first seen.
+    Both columns are allocated for ``size`` lines up front and cut to the
+    lines read, so that neither is moved as it grows.  A token
+    ``int`` refuses stops the map mid-block: that block's integers are
+    taken off both columns, and the block is walked a line at a time to
+    word its first faulty line.
     """
-    value = _Table(base).__getitem__
-    first: list[int] = []
-    second: list[int] = []
+    first_value, second_value = (table.__getitem__ for table in tables or (_Table(base),) * 2)
+    first, second = [0] * size, [0] * size
+    count = 0  # the lines read
     for block in blocks:
         lines = None
         fields = _skeleton_fields(block)
@@ -245,15 +276,17 @@ def _columns(
             fields = _sentinel_fields(lines)
             if fields is None:
                 break
-        mark = len(first)
+        end = count + len(fields) // 2
         try:
-            first += map(value, fields[0::2])
-            second += map(value, fields[1::2])
+            first[count:end] = map(first_value, fields[0::2])
+            second[count:end] = map(second_value, fields[1::2])
         except ValueError:
-            del first[mark:], second[mark:]
             break
+        count = end
     else:
+        del first[count:], second[count:]
         return first, second, None
+    del first[count:], second[count:]
     try:  # the refused block, one line at a time: word its first faulty line
         for line in _lines(block) if lines is None else lines:
             fields = line.split()
@@ -290,18 +323,27 @@ def _int(token: str, noun: str) -> int:
 def _raise_first_arc_error(
     n: int, sources: list[int], targets: list[int], fault: InputParseError | None
 ) -> NoReturn:
-    """Word the first faulty arc of the columns, one arc at a time, each
-    arc seen kept as the one int ``u * n + v``; if none is, raise ``fault``."""
-    seen = set()
+    """Word the first faulty arc of the columns, one arc at a time; if none
+    is, raise ``fault``.  A dense list keeps the arcs seen as the build
+    does, in a row of n bytes a source; any other keeps the set of ints
+    ``u * n + v``, O(M) as its columns are."""
+    rows = defaultdict(partial(bytearray, n))
+    keys = None if _dense(n, len(sources), len(set(sources))) else set()
     for u, v in zip(sources, targets):
         if not (0 <= u < n and 0 <= v < n):
             raise InputParseError(f"arc ({u + 1}, {v + 1}) outside labels [1, {n}]")
         if u == v:
             raise InputParseError(f"loop at vertex {u + 1} not allowed")
-        key = u * n + v
-        if key in seen:
+        if keys is None:
+            row = rows[u]
+            seen = row[v]
+            row[v] = 1
+        else:
+            key = u * n + v
+            seen = key in keys
+            keys.add(key)
+        if seen:
             raise InputParseError(f"duplicate arc ({u + 1}, {v + 1})")
-        seen.add(key)
     raise fault or AssertionError("Digraph refused arcs the walk accepts")
 
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import eq, index, itemgetter, setitem
-from typing import Iterable, Iterator, NoReturn
+from operator import add, eq, index, itemgetter, setitem
+from typing import Collection, Iterable, Iterator, NoReturn
 
 from .sequences import IntegerPairSequence, lazy, within
 from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
+# The distinct sources and the distinct targets of an arc list, each in
+# the order first seen.
+Orders = tuple[Collection[int], Collection[int]]
 
 # Maps the digits of format(mask, "b") to bytes that are false for "0",
 # and back.
@@ -39,6 +42,17 @@ def _arcs(rows: Iterable[tuple[int, int]]) -> list[Arc]:
 def _flags_int(flags: bytearray) -> int:
     """The int with bit v set where ``flags[v]`` is 1; every byte is 0 or 1."""
     return int(flags[::-1].translate(_BYTE_BITS) or b"0", 2)
+
+
+def _byte_sums(rows: list[bytearray], n: int, columns: Collection[int]) -> list[int]:
+    """For each v in ``columns``, the number of ``rows`` (each n bytes of 0
+    or 1) with byte v set: the rows are added as ints in byte lanes, up to
+    255 at a time so that no lane carries."""
+    sums = [0] * len(columns)
+    for start in range(0, len(rows), 255):
+        lanes = sum(map(int.from_bytes, rows[start:start + 255])).to_bytes(n)
+        sums = list(map(add, sums, map(lanes.__getitem__, columns)))
+    return sums
 
 
 def _mask(n: int, vertices: Iterable[int]) -> int:
@@ -110,11 +124,17 @@ class Digraph:
     (``indegree``); nothing is kept for other vertices.  ``arcs``, the
     frozenset of (u, v) tuples, is built on first use.
 
-    M arcs from S distinct sources are built one of two ways.  When
+    The build takes the distinct sources and the distinct targets, each in
+    the order first seen, from its caller: the CLI's parse records them as
+    it reads the two columns, and the constructors find them by
+    ``dict.fromkeys``.  It checks the label range on them alone.  M arcs
+    from S distinct sources are then built one of two ways.  When
     M >= S * max(16, n // 16), each row is a ``bytearray(n)`` that one
-    C-level scatter marks: O(M + S * n) byte operations, at most 16 bytes
-    an arc.  Otherwise each arc ORs ``1 << v`` into its row: O(M * n / w)
-    word operations, w the machine word size.
+    C-level scatter marks, and the in-degrees are read off the rows, added
+    as ints in byte lanes: O(M + S * n) byte operations, at most 16 bytes
+    an arc.  Otherwise each arc ORs ``1 << v`` into its row and the
+    targets are counted: O(M * n / w) word operations, w the machine word
+    size.
 
     Both constructors raise faults in the order ``from_lists`` states,
     except that ``Digraph(n, arcs)`` merges repeated arcs, and in place
@@ -130,7 +150,8 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[Iterable[int]] = ()):
         n = _vertex_count(n)
         pairs = list(dict.fromkeys(_label_pairs(arcs)))
-        self._build(n, list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs)))
+        sources, targets = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+        self._build(n, sources, targets, (dict.fromkeys(sources), dict.fromkeys(targets)))
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
@@ -141,38 +162,45 @@ class Digraph:
         (TypeError), an arc is a loop, a label lies outside [0, n), an arc
         repeats; the ValueError of an arc names the first such arc.
         """
+        n = _vertex_count(n)
+        if len(sources) != len(targets):
+            raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
+        index(sum(sources))  # a source 2.0 after a 2 would share its row
         g = cls.__new__(cls)
-        g._build(_vertex_count(n), sources, targets)
+        g._build(n, sources, targets, (dict.fromkeys(sources), dict.fromkeys(targets)))
         return g
 
     @classmethod
-    def _unworded(cls, n: int, sources: list[int], targets: list[int]) -> Digraph | None:
-        """``from_lists`` for an int n >= 0 and two int lists of one length,
-        or None where it would raise the ValueError of an arc, which is
-        left unworded."""
+    def _unworded(
+        cls, n: int, sources: list[int], targets: list[int], orders: Orders
+    ) -> Digraph | None:
+        """``from_lists`` for an int n >= 0, two int lists of one length and
+        their ``orders``, or None where it would raise the ValueError of an
+        arc, which is left unworded."""
         g = cls.__new__(cls)
-        return g if g._build(n, sources, targets, word=False) else None
+        return g if g._build(n, sources, targets, orders, word=False) else None
 
     def _build(
-        self, n: int, sources: list[int], targets: list[int], word: bool = True
+        self, n: int, sources: list[int], targets: list[int], orders: Orders, word: bool = True
     ) -> bool:
-        """Store the arcs and return True, or for a list at fault raise its
+        """Store the arcs of two lists of one length with int sources, given
+        their ``orders``, and return True; or for a list at fault raise its
         fault if ``word``, else return False."""
-        if len(sources) != len(targets):
-            raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
-        succ = dict.fromkeys(sources, 0)
-        indegree = Counter(targets)
+        heads, tails = orders
         distinct = -1  # not counted: a label outside [0, n), or a loop
-        if within(succ, n) and within(indegree, n):
-            index(sum(sources))  # a source 2.0 after a 2 would share its row
+        if within(heads, n) and within(tails, n):
+            succ = dict.fromkeys(heads, 0)
             if _dense(n, len(sources), len(succ)):
                 for u in succ:
                     succ[u] = bytearray(n)
                 deque(map(setitem, map(succ.__getitem__, sources), targets, repeat(1)), 0)
                 loop = any(row[u] for u, row in succ.items())
+                sums = _byte_sums(list(succ.values()), n, tails)
+                indegree = Counter(dict(zip(tails, sums)))
                 for u, row in succ.items():
                     succ[u] = _flags_int(row)
             else:
+                indegree = Counter(targets)
                 for u, v in zip(sources, targets):
                     succ[u] |= 1 << v
                 loop = any(mask >> u & 1 for u, mask in succ.items())

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import product, takewhile
 from pathlib import Path
@@ -17,6 +18,7 @@ import splitkit.cli as cli
 import splitkit.oracle as oracle
 from splitkit import (
     BudgetExceededError,
+    Digraph,
     EnumerationBudget,
     IntegerPairSequence,
     degree_sequence,
@@ -644,6 +646,19 @@ class TestColumns:
                     parse_document(text)
                 assert str(raised.value) == self.message(by_lines, text)
 
+    def test_columns_allocated_up_front_are_cut_to_the_lines_read(self):
+        # ``size`` only reserves room: too small, exact or too large, and on
+        # a block refused after its first line, the columns and the error
+        # are those of the calls above.
+        lines = self.LINES * 3
+        for form, last in product(self.FORMS, ["", "1 2 3"]):
+            blocks = [self.block(lines, form), self.block([lines[0], last], form) if last else ""]
+            for _, base, shape, noun, _ in self.SHAPES:
+                *columns, fault = cli._columns(blocks, base, shape, noun)
+                for size in (0, 3, len(lines), len(lines) + 1, 4 * len(lines)):
+                    *sized, sized_fault = cli._columns(blocks, base, shape, noun, size=size)
+                    assert (sized, str(sized_fault)) == (columns, str(fault))
+
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
         lines = self.LINES * 3
@@ -752,16 +767,47 @@ class TestOneWordingWalk:
         assert capsys.readouterr() == ("", f"error: {expected.value}\n")
         assert worded == []
 
+    def test_walk_takes_no_longer_than_the_build(self):
+        # A sparse list, N = 10^4 and M = 3 * 10^4, with its last arc
+        # repeated: the build refuses it, and the walk words it.  The walk
+        # keeps a set of one int an arc, where the build ORs N-bit words.
+        # The faster of three runs each.
+        rng = random.Random(30_000)
+        n, pairs = 10_000, {}
+        while len(pairs) < 30_000:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                pairs[u, v] = None
+        arcs = [*pairs, next(iter(pairs))]
+        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+        orders = dict.fromkeys(sources), dict.fromkeys(targets)
+        u, v = arcs[0]
+
+        def fastest(call) -> float:
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        def walk() -> None:
+            with pytest.raises(InputParseError, match=rf"^duplicate arc \({u + 1}, {v + 1}\)$"):
+                cli._raise_first_arc_error(n, sources, targets, None)
+
+        assert Digraph._unworded(n, sources, targets, orders) is None
+        build = fastest(lambda: Digraph._unworded(n, sources, targets, orders))
+        assert fastest(walk) <= build
+
 
 class TestParseMemory:
     def test_repair_parses_in_linear_memory(self, tmp_path):
         # The complete digraph on 317 vertices: 100 172 arcs, 0.7 MB of
         # text, and no edits to make.  The parse keeps two integer columns
         # and the strings of one block.  A faulty last line adds a walk of
-        # its own block; a repeated or out-of-range arc adds a walk of the
-        # columns that keeps every arc seen as one int.  None may trace 16
-        # MiB; a parse that split the whole text at once traced 22.7 MiB on
-        # the valid file.
+        # its own block; any fault adds a walk of the columns that keeps one
+        # row of bytes a source.  None may trace 16 MiB; a parse that split
+        # the whole text at once traced 22.7 MiB on the valid file.
         n = 317
         labels = range(1, n + 1)
         arcs = "".join(f"{u} {v}\n" for u in labels for v in labels if u != v)
@@ -775,6 +821,41 @@ class TestParseMemory:
         assert [code for code, _ in rows] == [0, 2, 2, 2]
         for _, peak in rows:
             assert peak < 16 << 20
+
+    def test_fault_walk_holds_rows_not_arcs(self):
+        # The complete digraph on 317 vertices, and the same with its first
+        # arc repeated on the last line, which the walk of the columns
+        # words.  The walk keeps 317 rows of 317 bytes: the faulty file may
+        # trace at most half as much again as the valid one.  A walk that
+        # kept each arc seen as one int in a set traced 10.1 MiB against
+        # 1.9 MiB.
+        prelude = (
+            "from splitkit.cli import InputParseError, parse_document\n"
+            "labels = range(1, 318)\n"
+            "valid = 'digraph 317\\n' + ''.join(\n"
+            "    f'{u} {v}\\n' for u in labels for v in labels if u != v)\n"
+            "repeated = valid + '1 2\\n'\n"
+            "def parse(text):\n"
+            "    try:\n"
+            "        return parse_document(text).n\n"
+            "    except InputParseError as fault:\n"
+            "        return str(fault)\n"
+        )
+        (n, valid), (message, faulty) = traced_peaks(prelude, ["parse(valid)", "parse(repeated)"])
+        assert (n, message) == (317, "duplicate arc (1, 2)")
+        assert faulty <= 1.5 * valid
+
+    def test_blank_lines_reserve_little_room(self):
+        # Three arcs after 2 * 10^5 blank lines: the columns are allocated
+        # up front for at most a quarter of the text's characters, 50 000
+        # lines, not for its 200 000 line breaks, which traced 4.8 MB.
+        prelude = (
+            "from splitkit.cli import parse_document\n"
+            "text = 'digraph 3\\n' + '\\n' * 200_000 + '1 2\\n2 3\\n3 1\\n'\n"
+        )
+        [(n, peak)] = traced_peaks(prelude, ["parse_document(text).n"])
+        assert n == 3
+        assert peak < 2 << 20
 
     def test_parse_holds_little_beyond_its_columns(self):
         # The complete digraph on 500 vertices: 249 500 arcs, 1.9 MB of
@@ -1030,7 +1111,7 @@ class TestEndings:
     def test_out_of_memory_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
         # The arc store is what the parser allocates; fail it the way it
         # would fail, without allocating anything.
-        def out_of_memory(cls, n, sources, targets):
+        def out_of_memory(cls, n, sources, targets, orders):
             raise MemoryError
 
         monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))
@@ -1049,8 +1130,9 @@ class TestEndings:
         self, body, message, tmp_path, capsys, monkeypatch
     ):
         # A store too large to build for the arcs before a faulty line hides
-        # neither that line's fault nor an arc fault before it.
-        def out_of_memory(cls, n, sources, targets):
+        # neither that line's fault nor an arc fault before it: a file with
+        # a faulty line is worded by the walk alone, never built.
+        def out_of_memory(cls, n, sources, targets, orders):
             raise MemoryError
 
         monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))

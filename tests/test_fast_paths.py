@@ -9,8 +9,9 @@ previous one, digraphicality and the splittance read off the rows alone
 zero cells behind ``split_partitions`` (with their row-major order), the
 role walk that builds every cell's partition against the prefix-set
 algebra it replaced, and the turning points, and on the digraph store its
-two builds (byte rows and word ORs) against the store's definition, the
-edit set, its vertex masks, the partition check and the degrees.
+two builds (byte rows and word ORs) against the store's definition and
+the store the CLI's parse feeds against the constructors' stores, the edit
+set, its vertex masks, the partition check and the degrees.
 Exhaustive for small n, then seeded digraphs with N in the hundreds and
 tie-heavy sequences up to N = 2000.  The quadratic slacks of the
 exhaustive sweep are computed once per run and shared.
@@ -38,6 +39,7 @@ from splitkit import (
     repair,
     verify_split_partition,
 )
+from splitkit.cli import parse_document
 from splitkit.digraphs import _mask
 from splitkit.oracle import (
     best_cell_by_scan,
@@ -577,6 +579,43 @@ class TestDigraphStore:
             # Same items in the same order: sources by first appearance.
             assert list(g.succ.items()) == list(succ.items())
             assert list(g.indegree.items()) == list(Counter(targets).items())
+
+    @pytest.mark.parametrize(
+        "n, p, separator",
+        [
+            # Complete digraphs: in-degrees past 255, beyond one byte lane.
+            (300, 1.0, " "), (600, 1.0, " "), (300, 1.0, "\t"),
+            (200, 0.7, " "), (400, 0.05, " "), (400, 0.05, "\t"), (3000, 0.001, " "),
+        ],
+    )
+    def test_parse_and_constructors_store_alike(self, monkeypatch, n, p, separator):
+        # The CLI's build takes each column's first-seen labels from the
+        # parse, the constructors from their lists.  Labels are written as
+        # 7, 07 and +7 at random, so the token a label first appears as in
+        # one column may differ from the one in the other; a tab sends each
+        # block down the line-split path of the parse.
+        rng = random.Random(f"orders:{n}:{p}:{separator!r}")
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        rng.shuffle(arcs)
+        forms = ("{}", "0{}", "+{}")
+        text = f"digraph {n}\n" + "".join(
+            f"{rng.choice(forms).format(u + 1)}{separator}{rng.choice(forms).format(v + 1)}\n"
+            for u, v in arcs
+        )
+        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+        fills = []
+        dense = digraphs._dense
+
+        def spy(*counts):
+            fills.append(dense(*counts))
+            return fills[-1]
+
+        monkeypatch.setattr(digraphs, "_dense", spy)
+        built = [parse_document(text), Digraph.from_lists(n, sources, targets), Digraph(n, arcs)]
+        assert fills == [p >= 0.7] * 3
+        stores = [(list(g.succ.items()), list(g.indegree.items()), repr(g)) for g in built]
+        assert stores[0] == stores[1] == stores[2]
+        assert stores[0][1] == list(Counter(targets).items())
 
     def test_build_peaks(self):
         # A sparse list stays on word ORs: 8 000 arcs from about 3 400
