@@ -103,14 +103,11 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     """
     first, body = _header(text)
     header = first.split()
-    # At least the lines after the header: each ends in "\n" but the last,
-    # and none with fields is shorter than "1 2\n".
-    size = min(text.count("\n"), len(text) // 4)
 
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {first!r}: expected 'seq'")
-        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree", size=size)
+        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree")
         if fault is not None:
             raise fault
         return IntegerPairSequence(zip(out_degrees, in_degrees))
@@ -128,12 +125,15 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"input too large to analyze: {n} vertices")
         table = _Table(1)
         heads, tails = _Seen(table), _Seen(table)
+        # At least the arc lines: each ends in "\n" but the last, and none
+        # with fields is shorter than "1 2\n".
+        size = min(text.count("\n"), len(text) // 4)
         sources, targets, fault = _columns(
             body, 1, "'u v' arc", "label", (heads, tails), size
         )
         if fault is not None:  # an arc before the faulty line may be at fault first
             _raise_first_arc_error(n, sources, targets, fault)
-        orders = dict.fromkeys(heads.values()), dict.fromkeys(tails.values())
+        orders = dict.fromkeys(heads.values(), 0), dict.fromkeys(tails.values())
         digraph = Digraph._unworded(n, sources, targets, orders)
         if digraph is None:  # a bad arc, which the walk words
             _raise_first_arc_error(n, sources, targets, None)

@@ -19,8 +19,10 @@ from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
 # The distinct sources and the distinct targets of an arc list, each in
-# the order first seen.
-Orders = tuple[Collection[int], Collection[int]]
+# the order first seen: the sources as a dict of zeros, which the build
+# fills in as its rows, and the targets as a Counter of them, which is
+# their in-degrees, or as a collection, whose in-degrees the build counts.
+Orders = tuple[dict[int, int], Collection[int]]
 
 # Maps the digits of format(mask, "b") to bytes that are false for "0",
 # and back.
@@ -44,15 +46,15 @@ def _flags_int(flags: bytearray) -> int:
     return int(flags[::-1].translate(_BYTE_BITS) or b"0", 2)
 
 
-def _byte_sums(rows: list[bytearray], n: int, columns: Collection[int]) -> list[int]:
-    """For each v in ``columns``, the number of ``rows`` (each n bytes of 0
-    or 1) with byte v set: the rows are added as ints in byte lanes, up to
-    255 at a time so that no lane carries."""
+def _byte_sums(rows: list[bytearray], n: int, columns: Collection[int]) -> Counter[int]:
+    """Each v in ``columns``, in order, counted once for each of ``rows``
+    (each n bytes of 0 or 1) with byte v set: the rows are added as ints in
+    byte lanes, up to 255 at a time so that no lane carries."""
     sums = [0] * len(columns)
     for start in range(0, len(rows), 255):
-        lanes = sum(map(int.from_bytes, rows[start:start + 255])).to_bytes(n)
+        lanes = sum(map(int.from_bytes, rows[start:start + 255], repeat("big"))).to_bytes(n, "big")
         sums = list(map(add, sums, map(lanes.__getitem__, columns)))
-    return sums
+    return Counter(dict(zip(columns, sums)))
 
 
 def _mask(n: int, vertices: Iterable[int]) -> int:
@@ -125,16 +127,17 @@ class Digraph:
     frozenset of (u, v) tuples, is built on first use.
 
     The build takes the distinct sources and the distinct targets, each in
-    the order first seen, from its caller: the CLI's parse records them as
-    it reads the two columns, and the constructors find them by
-    ``dict.fromkeys``.  It checks the label range on them alone.  M arcs
-    from S distinct sources are then built one of two ways.  When
-    M >= S * max(16, n // 16), each row is a ``bytearray(n)`` that one
-    C-level scatter marks, and the in-degrees are read off the rows, added
-    as ints in byte lanes: O(M + S * n) byte operations, at most 16 bytes
-    an arc.  Otherwise each arc ORs ``1 << v`` into its row and the
-    targets are counted: O(M * n / w) word operations, w the machine word
-    size.
+    the order first seen, from its caller, and checks the label range on
+    them alone.  The constructors find them by ``dict.fromkeys`` of the
+    sources and ``Counter`` of the targets, which is also the in-degrees.
+    The CLI's parse records them as it reads the two columns, and the build
+    counts the in-degrees.  M arcs from S distinct sources are built one of
+    two ways.  When M >= S * max(16, n // 16), each row is a
+    ``bytearray(n)`` that one C-level scatter marks, and in-degrees not yet
+    counted are read off the rows, added as ints in byte lanes:
+    O(M + S * n) byte operations, at most 16 bytes an arc.  Otherwise each
+    arc ORs ``1 << v`` into its row, and in-degrees not yet counted are the
+    targets counted: O(M * n / w) word operations, w the machine word size.
 
     Both constructors raise faults in the order ``from_lists`` states,
     except that ``Digraph(n, arcs)`` merges repeated arcs, and in place
@@ -151,7 +154,7 @@ class Digraph:
         n = _vertex_count(n)
         pairs = list(dict.fromkeys(_label_pairs(arcs)))
         sources, targets = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
-        self._build(n, sources, targets, (dict.fromkeys(sources), dict.fromkeys(targets)))
+        self._build(n, sources, targets, (dict.fromkeys(sources, 0), Counter(targets)))
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
@@ -167,7 +170,7 @@ class Digraph:
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
         index(sum(sources))  # a source 2.0 after a 2 would share its row
         g = cls.__new__(cls)
-        g._build(n, sources, targets, (dict.fromkeys(sources), dict.fromkeys(targets)))
+        g._build(n, sources, targets, (dict.fromkeys(sources, 0), Counter(targets)))
         return g
 
     @classmethod
@@ -186,21 +189,21 @@ class Digraph:
         """Store the arcs of two lists of one length with int sources, given
         their ``orders``, and return True; or for a list at fault raise its
         fault if ``word``, else return False."""
-        heads, tails = orders
+        succ, indegree = orders  # the targets, counted below unless a Counter
         distinct = -1  # not counted: a label outside [0, n), or a loop
-        if within(heads, n) and within(tails, n):
-            succ = dict.fromkeys(heads, 0)
+        if within(succ, n) and within(indegree, n):
             if _dense(n, len(sources), len(succ)):
                 for u in succ:
                     succ[u] = bytearray(n)
                 deque(map(setitem, map(succ.__getitem__, sources), targets, repeat(1)), 0)
                 loop = any(row[u] for u, row in succ.items())
-                sums = _byte_sums(list(succ.values()), n, tails)
-                indegree = Counter(dict(zip(tails, sums)))
+                if not isinstance(indegree, Counter):
+                    indegree = _byte_sums(list(succ.values()), n, indegree)
                 for u, row in succ.items():
                     succ[u] = _flags_int(row)
             else:
-                indegree = Counter(targets)
+                if not isinstance(indegree, Counter):
+                    indegree = Counter(targets)
                 for u, v in zip(sources, targets):
                     succ[u] |= 1 << v
                 loop = any(mask >> u & 1 for u, mask in succ.items())
