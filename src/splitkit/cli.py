@@ -21,7 +21,10 @@ takes its distinct labels from there.  Beyond the text itself the parse
 holds the O(N + M) integers it keeps (M the lines), a string per
 distinct token of each column and the strings of one block.  A block is
 split into lines at most once: a fault is worded from the one block the
-parse refuses, a line at a time, and the integers before it.
+parse refuses, a line at a time, and the integers before it.  An arc
+fault, on a line before a faulty one or in a list the build refuses, is
+the first faulty arc in line order, which the library's one fault walk
+finds and this module words with 1-based labels.
 
 Exit codes: 0 the input is split, 1 valid but not split, 2 unparseable
 input, an invalid ``SPLITKIT_ORACLE_MAX_N`` or an input too large to analyze
@@ -61,13 +64,11 @@ import os
 import re
 import signal
 import sys
-from collections import defaultdict
-from functools import partial
 from itertools import chain
 from operator import itemgetter, methodcaller
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
-from .digraphs import Digraph, EditSet, _dense, degree_sequence, repair
+from .digraphs import ArcFault, Digraph, EditSet, _arc_fault, degree_sequence, repair
 from .errors import BudgetExceededError, SequenceValidationError, SplitkitError
 from .oracle import (
     DEFAULT_BUDGET,
@@ -131,12 +132,13 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
         sources, targets, fault = _columns(
             body, 1, "'u v' arc", "label", (heads, tails), size
         )
-        if fault is not None:  # an arc before the faulty line may be at fault first
-            _raise_first_arc_error(n, sources, targets, fault)
+        if fault is not None:  # never built: an arc before the faulty line may be at fault first
+            raise _arc_error(n, _arc_fault(n, sources, targets)) or fault
         orders = dict.fromkeys(heads.values(), 0), dict.fromkeys(tails.values())
-        digraph = Digraph._unworded(n, sources, targets, orders)
-        if digraph is None:  # a bad arc, which the walk words
-            _raise_first_arc_error(n, sources, targets, None)
+        digraph = Digraph.__new__(Digraph)
+        fault = _arc_error(n, digraph._build(n, sources, targets, orders))
+        if fault is not None:
+            raise fault
         return digraph
 
     raise InputParseError(f"unknown header {first!r}: expected 'seq' or 'digraph N'")
@@ -320,31 +322,16 @@ def _int(token: str, noun: str) -> int:
     raise InputParseError(f"input too large to analyze: {noun} of {digits} digits")
 
 
-def _raise_first_arc_error(
-    n: int, sources: list[int], targets: list[int], fault: InputParseError | None
-) -> NoReturn:
-    """Word the first faulty arc of the columns, one arc at a time; if none
-    is, raise ``fault``.  A dense list keeps the arcs seen as the build
-    does, in a row of n bytes a source; any other keeps the set of ints
-    ``u * n + v``, O(M) as its columns are."""
-    rows = defaultdict(partial(bytearray, n))
-    keys = None if _dense(n, len(sources), len(set(sources))) else set()
-    for u, v in zip(sources, targets):
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputParseError(f"arc ({u + 1}, {v + 1}) outside labels [1, {n}]")
-        if u == v:
-            raise InputParseError(f"loop at vertex {u + 1} not allowed")
-        if keys is None:
-            row = rows[u]
-            seen = row[v]
-            row[v] = 1
-        else:
-            key = u * n + v
-            seen = key in keys
-            keys.add(key)
-        if seen:
-            raise InputParseError(f"duplicate arc ({u + 1}, {v + 1})")
-    raise fault or AssertionError("Digraph refused arcs the walk accepts")
+def _arc_error(n: int, fault: ArcFault | None) -> InputParseError | None:
+    """The error that words an arc ``fault``, labels 1-based, or None."""
+    if fault is None:
+        return None
+    kind, u, v = fault[0], fault[1] + 1, fault[2] + 1
+    if kind == "range":
+        return InputParseError(f"arc ({u}, {v}) outside labels [1, {n}]")
+    if kind == "loop":
+        return InputParseError(f"loop at vertex {u} not allowed")
+    return InputParseError(f"duplicate arc ({u}, {v})")
 
 
 def _bool(value: bool) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, eq, index, itemgetter, setitem
-from typing import Collection, Iterable, Iterator, NoReturn
+from operator import add, index, itemgetter, setitem
+from typing import Collection, Iterable, Iterator
 
 from .sequences import IntegerPairSequence, lazy, within
 from .splittance import Analysis, QuadPartition, induced_partition
 
 Arc = tuple[int, int]
+ArcFault = tuple[str, int, int]  # "range", "loop" or "repeat", and the arc
 # The distinct sources and the distinct targets of an arc list, each in
 # the order first seen: the sources as a dict of zeros, which the build
 # fills in as its rows, and the targets as a Counter of them, which is
@@ -78,19 +79,36 @@ def _vertex_count(n: int) -> int:
     return n
 
 
-def _raise_arc_fault(
-    n: int, sources: list[int], targets: list[int], distinct: int
-) -> NoReturn:
-    """Raise the fault of an arc list the build refused: TypeError for a
-    label that is not an integer, else the ValueError of the first loop,
-    the first arc with a label outside [0, n), or ``distinct`` arcs."""
+def _arc_fault(n: int, sources: list[int], targets: list[int]) -> ArcFault | None:
+    """The TypeError of a label that is not an integer, else the first arc
+    in list order with a label outside [0, n), a loop or a repeat, as
+    ``(kind, u, v)``, or None.  The arcs seen are marked at ``u * n + v``:
+    in one ``bytearray(n * n)`` where ``_dense`` holds with every vertex a
+    source, at most 16 bytes an arc as in the build's rows, else in a
+    ``Counter``, O(M) as the lists are."""
     deque(map(index, chain(sources, targets)), 0)
-    for u in compress(sources, map(eq, sources, targets)):
-        raise ValueError(f"loop at vertex {u} not allowed")
+    seen = bytearray(n * n) if _dense(n, len(sources), n) else Counter()
     for u, v in zip(sources, targets):
         if not (0 <= u < n and 0 <= v < n):
+            return "range", u, v
+        if u == v:
+            return "loop", u, v
+        key = u * n + v
+        if seen[key]:
+            return "repeat", u, v
+        seen[key] = 1
+    return None
+
+
+def _raise_worded(n: int, fault: ArcFault | None) -> None:
+    """Raise the ValueError that words an arc ``fault``, labels 0-based."""
+    if fault is not None:
+        kind, u, v = fault
+        if kind == "range":
             raise ValueError(f"arc ({u}, {v}) outside vertex range [0, {n})")
-    raise ValueError(f"{len(sources)} arcs given, {distinct} distinct")
+        if kind == "loop":
+            raise ValueError(f"loop at vertex {u} not allowed")
+        raise ValueError(f"duplicate arc ({u}, {v})")
 
 
 def _pair(arc: Iterable[int]) -> tuple[int, int]:
@@ -140,10 +158,10 @@ class Digraph:
     targets counted: O(M * n / w) word operations, w the machine word size.
 
     Both constructors raise faults in the order ``from_lists`` states,
-    except that ``Digraph(n, arcs)`` merges repeated arcs, and in place
-    of the lengths of the two lists checks that each arc is a pair: the
-    first arc that is not raises a ValueError that names it, after the
-    faults of n and before those of the labels.
+    ``TypeError`` first, then the first faulty arc in list order; but
+    ``Digraph(n, arcs)`` merges repeated arcs, and in place of the lengths
+    of the lists raises the ValueError that names the first arc that is
+    not a pair, after the faults of n and before those of the labels.
     """
 
     n: int
@@ -154,42 +172,33 @@ class Digraph:
         n = _vertex_count(n)
         pairs = list(dict.fromkeys(_label_pairs(arcs)))
         sources, targets = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
-        self._build(n, sources, targets, (dict.fromkeys(sources, 0), Counter(targets)))
+        _raise_worded(n, self._build(n, sources, targets))
 
     @classmethod
     def from_lists(cls, n: int, sources: list[int], targets: list[int]) -> Digraph:
         """The digraph with arcs ``sources[i] -> targets[i]``.
 
         Raises the first of these faults: n is not an integer (TypeError) or
-        is negative, the lists differ in length, a label is not an integer
-        (TypeError), an arc is a loop, a label lies outside [0, n), an arc
-        repeats; the ValueError of an arc names the first such arc.
+        is negative, the lists differ in length; then ``TypeError`` first,
+        for a label that is not an integer, then the first faulty arc in
+        list order: the ValueError that names the first arc with a label
+        outside [0, n), a loop or a repeat, checked in that order on each.
         """
         n = _vertex_count(n)
         if len(sources) != len(targets):
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
         index(sum(sources))  # a source 2.0 after a 2 would share its row
         g = cls.__new__(cls)
-        g._build(n, sources, targets, (dict.fromkeys(sources, 0), Counter(targets)))
+        _raise_worded(n, g._build(n, sources, targets))
         return g
 
-    @classmethod
-    def _unworded(
-        cls, n: int, sources: list[int], targets: list[int], orders: Orders
-    ) -> Digraph | None:
-        """``from_lists`` for an int n >= 0, two int lists of one length and
-        their ``orders``, or None where it would raise the ValueError of an
-        arc, which is left unworded."""
-        g = cls.__new__(cls)
-        return g if g._build(n, sources, targets, orders, word=False) else None
-
     def _build(
-        self, n: int, sources: list[int], targets: list[int], orders: Orders, word: bool = True
-    ) -> bool:
+        self, n: int, sources: list[int], targets: list[int], orders: Orders | None = None
+    ) -> ArcFault | None:
         """Store the arcs of two lists of one length with int sources, given
-        their ``orders``, and return True; or for a list at fault raise its
-        fault if ``word``, else return False."""
-        succ, indegree = orders  # the targets, counted below unless a Counter
+        their ``orders`` (by default the constructors'), and return None; or
+        for a list at fault return what ``_arc_fault`` finds."""
+        succ, indegree = orders or (dict.fromkeys(sources, 0), Counter(targets))
         distinct = -1  # not counted: a label outside [0, n), or a loop
         if within(succ, n) and within(indegree, n):
             if _dense(n, len(sources), len(succ)):
@@ -210,13 +219,14 @@ class Digraph:
             if not loop:
                 distinct = sum(map(int.bit_count, succ.values()))
         if distinct != len(sources):
-            if word:
-                _raise_arc_fault(n, sources, targets, distinct)
-            return False
+            fault = _arc_fault(n, sources, targets)
+            if fault is None:
+                raise AssertionError("the build refused arcs the walk accepts")
+            return fault
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "indegree", indegree)
-        return True
+        return None
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.succ.items())))

@@ -2,11 +2,11 @@ import argparse
 import importlib.metadata
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
 import sys
-import time
 from collections import Counter
 from itertools import product, takewhile
 from pathlib import Path
@@ -15,6 +15,7 @@ import pytest
 
 import splitkit
 import splitkit.cli as cli
+import splitkit.digraphs as digraphs
 import splitkit.oracle as oracle
 from splitkit import (
     BudgetExceededError,
@@ -739,16 +740,17 @@ class TestReadOnce:
 
 
 class TestOneWordingWalk:
-    # A refused ``digraph`` file is worded by one walk of its columns: the
-    # build the CLI runs refuses without wording, so the library's own
-    # wording walk never runs, for the byte-row build (the complete digraph
-    # on 20 vertices) or the word build (a path on 400 vertices).
+    # A refused ``digraph`` file is worded from one walk of its columns,
+    # ``digraphs._arc_fault``, the walk the library words too: it runs
+    # once, after the build refuses the byte rows (the complete digraph on
+    # 20 vertices) or the words (a path on 400 vertices), or on the lines
+    # before a faulty line, and the library's own wording never runs.
     FILES = {
         "dense": (20, [(u, v) for u in range(1, 21) for v in range(1, 21) if u != v]),
         "sparse": (400, [(u, u + 1) for u in range(1, 400)]),
     }
 
-    @pytest.mark.parametrize("last", ["{n} {n}", "1 {m}", "0 3", "{repeat}"])
+    @pytest.mark.parametrize("last", ["{n} {n}", "1 {m}", "0 3", "{repeat}", "1 2 3"])
     @pytest.mark.parametrize("store", sorted(FILES))
     def test_the_library_wording_never_runs(self, store, last, tmp_path, capsys, monkeypatch):
         n, arcs = self.FILES[store]
@@ -757,49 +759,113 @@ class TestOneWordingWalk:
         text = "".join(f"{line}\n" for line in [f"digraph {n}", *lines])
         with pytest.raises(InputParseError) as expected:
             parse_digraph_by_lines(text)
-        worded = []
-        monkeypatch.setattr(
-            "splitkit.digraphs._raise_arc_fault", lambda *args: worded.append(args)
-        )
+        walk, walks, worded = digraphs._arc_fault, [], []
+
+        def counted(*args):
+            walks.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(digraphs, "_arc_fault", counted)
+        monkeypatch.setattr(cli, "_arc_fault", counted)
+        monkeypatch.setattr(digraphs, "_raise_worded", lambda *args: worded.append(args))
         path = tmp_path / "faulty.digraph"
         path.write_text(text)
         assert run(["repair", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {expected.value}\n")
-        assert worded == []
+        assert (walks, worded) == ([n], [])
 
-    def test_walk_takes_no_longer_than_the_build(self):
-        # A sparse list, N = 10^4 and M = 3 * 10^4, with its last arc
-        # repeated: the build refuses it, and the walk words it.  The walk
-        # keeps a set of one int an arc, where the build ORs N-bit words:
-        # the fastest of five runs each took 6 against 28 ms, and the walk
-        # may take at most half the build's time.
-        rng = random.Random(30_000)
-        n, pairs = 10_000, {}
-        while len(pairs) < 30_000:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                pairs[u, v] = None
-        arcs = [*pairs, next(iter(pairs))]
-        sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
-        u, v = arcs[0]
+    def test_sparse_walk_keeps_one_entry_an_arc(self):
+        # A sparse list, N = 10^4 and M = 3 * 10^4, with its first arc
+        # repeated last.  The walk marks each arc seen at u * N + v in a
+        # Counter and traced 2.5 MiB; marked in one byte a cell, as a dense
+        # list is, it traced 95 MiB.
+        prelude = (
+            "import random\n"
+            "from splitkit.digraphs import _arc_fault\n"
+            "rng = random.Random(30_000)\n"
+            "n, pairs = 10_000, {}\n"
+            "while len(pairs) < 30_000:\n"
+            "    u, v = rng.randrange(n), rng.randrange(n)\n"
+            "    if u != v:\n"
+            "        pairs[u, v] = None\n"
+            "arcs = [*pairs, next(iter(pairs))]\n"
+            "sources, targets = [u for u, _ in arcs], [v for _, v in arcs]\n"
+        )
+        [(fault, peak)] = traced_peaks(prelude, ["(_arc_fault(n, sources, targets), arcs[0])"])
+        assert fault[0] == ("repeat", *fault[1])
+        assert peak < 8 << 20
 
-        def fastest(call) -> float:
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                call()
-                times.append(time.perf_counter() - start)
-            return min(times)
 
-        def walk() -> None:
-            with pytest.raises(InputParseError, match=rf"^duplicate arc \({u + 1}, {v + 1}\)$"):
-                cli._raise_first_arc_error(n, sources, targets, None)
+class TestFaultParity:
+    # The CLI and the library name the same fault: on seeded dense and
+    # sparse lists with N in the hundreds, each with one to three planted
+    # faults (a label out of range, a loop, a repeat) at random places,
+    # ``parse_document`` on the file and ``Digraph.from_lists`` on its
+    # 0-based columns both name the first faulty arc in list order.
+    WORDS = [
+        ("range", r"arc \((-?\d+), (-?\d+)\) outside (?:vertex range|labels) "),
+        ("loop", r"loop at vertex (-?\d+)() not allowed"),
+        ("repeat", r"duplicate arc \((-?\d+), (-?\d+)\)"),
+    ]
 
-        def build() -> None:
-            orders = dict.fromkeys(sources, 0), dict.fromkeys(targets)
-            assert Digraph._unworded(n, sources, targets, orders) is None
+    @classmethod
+    def named(cls, message: str, base: int) -> tuple:
+        """The kind and the 0-based arc a fault message names."""
+        for kind, pattern in cls.WORDS:
+            match = re.match(pattern, message)
+            if match:
+                u, v = match.groups()
+                return kind, int(u) - base, int(v or u) - base
+        raise AssertionError(message)
 
-        assert fastest(walk) <= 0.5 * fastest(build)
+    @staticmethod
+    def first_fault(n: int, arcs: list) -> tuple:
+        seen = set()
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                return "range", u, v
+            if u == v:
+                return "loop", u, v
+            if (u, v) in seen:
+                return "repeat", u, v
+            seen.add((u, v))
+        raise AssertionError("no fault planted")
+
+    def test_both_front_ends_name_the_first_faulty_arc(self):
+        rng = random.Random(26)
+        kinds, stores = Counter(), Counter()
+        for case in range(60):
+            n = rng.randint(100, 300)
+            if case % 2:
+                arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.2}
+            else:
+                arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+            arcs = [(u, v) for u, v in arcs if u != v]
+            rng.shuffle(arcs)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(arcs))
+                u, v = arcs[i]
+                kind = rng.choice(["range", "loop", "repeat"])
+                if kind == "range":
+                    bad = rng.choice([-1 - rng.randrange(3), n + rng.randrange(3)])
+                    arcs[i] = (bad, v) if rng.random() < 0.5 else (u, bad)
+                elif kind == "loop":
+                    arcs[i] = (u, u)
+                else:
+                    arcs.insert(rng.randrange(len(arcs) + 1), (u, v))
+            sources, targets = [u for u, _ in arcs], [v for _, v in arcs]
+            expected = self.first_fault(n, arcs)
+            with pytest.raises(ValueError) as from_lists:
+                Digraph.from_lists(n, sources, targets)
+            text = f"digraph {n}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in arcs)
+            with pytest.raises(InputParseError) as parsed:
+                parse_document(text)
+            assert self.named(str(from_lists.value), 0) == expected
+            assert self.named(str(parsed.value), 1) == expected
+            kinds[expected[0]] += 1
+            stores[digraphs._dense(n, len(arcs), len(set(sources)))] += 1
+        assert min(kinds[kind] for kind, _ in self.WORDS) > 5, kinds
+        assert stores[True] == stores[False] == 30, stores
 
 
 class TestParseMemory:
@@ -808,7 +874,7 @@ class TestParseMemory:
         # text, and no edits to make.  The parse keeps two integer columns
         # and the strings of one block.  A faulty last line adds a walk of
         # its own block; any fault adds a walk of the columns that keeps one
-        # row of bytes a source.  None may trace 16 MiB; a parse that split
+        # byte for each of the n * n arcs it may see.  None may trace 16 MiB; a parse that split
         # the whole text at once traced 22.7 MiB on the valid file.
         n = 317
         labels = range(1, n + 1)
@@ -827,7 +893,7 @@ class TestParseMemory:
     def test_fault_walk_holds_rows_not_arcs(self):
         # The complete digraph on 317 vertices, and the same with its first
         # arc repeated on the last line, which the walk of the columns
-        # words.  The walk keeps 317 rows of 317 bytes: the faulty file may
+        # words.  The walk keeps 317 * 317 bytes, one a cell: the faulty file may
         # trace at most half as much again as the valid one.  A walk that
         # kept each arc seen as one int in a set traced 10.1 MiB against
         # 1.9 MiB.
@@ -1113,10 +1179,10 @@ class TestEndings:
     def test_out_of_memory_while_parsing_exits_2(self, tmp_path, capsys, monkeypatch):
         # The arc store is what the parser allocates; fail it the way it
         # would fail, without allocating anything.
-        def out_of_memory(cls, n, sources, targets, orders):
+        def out_of_memory(self, n, sources, targets, orders=None):
             raise MemoryError
 
-        monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))
+        monkeypatch.setattr(cli.Digraph, "_build", out_of_memory)
         path = tmp_path / "cycle.digraph"
         path.write_text("digraph 4\n1 2\n2 3\n3 4\n4 1\n")
         assert run(["repair", str(path)]) == 2
@@ -1134,10 +1200,10 @@ class TestEndings:
         # A store too large to build for the arcs before a faulty line hides
         # neither that line's fault nor an arc fault before it: a file with
         # a faulty line is worded by the walk alone, never built.
-        def out_of_memory(cls, n, sources, targets, orders):
+        def out_of_memory(self, n, sources, targets, orders=None):
             raise MemoryError
 
-        monkeypatch.setattr(cli.Digraph, "_unworded", classmethod(out_of_memory))
+        monkeypatch.setattr(cli.Digraph, "_build", out_of_memory)
         path = tmp_path / "faulty.digraph"
         path.write_text(f"digraph {10 ** 18}\n{body}")
         assert run(["repair", str(path)]) == 2

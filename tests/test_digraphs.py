@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -50,7 +51,7 @@ class TestDigraph:
             EditSet(add=[(0, 1)], remove=[(0, 1)])
 
     def test_from_lists_rejects_a_repeated_arc(self):
-        with pytest.raises(ValueError, match="3 arcs given, 2 distinct"):
+        with pytest.raises(ValueError, match=r"^duplicate arc \(0, 1\)$"):
             Digraph.from_lists(3, [0, 1, 0], [1, 2, 1])
         assert Digraph.from_lists(3, [0, 1], [1, 2]) == Digraph(3, [(0, 1), (1, 2)])
 
@@ -124,7 +125,10 @@ class TestArcContract:
             3, [(0, 1), (1, 7), (4, 0)], "arc (1, 7) outside vertex range [0, 3)"
         ),
         "n < 0": (-3, [], "negative vertex count -3"),
-        "loop after a range fault": (3, [(0, 5), (2, 2)], "loop at vertex 2 not allowed"),
+        # The first faulty arc in list order, whatever its class.
+        "loop after a range fault": (
+            3, [(0, 5), (2, 2)], "arc (0, 5) outside vertex range [0, 3)"
+        ),
         # Arcs that are not pairs, which only Digraph(n, arcs) can be given:
         # the first one is named, before any fault of a label.
         "three labels": (3, [(0, 1), (0, 1, 2)], "arc (0, 1, 2) is not a pair"),
@@ -250,11 +254,9 @@ class TestDenseFaults:
         "loop after a float target": ([(5, 1, 2.5), (9, 3, 3)], (TypeError, None)),
         "loop of a float and an int": ([(9, 2.0, 2), (12, 4, 4)], (TypeError, None)),
         "loop after a range fault": (
-            [(5, 1, 20), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
+            [(5, 1, 20), (9, 3, 3)], (ValueError, "arc (1, 20) outside vertex range [0, 20)")
         ),
-        "loop and a repeat": (
-            [(5, 0, 1), (9, 3, 3)], (ValueError, "loop at vertex 3 not allowed")
-        ),
+        "loop and a repeat": ([(5, 0, 1), (9, 3, 3)], (ValueError, "duplicate arc (0, 1)")),
         "float target after a source range fault": (
             [(5, 20, 1), (9, 1, 2.5)], (TypeError, None)
         ),
@@ -273,7 +275,7 @@ class TestDenseFaults:
         "source range fault": (
             [(9, 20, 1)], (ValueError, "arc (20, 1) outside vertex range [0, 20)")
         ),
-        "repeat": ([(5, 0, 1)], (ValueError, "381 arcs given, 380 distinct")),
+        "repeat": ([(5, 0, 1)], (ValueError, "duplicate arc (0, 1)")),
     }
 
     @classmethod
@@ -312,7 +314,9 @@ class TestDenseFaults:
     )
     def test_one_contract(self, kind, case):
         # Both constructors raise the same class, and the same message for
-        # a ValueError, except that Digraph(n, arcs) merges repeats.
+        # a ValueError, except that Digraph(n, arcs) merges repeats: where
+        # from_lists names a repeat, it gives what from_lists gives on the
+        # merged list.
         if kind == "fault":
             n, arcs, _ = TestArcContract.FAULTS[case]
             sources, targets = TestArcContract.lists(arcs)
@@ -323,9 +327,9 @@ class TestDenseFaults:
         from_lists = build_outcome(n, sources, targets)
         from_pairs = pairs_outcome(n, sources, targets)
         assert from_lists[0] is not Digraph
-        if from_lists[1] and "distinct" in from_lists[1]:
+        if from_lists[1] and from_lists[1].startswith("duplicate arc"):
             distinct = list(dict.fromkeys(zip(sources, targets)))
-            assert from_pairs == (Digraph, repr(Digraph.from_lists(n, *zip(*distinct))))
+            assert from_pairs == build_outcome(n, *zip(*distinct))
         else:
             assert from_pairs == from_lists
 
@@ -336,8 +340,10 @@ class TestDenseFaults:
         fills = []
 
         def spy(*counts):
-            fills.append(dense(*counts))
-            return fills[-1]
+            # The fault walk reads the rule too; only the build's call picks a fill.
+            if sys._getframe(1).f_code is not digraphs._arc_fault.__code__:
+                fills.append(dense(*counts))
+            return dense(*counts)
 
         outcomes, rows_ran = Counter(), Counter()
         for _ in range(300):
