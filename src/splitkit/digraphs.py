@@ -80,13 +80,11 @@ def _vertex_count(n: int) -> int:
 
 
 def _arc_fault(n: int, sources: list[int], targets: list[int]) -> ArcFault | None:
-    """The TypeError of a label that is not an integer, else the first arc
-    in list order with a label outside [0, n), a loop or a repeat, as
-    ``(kind, u, v)``, or None.  The arcs seen are marked at ``u * n + v``:
-    in one ``bytearray(n * n)`` where ``_dense`` holds with every vertex a
-    source, at most 16 bytes an arc as in the build's rows, else in a
-    ``Counter``, O(M) as the lists are."""
-    deque(map(index, chain(sources, targets)), 0)
+    """The first arc in list order with a label outside [0, n), a loop or a
+    repeat, as ``(kind, u, v)``, or None.  The arcs seen are marked at
+    ``u * n + v``: in one ``bytearray(n * n)`` where ``_dense`` holds with
+    every vertex a source, at most 16 bytes an arc as in the build's rows,
+    else in a ``Counter``, O(M) as the lists are."""
     seen = bytearray(n * n) if _dense(n, len(sources), n) else Counter()
     for u, v in zip(sources, targets):
         if not (0 <= u < n and 0 <= v < n):
@@ -189,7 +187,10 @@ class Digraph:
             raise ValueError(f"{len(sources)} sources but {len(targets)} targets")
         index(sum(sources))  # a source 2.0 after a 2 would share its row
         g = cls.__new__(cls)
-        _raise_worded(n, g._build(n, sources, targets))
+        fault = g._build(n, sources, targets)
+        if fault is not None:
+            deque(map(index, chain(sources, targets)), 0)  # a TypeError comes first
+            _raise_worded(n, fault)
         return g
 
     def _build(

@@ -14,13 +14,16 @@ from pathlib import Path
 import splitkit
 from splitkit import (
     Digraph,
+    EditSet,
     IntegerPairSequence,
     NegativeDegreeError,
     OutOfRangeError,
     QuadPartition,
     SplittanceMatrix,
+    oracle,
 )
-from splitkit.sequences import ProperOrdering
+from splitkit.sequences import ProperOrdering, proper_order, reorder
+from splitkit.splittance import MaximalSequences, SlackPair, _measure_out
 
 
 def child_env() -> dict[str, str]:
@@ -109,6 +112,156 @@ def nontrivial_cells(matrix: SplittanceMatrix):
     for k, l, value in cells(matrix):
         if (k, l) != (0, n) and (k, l) != (n, 0):
             yield k, l, value
+
+
+def nontrivial_partitions(n: int) -> tuple[QuadPartition, ...]:
+    """Every non-trivial quad partition of n vertices."""
+    return tuple(oracle._quad_partitions(n))
+
+
+def enumerate_digraphs(
+    n: int, budget: oracle.EnumerationBudget = oracle.DEFAULT_BUDGET
+):
+    """Every labeled simple loopless digraph on n vertices, each exactly once.
+
+    Raises:
+        BudgetExceededError: n exceeds ``budget.max_vertices`` or has more
+            than 2^``oracle.MAX_ARC_SLOTS`` digraphs (n > 5); raised by the
+            call, before anything is yielded.
+    """
+    oracle._require(n, budget, "exhaustive enumeration", n * (n - 1), "digraphs")
+    slots = oracle._arc_slots(n)
+    return (
+        Digraph(n, (slots[i] for i in range(len(slots)) if mask >> i & 1))
+        for mask in range(1 << len(slots))
+    )
+
+
+def splittance_matrix_by_rows(seq: IntegerPairSequence) -> SplittanceMatrix:
+    """Each row built alone by walking its columns, O(N^2); the reference
+    for the row recurrence of ``splittance_matrix``."""
+    ordering = proper_order(seq)
+    outs, ins = seq.out_degrees, seq.in_degrees
+    pos_rank = ordering.pos_rank
+    rows = []
+    for k in range(seq.n + 1):
+        # Column 0 holds the in-degree mass less the out-degree of the
+        # top-k out-major prefix; then the in-major entries join the
+        # receiving side one at a time.
+        value = seq.sum_in - sum(outs[i] for i in ordering.pos_perm[:k])
+        row = [value]
+        for j in ordering.neg_perm:
+            # k new sender slots, less j's own loop slot when j sends, less
+            # the in-degree of j, which the receiving side now covers.
+            value += k - (pos_rank[j] < k) - ins[j]
+            row.append(value)
+        rows.append(tuple(row))
+    return SplittanceMatrix(tuple(rows))
+
+
+def induced_partition_by_prefixes(
+    seq: IntegerPairSequence, ordering: ProperOrdering, k: int, l: int
+) -> QuadPartition:
+    """The partition of cell (k, l) in [0, N]^2 by set algebra on the two
+    prefixes; the reference for the role walk of
+    ``splittance.induced_partition``."""
+    top_out = frozenset(ordering.pos_perm[:k])
+    top_in = frozenset(ordering.neg_perm[:l])
+    return QuadPartition(
+        seq.n,
+        pm=top_out & top_in,
+        plus=top_out - top_in,
+        minus=top_in - top_out,
+        zero=frozenset(ordering.pos_perm[k:]).difference(top_in),
+    )
+
+
+def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
+    """Literal per-cell evaluation; an independent check of the fast path."""
+    ordering = proper_order(seq)
+    n = seq.n
+    rows = []
+    for k in range(n + 1):
+        row = tuple(
+            _measure_out(seq, induced_partition_by_prefixes(seq, ordering, k, l))
+            for l in range(n + 1)
+        )
+        rows.append(row)
+    return SplittanceMatrix(tuple(rows))
+
+
+def fulkerson_slack_quadratic(seq: IntegerPairSequence) -> SlackPair:
+    """Both slack families summed literally, O(N^2); a check of the O(N) pass."""
+    ordering = proper_order(seq)
+    n = seq.n
+    families = []
+    for perm, demand_at, cap_at in ((ordering.pos_perm, 0, 1), (ordering.neg_perm, 1, 0)):
+        pairs = reorder(seq.pairs, perm)
+        family = []
+        for k in range(n + 1):
+            head = sum(min(pairs[i][cap_at], k - 1) for i in range(k))
+            tail = sum(min(pairs[i][cap_at], k) for i in range(k, n))
+            demand = sum(pairs[i][demand_at] for i in range(k))
+            family.append(head + tail - demand)
+        families.append(tuple(family))
+    return SlackPair(*families)
+
+
+def maximal_sequences_quadratic(seq: IntegerPairSequence) -> MaximalSequences:
+    """Turning points found by scanning each prefix pair, O(N^2)."""
+    ordering = proper_order(seq)
+    n = seq.n
+
+    def turning_point(k, prefix_perm, perm, at):
+        top = frozenset(prefix_perm[:k])
+        for j in range(n, 0, -1):
+            origin = perm[j - 1]
+            degree = seq.pairs[origin][at]
+            if degree > k - 1 or (degree == k - 1 and origin in top):
+                return j
+        return 0
+
+    return MaximalSequences(
+        m_bar=tuple(
+            turning_point(l, ordering.neg_perm, ordering.pos_perm, 0)
+            for l in range(n + 1)
+        ),
+        m_under=tuple(
+            turning_point(k, ordering.pos_perm, ordering.neg_perm, 1)
+            for k in range(n + 1)
+        ),
+    )
+
+
+def best_cell_by_scan(matrix: SplittanceMatrix) -> tuple[int, int]:
+    """Row-major first cell away from the trivial corners holding the
+    minimum, by scanning every cell; needs N >= 1."""
+    best = min(nontrivial_cells(matrix), key=lambda cell: cell[2])
+    return best[0], best[1]
+
+
+def zero_cells_by_scan(matrix: SplittanceMatrix) -> list[tuple[int, int]]:
+    """Every zero cell away from the trivial corners, in row-major order."""
+    return [(k, l) for k, l, value in nontrivial_cells(matrix) if value == 0]
+
+
+def edit_set_by_scan(g: Digraph, part: QuadPartition) -> EditSet:
+    """The edit set by testing every sender-receiver pair and every arc
+    against the arc set, O(k * l + |A|); a check of the bitset path."""
+    senders = part.pm | part.plus
+    receivers = part.pm | part.minus
+    add = frozenset(
+        (u, v)
+        for u in senders
+        for v in receivers
+        if u != v and (u, v) not in g.arcs
+    )
+    silenced = part.minus | part.zero
+    protected = part.plus | part.zero
+    remove = frozenset(
+        (u, v) for u, v in g.arcs if u in silenced and v in protected
+    )
+    return EditSet(add, remove)
 
 
 def random_valid_pairs(rng: random.Random, n: int) -> IntegerPairSequence:

@@ -31,13 +31,13 @@ from splitkit import (
     verify_split_partition,
 )
 from splitkit.cli import run
-from splitkit.oracle import enumerate_digraphs
 from splitkit.sequences import proper_order
 from splitkit.splittance import _measure_in, _measure_out, induced_partition
 
 from conftest import DIREXT_MATRIX, DIREXT_PAIRS, EX1_MATRIX, EX1_PAIRS
 from helpers import (
     cells,
+    enumerate_digraphs,
     induced_inequality_checks,
     nontrivial_cells,
     random_balanced_pairs,

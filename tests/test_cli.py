@@ -31,25 +31,23 @@ from splitkit import (
     splittance_matrix,
 )
 from splitkit.cli import InputParseError, parse_document, run
-from splitkit.oracle import (
-    fulkerson_slack_quadratic,
-    induced_partition_by_prefixes,
-    maximal_sequences_quadratic,
-    splittance_matrix_by_rows,
-    zero_cells_by_scan,
-)
 from splitkit.sequences import proper_order
 
 from helpers import (
     child_env,
+    fulkerson_slack_quadratic,
     gnp_degree_sequence,
+    induced_partition_by_prefixes,
+    maximal_sequences_quadratic,
     parse_digraph_by_lines,
     parse_sequence_by_lines,
     planted_split_digraph,
     random_balanced_pairs,
     render_matrix_by_generators,
     render_partitions_by_sort,
+    splittance_matrix_by_rows,
     traced_peaks,
+    zero_cells_by_scan,
 )
 
 try:
@@ -1813,7 +1811,7 @@ class TestConsoleScript:
 class TestRenderedOutput:
     # The matrix row template and the partition role-array writer against
     # the per-integer, sort-based formatting they replaced, fed from the
-    # oracle's matrix, slacks, turning points and zero cells.
+    # quadratic references' matrix, slacks, turning points and zero cells.
 
     @staticmethod
     def sequence(family, rng, n):

@@ -1,5 +1,5 @@
 """Differential tests: each fast path against the code it replaced, kept
-in ``splitkit.oracle``.
+in ``helpers``.
 
 The paths are the two orders, the out-major one that the answers sort
 alone and the in-major one sorted when a later part reads it (against the
@@ -41,29 +41,27 @@ from splitkit import (
 )
 from splitkit.cli import parse_document
 from splitkit.digraphs import _mask
-from splitkit.oracle import (
-    best_cell_by_scan,
-    brute_realize,
-    edit_set_by_scan,
-    enumerate_digraphs,
-    fulkerson_slack_quadratic,
-    induced_partition_by_prefixes,
-    maximal_sequences_quadratic,
-    splittance_matrix_bruteforce,
-    splittance_matrix_by_rows,
-    zero_cells_by_scan,
-)
+from splitkit.oracle import brute_realize
 from splitkit.sequences import lex_order, proper_order
 from splitkit.splittance import Analysis, SlackPair, _cell_blocks, induced_partition
 
 from helpers import (
+    best_cell_by_scan,
+    edit_set_by_scan,
+    enumerate_digraphs,
+    fulkerson_slack_quadratic,
     gnp_degree_sequence,
+    induced_partition_by_prefixes,
+    maximal_sequences_quadratic,
     planted_split_digraph,
     proper_order_by_tuples,
     random_balanced_pairs,
     random_digraph,
     random_quad_partition,
+    splittance_matrix_bruteforce,
+    splittance_matrix_by_rows,
     traced_peaks,
+    zero_cells_by_scan,
 )
 
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import random
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,14 @@ from splitkit import (
     is_digraphic,
 )
 from splitkit import oracle, splittance
-from splitkit.oracle import enumerate_digraphs, nontrivial_partitions
 from splitkit.sequences import validate
 
-from helpers import random_balanced_pairs, traced_peaks
+from helpers import (
+    enumerate_digraphs,
+    nontrivial_partitions,
+    random_balanced_pairs,
+    traced_peaks,
+)
 
 
 class TestEnumerateDigraphs:
@@ -206,3 +212,39 @@ class TestPartitionEnumeration:
 
     def test_zero_vertices_has_no_nontrivial(self):
         assert nontrivial_partitions(0) == ()
+
+
+class TestShippedNames:
+    ROOT = Path(__file__).parent.parent
+
+    @staticmethod
+    def names(path):
+        """Every name ``path`` reads, imports or reads as an attribute."""
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+        return found
+
+    def test_every_public_search_has_a_caller(self):
+        # The package ships a public function or class of the oracle only
+        # for the CLI, the top level or the benchmark to call; references
+        # that only the tests call live in ``helpers``.  Constants such as
+        # MAX_ARC_SLOTS are settings the searches read, not entry points.
+        package = self.ROOT / "src" / "splitkit"
+        tree = ast.parse((package / "oracle.py").read_text(encoding="utf-8"))
+        public = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+        callers = [path for path in package.glob("*.py") if path.name != "oracle.py"]
+        callers += (self.ROOT / "perfbench").rglob("*.py")
+        referenced = set().union(*map(self.names, callers))
+        assert "brute_realize" in public
+        assert sorted(public - referenced) == []

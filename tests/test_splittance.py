@@ -26,7 +26,6 @@ from splitkit import (
     splittance_sequence,
     verify_split_partition,
 )
-from splitkit.oracle import splittance_matrix_bruteforce
 from splitkit.sequences import proper_order
 from splitkit.splittance import (
     _measure_in,
@@ -46,6 +45,7 @@ from helpers import (
     random_quad_partition,
     random_valid_pairs,
     rebalance,
+    splittance_matrix_bruteforce,
 )
 
 FOUR_CYCLE = IntegerPairSequence([(1, 1)] * 4)
