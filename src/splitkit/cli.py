@@ -14,12 +14,12 @@ in skeleton form, each line two fields with one space between them and a
 with no line list; any other block is split into lines, joined with a
 ``;`` sentinel after each line and split again.  Either way each column
 of the block is one ``map`` through a table that converts a token the
-first time it is looked up.  In a ``digraph`` file each column maps
-through a table of its own that reads a new token from that one, and so
-keeps the column's tokens in the order first seen: the ``Digraph`` build
-takes its distinct labels from there.  Beyond the text itself the parse
-holds the O(N + M) integers it keeps (M the lines), a string per
-distinct token of each column and the strings of one block.  A block is
+first time it is looked up.  A ``seq`` file has one table, which both
+columns share; a ``digraph`` file has a table a column, which keeps the
+column's tokens in the order first seen: the ``Digraph`` build takes its
+distinct labels from there.  Beyond the text itself the parse holds
+the O(N + M) integers it keeps (M the lines), a string per distinct
+token of each column and the strings of one block.  A block is
 split into lines at most once: a fault is worded from the one block the
 parse refuses, a line at a time, and the integers before it.  An arc
 fault, on a line before a faulty one or in a list the build refuses, is
@@ -104,11 +104,17 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     """
     first, body = _header(text)
     header = first.split()
+    # At least the lines with fields: each ends in "\n" but the last, and
+    # none is shorter than "1 2\n".
+    size = min(text.count("\n"), len(text) // 4)
 
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {first!r}: expected 'seq'")
-        out_degrees, in_degrees, fault = _columns(body, 0, "'out in' pair", "degree")
+        table = _Table(0)
+        out_degrees, in_degrees, fault = _columns(
+            body, (table, table), size, "'out in' pair", "degree"
+        )
         if fault is not None:
             raise fault
         return IntegerPairSequence(zip(out_degrees, in_degrees))
@@ -124,14 +130,8 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"negative vertex count {n}")
         if n > sys.maxsize:  # no list of n degrees fits in memory
             raise InputParseError(f"input too large to analyze: {n} vertices")
-        table = _Table(1)
-        heads, tails = _Seen(table), _Seen(table)
-        # At least the arc lines: each ends in "\n" but the last, and none
-        # with fields is shorter than "1 2\n".
-        size = min(text.count("\n"), len(text) // 4)
-        sources, targets, fault = _columns(
-            body, 1, "'u v' arc", "label", (heads, tails), size
-        )
+        heads, tails = _Table(1), _Table(1)
+        sources, targets, fault = _columns(body, (heads, tails), size, "'u v' arc", "label")
         if fault is not None:  # never built: an arc before the faulty line may be at fault first
             raise _arc_error(n, _arc_fault(n, sources, targets)) or fault
         orders = dict.fromkeys(heads.values(), 0), dict.fromkeys(tails.values())
@@ -229,45 +229,27 @@ class _Table(dict):
         return value
 
 
-class _Seen(dict):
-    """The tokens of one column, in the order first seen, each mapped to
-    its value in ``table``: a lookup of a new token reads ``table`` and
-    stores the result."""
-
-    def __init__(self, table: _Table) -> None:
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, token: str) -> int:
-        self[token] = value = self.table[token]
-        return value
-
-
 def _columns(
-    blocks: Iterable[str],
-    base: int,
-    shape: str,
-    noun: str,
-    tables: tuple[_Seen, _Seen] | None = None,
-    size: int = 0,
+    blocks: Iterable[str], tables: tuple[_Table, _Table], size: int, shape: str, noun: str
 ) -> tuple[list[int], list[int], InputParseError | None]:
-    """The integer columns, less ``base``, of the lines in ``blocks`` before
-    the first that is not ``shape`` with integer ``noun``s, and the error
-    that words that line, or None.
+    """The integer columns of the lines in ``blocks`` before the first that
+    is not ``shape`` with integer ``noun``s, each token read through its
+    column's one of ``tables``, and the error that words that line, or None.
 
     A block in skeleton form (``_skeleton_fields``) is split once, with no
     line list.  Any other block is line-split and checked by the ``;``
     sentinel (``_sentinel_fields``).  Either way each column of the block
-    is one C-level ``map`` over its fields, one lookup a token, through one
-    ``_Table`` that every block reads, or through one of ``tables`` a
-    column, which then keep each column's tokens in the order first seen.
-    Both columns are allocated for ``size`` lines up front and cut to the
-    lines read, so that neither is moved as it grows.  A token
-    ``int`` refuses stops the map mid-block: that block's integers are
-    taken off both columns, and the block is walked a line at a time to
-    word its first faulty line.
+    is one C-level ``map`` over its fields, one lookup a token, through its
+    column's ``_Table``: a ``seq`` file passes one table for both columns,
+    so each distinct token is converted once a file, and a ``digraph``
+    file a table a column, which then holds the column's tokens in the
+    order first seen.  Both columns are allocated for ``size`` lines up
+    front and cut to the lines read, so that neither is moved as it grows.
+    A token ``int`` refuses stops the map mid-block: that block's integers
+    are taken off both columns, and the block is walked a line at a time,
+    less the tables' ``base``, to word its first faulty line.
     """
-    first_value, second_value = (table.__getitem__ for table in tables or (_Table(base),) * 2)
+    first_value, second_value = tables[0].__getitem__, tables[1].__getitem__
     first, second = [0] * size, [0] * size
     count = 0  # the lines read
     for block in blocks:
@@ -298,8 +280,8 @@ def _columns(
                 u, v = _int(fields[0], noun), _int(fields[1], noun)
             except ValueError:
                 raise InputParseError(f"non-integer {noun} in line {line!r}") from None
-            first.append(u - base)
-            second.append(v - base)
+            first.append(u - tables[0].base)
+            second.append(v - tables[1].base)
     except InputParseError as fault:
         return first, second, fault
     raise AssertionError("the bulk checks refused a block the line walk accepts")

@@ -68,8 +68,10 @@ def _mask(n: int, vertices: Iterable[int]) -> int:
 
 def _dense(n: int, arcs: int, sources: int) -> bool:
     """Whether ``arcs`` arcs from ``sources`` distinct sources on n vertices
-    fill byte rows, at most 16 bytes an arc, rather than OR words."""
-    return n > 16 and arcs >= sources * max(16, n // 16)
+    fill byte rows, at most 16 bytes an arc, rather than OR words.  Below
+    17 vertices no source has 16 distinct arcs, so only a list with
+    repeats, or with no arcs, passes there."""
+    return arcs >= sources * max(16, n // 16)
 
 
 def _vertex_count(n: int) -> int:

@@ -94,24 +94,15 @@ def _measure_out(seq: IntegerPairSequence, part: QuadPartition) -> int:
     )
 
 
-def _measure_in(seq: IntegerPairSequence, part: QuadPartition) -> int:
-    # in-form: same count written from the receiving side.
-    l = part.l
-    outs, ins = seq.out_degrees, seq.in_degrees
-    return (
-        len(part.pm) * (l - 1)
-        + len(part.plus) * l
-        + sum(outs[x] for x in part.minus | part.zero)
-        - sum(ins[x] for x in part.pm | part.minus)
-    )
-
-
 def partition_measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
     """Arc edits needed for ``part`` to satisfy all block constraints.
 
-    Both defining forms are evaluated and must agree, which happens exactly
-    when the sequence is balanced.  The result can be negative for
-    sequences that are not digraphic; it is returned as computed.
+    The count is written from the sending side.  Written from the
+    receiving side it differs by exactly the in-degree total less the
+    out-degree total, so the two agree exactly when the sequence is
+    balanced, and an unbalanced sequence has no measure.  The result can
+    be negative for sequences that are not digraphic; it is returned as
+    computed.
 
     Raises:
         UnbalancedSequenceError: total out- and in-degree differ.
@@ -125,14 +116,12 @@ def partition_measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
 def _measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
     # partition_measure on a validated sequence and a partition of its N
     # vertices, as the exhaustive sweep supplies them.
-    out_form = _measure_out(seq, part)
-    in_form = _measure_in(seq, part)
-    if out_form != in_form:
+    if not seq.is_balanced:
         raise UnbalancedSequenceError(
-            f"measure forms disagree ({out_form} != {in_form}); the sequence "
-            f"has out-degree total {seq.sum_out} but in-degree total {seq.sum_in}"
+            f"the sequence has out-degree total {seq.sum_out} "
+            f"but in-degree total {seq.sum_in}"
         )
-    return out_form
+    return _measure_out(seq, part)
 
 
 # Each table maps the role byte of one block to 1 and every other role to

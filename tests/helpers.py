@@ -176,6 +176,21 @@ def induced_partition_by_prefixes(
     )
 
 
+def measure_in(seq: IntegerPairSequence, part: QuadPartition) -> int:
+    """The partition measure written from the receiving side: the arcs
+    demanded out of the sending side less those the receiving side takes
+    in, plus what leaves from outside it.  It differs from the production
+    out-form, ``splittance._measure_out``, by exactly ``sum_in - sum_out``."""
+    l = part.l
+    outs, ins = seq.out_degrees, seq.in_degrees
+    return (
+        len(part.pm) * (l - 1)
+        + len(part.plus) * l
+        + sum(outs[x] for x in part.minus | part.zero)
+        - sum(ins[x] for x in part.pm | part.minus)
+    )
+
+
 def splittance_matrix_bruteforce(seq: IntegerPairSequence) -> SplittanceMatrix:
     """Literal per-cell evaluation; an independent check of the fast path."""
     ordering = proper_order(seq)

@@ -32,13 +32,14 @@ from splitkit import (
 )
 from splitkit.cli import run
 from splitkit.sequences import proper_order
-from splitkit.splittance import _measure_in, _measure_out, induced_partition
+from splitkit.splittance import _measure_out, induced_partition
 
 from conftest import DIREXT_MATRIX, DIREXT_PAIRS, EX1_MATRIX, EX1_PAIRS
 from helpers import (
     cells,
     enumerate_digraphs,
     induced_inequality_checks,
+    measure_in,
     nontrivial_cells,
     random_balanced_pairs,
     random_quad_partition,
@@ -227,7 +228,7 @@ def test_criterion_7_measure_equality_and_strict_inequalities():
         n = rng.randint(1, 10)
         seq = random_balanced_pairs(rng, n)
         part = random_quad_partition(rng, n)
-        assert _measure_out(seq, part) == _measure_in(seq, part)
+        assert _measure_out(seq, part) == measure_in(seq, part)
 
     total_checked = 0
     for _ in range(1000):

@@ -554,15 +554,20 @@ class TestSkeletonPath:
 
 class TestColumns:
     # ``_columns`` reads its text one block at a time and converts each
-    # distinct token once, through one table that every block reads: lines
-    # repeated in three blocks give the same columns three times over.  A
-    # faulty line gives none of its integers: the columns end with the line
-    # before it, and the error that comes with them words it as the
-    # line-at-a-time parsers do.  Every test runs on blocks of both forms:
-    # skeleton ("u v\n" lines, split with no line list) and noisy (tabs,
-    # no-break spaces, comments and CRLF: the ``;`` sentinel path).
+    # distinct token once a table, through tables that every block reads:
+    # one for both columns, as a ``seq`` file passes, or one a column, as a
+    # ``digraph`` file does.  Lines repeated in three blocks give the same
+    # columns three times over.  A faulty line gives none of its integers:
+    # the columns end with the line before it, and the error that comes
+    # with them words it as the line-at-a-time parsers do.  Every test runs
+    # on blocks of both forms: skeleton ("u v\n" lines, split with no line
+    # list) and noisy (tabs, no-break spaces, comments and CRLF: the ``;``
+    # sentinel path).
     LINES = ["1 2", "+3 004", "-5 6_0", "7 " + "9" * 30, "012 1_8"]
     FORMS = ("skeleton", "noisy")
+    # The label 7 spelled differently in the two columns: 7, 07 and +7 in
+    # the first (with LINES), 7 and 07 in the second.
+    SPELLED = ["07 7", "+7 07"]
     # (header, base, shape, noun, line-at-a-time parser) per header.
     SHAPES = [
         ("seq", 0, "'out in' pair", "degree", parse_sequence_by_lines),
@@ -574,6 +579,14 @@ class TestColumns:
         if form == "skeleton":
             return "".join(line + "\n" for line in lines)
         return "".join("\t" + line.replace(" ", "\xa0\t") + "  # c\r\n" for line in lines)
+
+    @staticmethod
+    def tables(base: int, header: str) -> tuple[cli._Table, cli._Table]:
+        # A ``seq`` file's one table for both columns, a ``digraph`` file's
+        # table a column.
+        if header == "seq":
+            return (cli._Table(base),) * 2
+        return cli._Table(base), cli._Table(base)
 
     @staticmethod
     def values(lines: list[str], base: int) -> list[list[int]]:
@@ -593,15 +606,15 @@ class TestColumns:
         monkeypatch.setattr(cli, "_lines", lambda block: split.append(block) or read(block))
         for form in self.FORMS:
             text = self.block(self.LINES, form)
-            for _, _, shape, noun, _ in self.SHAPES:
+            for header, _, shape, noun, _ in self.SHAPES:
                 split.clear()
-                columns = cli._columns([text] * copies, base, shape, noun)
+                columns = cli._columns([text] * copies, self.tables(base, header), 0, shape, noun)
                 assert columns == (*self.values(self.LINES * copies, base), None)
                 # A block in skeleton form is never split into lines.
                 assert split == ([] if form == "skeleton" else [text] * copies)
                 # An empty block, as the header's own stretch can give, adds none.
                 blocks = ["", *[text, ""] * copies]
-                assert cli._columns(blocks, base, shape, noun) == columns
+                assert cli._columns(blocks, self.tables(base, header), 0, shape, noun) == columns
 
     # Tokens that ``int`` refuses, in either column, after good lines of
     # their block: the table stops mid-block with part of the block's
@@ -617,7 +630,7 @@ class TestColumns:
             text = self.block(self.LINES, form)
             blocks = [text] * (copies - 1) + [text + self.block([line, "1 2"], form)]
             for header, base, shape, noun, by_lines in self.SHAPES:
-                *columns, fault = cli._columns(blocks, base, shape, noun)
+                *columns, fault = cli._columns(blocks, self.tables(base, header), 0, shape, noun)
                 assert columns == self.values(self.LINES * copies, base)
                 expected = self.message(by_lines, f"{header}\n" + self.block([line], form))
                 assert str(fault) == expected
@@ -634,10 +647,10 @@ class TestColumns:
             faulty = self.block(lines, form)
             for header, base, shape, noun, by_lines in self.SHAPES:
                 message = self.message(by_lines, f"{header}\n{faulty}")
-                *columns, fault = cli._columns([faulty], base, shape, noun)
+                *columns, fault = cli._columns([faulty], self.tables(base, header), 0, shape, noun)
                 assert (columns, str(fault)) == (self.values(ahead, base), message)
                 blocks = [self.block(self.LINES, form), "", faulty + self.block(self.LINES, form)]
-                *columns, fault = cli._columns(blocks, base, shape, noun)
+                *columns, fault = cli._columns(blocks, self.tables(base, header), 0, shape, noun)
                 assert columns == self.values(self.LINES + ahead, base)
                 assert str(fault) == message
                 text = f"{header}\n" + self.block(["1 2", *lines, "3 4"], form)
@@ -652,15 +665,28 @@ class TestColumns:
         lines = self.LINES * 3
         for form, last in product(self.FORMS, ["", "1 2 3"]):
             blocks = [self.block(lines, form), self.block([lines[0], last], form) if last else ""]
-            for _, base, shape, noun, _ in self.SHAPES:
-                *columns, fault = cli._columns(blocks, base, shape, noun)
+            for header, base, shape, noun, _ in self.SHAPES:
+                *columns, fault = cli._columns(blocks, self.tables(base, header), 0, shape, noun)
                 for size in (0, 3, len(lines), len(lines) + 1, 4 * len(lines)):
-                    *sized, sized_fault = cli._columns(blocks, base, shape, noun, size=size)
+                    tables = self.tables(base, header)
+                    *sized, sized_fault = cli._columns(blocks, tables, size, shape, noun)
                     assert (sized, str(sized_fault)) == (columns, str(fault))
+
+    @staticmethod
+    def converted(lines: list[str], header: str) -> list[str]:
+        # The tokens converted: each distinct token of the file once through
+        # one table, each distinct token of a column once through a table a
+        # column.
+        tokens = " ".join(lines).split()
+        if header == "seq":
+            return sorted(set(tokens))
+        return sorted([*set(tokens[0::2]), *set(tokens[1::2])])
 
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_each_distinct_token_converted_once(self, per_block, monkeypatch):
-        lines = self.LINES * 3
+        # A table a column also holds the column's values in the order
+        # first seen, whichever spelling each first appears as.
+        lines = (self.LINES + self.SPELLED) * 3
         converted = []
 
         def counted(token):
@@ -668,23 +694,42 @@ class TestColumns:
             return int(token)
 
         monkeypatch.setattr(cli, "int", counted, raising=False)
-        for form in self.FORMS:
+        for form, (header, base, shape, noun, _) in product(self.FORMS, self.SHAPES):
             blocks = [
                 self.block(lines[i:i + per_block], form)
                 for i in range(0, len(lines), per_block)
             ]
             converted.clear()
-            assert cli._columns(blocks, 1, "'u v' arc", "label") == (
-                *self.values(lines, 1), None
-            )
-            assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
+            tables = self.tables(base, header)
+            columns = cli._columns(blocks, tables, 0, shape, noun)
+            assert columns == (*self.values(lines, base), None)
+            assert sorted(converted) == self.converted(lines, header)
             assert ";" not in converted
+            if header != "seq":
+                orders = [list(dict.fromkeys(table.values())) for table in tables]
+                assert orders == [list(dict.fromkeys(column)) for column in columns[:2]]
+
+    @pytest.mark.parametrize("header", ["seq", "digraph 2"])
+    def test_parse_passes_each_header_its_tables(self, header, monkeypatch):
+        # A ``seq`` file's columns share one table, so that each token is
+        # converted once a file; a ``digraph`` file's have one each, for
+        # their first-seen orders.
+        columns, passed = cli._columns, []
+
+        def spy(blocks, tables, *rest):
+            passed.append(tables)
+            return columns(blocks, tables, *rest)
+
+        monkeypatch.setattr(cli, "_columns", spy)
+        parse_document(f"{header}\n1 2\n2 1\n")
+        [(first, second)] = passed
+        assert (first is second) == (header == "seq")
 
     @pytest.mark.parametrize("per_block", [1, 2, 5])
     def test_blocks_of_both_forms_share_one_table(self, per_block, monkeypatch):
         # Blocks in skeleton and noisy form in turn: still each distinct
-        # token converted once.
-        lines = self.LINES * 3
+        # token converted once a table.
+        lines = (self.LINES + self.SPELLED) * 3
         converted = []
 
         def counted(token):
@@ -696,8 +741,12 @@ class TestColumns:
             self.block(lines[i:i + per_block], self.FORMS[i // per_block % 2])
             for i in range(0, len(lines), per_block)
         ]
-        assert cli._columns(blocks, 1, "'u v' arc", "label") == (*self.values(lines, 1), None)
-        assert sorted(converted) == sorted(set(" ".join(self.LINES).split()))
+        for header, base, shape, noun, _ in self.SHAPES:
+            converted.clear()
+            tables = self.tables(base, header)
+            columns = cli._columns(blocks, tables, 0, shape, noun)
+            assert columns == (*self.values(lines, base), None)
+            assert sorted(converted) == self.converted(lines, header)
 
 
 class TestReadOnce:
@@ -1459,6 +1508,22 @@ class TestOracleFlag:
         assert captured.out == ""
         assert captured.err.startswith("error: SPLITKIT_ORACLE_MAX_N ")
         assert captured.err.count("\n") == 1
+
+    def test_help_states_the_oracle_caps(self, capsys):
+        # The help's three numbers are the oracle's: the default vertex cap,
+        # and the largest n whose 2^(2n) partitions, and whose 2^(n(n - 1))
+        # digraphs, stay within 2^MAX_ARC_SLOTS.
+        with pytest.raises(SystemExit) as done:
+            run(["check", "--help"])
+        assert done.value.code == 0
+        slots = range(oracle.MAX_ARC_SLOTS + 1)
+        sweep = max(n for n in slots if 2 * n <= oracle.MAX_ARC_SLOTS)
+        edits = max(n for n in slots if n * (n - 1) <= oracle.MAX_ARC_SLOTS)
+        caps = (
+            f"(default {oracle.DEFAULT_BUDGET.max_vertices}; at most {sweep} for the "
+            f"partition sweep and {edits} for the repair edit search)"
+        )
+        assert caps in " ".join(capsys.readouterr().out.split())
 
     def test_huge_budget_env_var_is_capped(self, tmp_path, capsys, monkeypatch):
         # The value becomes the one vertex cap as it is; the 2^20 digraph

@@ -537,7 +537,8 @@ class TestDigraphStore:
         "n, senders, fill",
         [
             # (vertices, distinct sources, arcs per source): byte rows when
-            # fill >= max(16, n // 16) and n > 16, word ORs otherwise.
+            # fill >= max(16, n // 16), word ORs otherwise; below 17
+            # vertices no source has 16 distinct arcs.
             (300, 300, 17), (300, 300, 18), (300, 40, 299), (500, 500, 30),
             (500, 500, 31), (500, 7, 200), (400, 400, 2), (700, 90, 43),
             (17, 17, 16), (17, 17, 15), (16, 16, 15), (9, 5, 8), (3, 3, 2),
@@ -565,7 +566,7 @@ class TestDigraphStore:
 
         monkeypatch.setattr(digraphs, "_dense", spy)
         g = Digraph.from_lists(n, sources, targets)
-        assert fills == [n > 16 and fill >= max(16, n // 16)]
+        assert fills == [fill >= max(16, n // 16)]
         repeats = rng.sample(arcs, len(arcs) // 5)
         built = [g, Digraph(n, arcs + repeats)]
         # Each fill on every list, whatever the rule would pick.

@@ -27,17 +27,13 @@ from splitkit import (
     verify_split_partition,
 )
 from splitkit.sequences import proper_order
-from splitkit.splittance import (
-    _measure_in,
-    _measure_out,
-    induced_partition,
-    partition_measure,
-)
+from splitkit.splittance import _measure_out, induced_partition, partition_measure
 
 from conftest import DIREXT_MATRIX, EX1_MATRIX
 from helpers import (
     cells,
     induced_inequality_checks,
+    measure_in,
     nontrivial_cells,
     planted_split_digraph,
     random_balanced_pairs,
@@ -79,12 +75,13 @@ class TestPartitionMeasure:
             n = rng.randint(1, 7)
             seq = random_balanced_pairs(rng, n)
             part = random_quad_partition(rng, n)
-            assert _measure_out(seq, part) == _measure_in(seq, part)
+            assert _measure_out(seq, part) == measure_in(seq, part)
             assert partition_measure(seq, part) == _measure_out(seq, part)
 
     def test_unbalanced_raises(self):
         seq = IntegerPairSequence([(1, 0), (1, 1), (0, 0)])
-        with pytest.raises(UnbalancedSequenceError):
+        message = "out-degree total 2 but in-degree total 1"
+        with pytest.raises(UnbalancedSequenceError, match=message):
             partition_measure(seq, QuadPartition(3, zero=range(3)))
 
     @given(valid_sequences())
@@ -94,7 +91,7 @@ class TestPartitionMeasure:
         rng = random.Random(len(seq.pairs))
         part = random_quad_partition(rng, seq.n)
         delta = seq.sum_in - seq.sum_out
-        assert _measure_out(seq, part) - _measure_in(seq, part) == delta
+        assert _measure_out(seq, part) - measure_in(seq, part) == delta
 
     def test_product_form_matches_definition_form(self):
         # k*l - |pm| + (in over plus|zero) - (out over pm|plus) is an
