@@ -42,19 +42,19 @@ in a shell, as it ends ``cat``.
 
 ``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
 unset), the largest input any brute-force check takes; whatever the cap,
-the partition sweep of ``check --oracle`` also stops at 10 vertices
-(2^20 partitions), the edit search of ``repair --oracle`` at 5, because
-it tabulates every digraph on n vertices, and the realization search
-gives up after 2^20 placements.  The oracle decides: a check it refuses is
-skipped with an ``oracle: ... skipped`` note.  Every command computes its
-answer, picks its exit code and runs the ``--oracle`` cross-check before
-it writes anything, so a failing oracle leaves stdout empty; an entry
-beyond N - 1 ends ``matrix`` and ``partitions`` before the oracle runs,
-and any other non-digraphic input ends them with one ``error: sequence is
-not digraphic`` line, after the matrix.  They write each line as it is
-made, holding O(N) memory beyond the parsed input, so their stdout is
-partial only when the process dies mid-write.  The argument parser is
-built once, when the module is imported.
+the partition sweeps of ``check --oracle`` and of the edit search of
+``repair --oracle`` also stop at 10 vertices (2^20 partitions), and the
+realization search gives up after 2^20 placements.  The oracle decides:
+a check it refuses is skipped with an ``oracle: ... skipped`` note.
+Every command computes its answer, picks its exit code and runs the
+``--oracle`` cross-check before it writes anything, so a failing oracle
+leaves stdout empty; an entry beyond N - 1 ends ``matrix`` and
+``partitions`` before the oracle runs, and any other non-digraphic input
+ends them with one ``error: sequence is not digraphic`` line, after the
+matrix.  They write each line as it is made, holding O(N) memory beyond
+the parsed input, so their stdout is partial only when the process dies
+mid-write.  The argument parser is built once, when the module is
+imported.
 """
 
 from __future__ import annotations
@@ -104,16 +104,13 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
     """
     first, body = _header(text)
     header = first.split()
-    # At least the lines with fields: each ends in "\n" but the last, and
-    # none is shorter than "1 2\n".
-    size = min(text.count("\n"), len(text) // 4)
 
     if header[0] == "seq":
         if len(header) != 1:
             raise InputParseError(f"malformed header {first!r}: expected 'seq'")
         table = _Table(0)
         out_degrees, in_degrees, fault = _columns(
-            body, (table, table), size, "'out in' pair", "degree"
+            body, (table, table), 0, "'out in' pair", "degree"
         )
         if fault is not None:
             raise fault
@@ -130,6 +127,9 @@ def parse_document(text: str) -> IntegerPairSequence | Digraph:
             raise InputParseError(f"negative vertex count {n}")
         if n > sys.maxsize:  # no list of n degrees fits in memory
             raise InputParseError(f"input too large to analyze: {n} vertices")
+        # At least the lines with fields: each ends in "\n" but the last, and
+        # none is shorter than "1 2\n".
+        size = min(text.count("\n"), len(text) // 4)
         heads, tails = _Table(1), _Table(1)
         sources, targets, fault = _columns(body, (heads, tails), size, "'u v' arc", "label")
         if fault is not None:  # never built: an arc before the faulty line may be at fault first
@@ -244,7 +244,8 @@ def _columns(
     so each distinct token is converted once a file, and a ``digraph``
     file a table a column, which then holds the column's tokens in the
     order first seen.  Both columns are allocated for ``size`` lines up
-    front and cut to the lines read, so that neither is moved as it grows.
+    front and cut to the lines read, so that neither is moved as it grows;
+    a ``seq`` file passes 0, and its columns grow as they are read.
     A token ``int`` refuses stops the map mid-block: that block's integers
     are taken off both columns, and the block is walked a line at a time,
     less the tables' ``base``, to word its first faulty line.
@@ -450,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="cross-validate against the brute-force oracle, which skips "
             "inputs of more than SPLITKIT_ORACLE_MAX_N vertices (default "
-            f"{DEFAULT_BUDGET.max_vertices}; at most 10 for the partition sweep "
-            "and 5 for the repair edit search)",
+            f"{DEFAULT_BUDGET.max_vertices}; at most 10 for the partition sweeps "
+            "of check and of the repair edit search)",
         )
 
     add_common(sub.add_parser("check", help="digraphic? split? splittance value"))

@@ -1,10 +1,14 @@
 """Brute-force ground truth for desk-scale instances.
 
 Everything here trades time for certainty: partitions are enumerated
-exhaustively, realizations are found by backtracking, and splittance is
-recomputed as a literal edit-distance search.  The package keeps these
-three searches because ``--oracle`` runs them; the fast library paths are
-validated against them over every small instance.  Digraph enumeration and
+exhaustively and realizations are found by backtracking.  Splittance is
+recomputed twice from the definition alone, by a sweep over every quad
+partition: on the degree sequence, and as an edit distance on the
+concrete digraph, where each partition costs the arcs that its two
+families want changed.  The package keeps these three searches because
+``--oracle`` runs them; the fast library paths are validated against them
+over every small instance.  Digraph enumeration, the literal edit search
+over every digraph that the edit-distance sweep is checked against, and
 the literal quadratic references for the fast paths are test code, in
 ``tests/helpers.py``.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, product
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .digraphs import Arc, Digraph
+from .digraphs import Digraph
 from .errors import BudgetExceededError, OutOfRangeError
 from .sequences import IntegerPairSequence, validate
 from .splittance import QuadPartition, _measure
@@ -27,13 +31,12 @@ class EnumerationBudget:
     """The largest vertex count any exhaustive search takes.
 
     It caps the three searches ``--oracle`` runs alike: the backtracking
-    realization search, the 4^N partition sweep and the edit-distance
-    search, as well as the digraph enumeration of ``tests/helpers.py``.
-    The sweep also refuses more than 2^``MAX_ARC_SLOTS`` partitions
-    (N > 10), and the edit search, which ranges over all 2^(n(n-1))
-    digraphs on n vertices, more than 2^``MAX_ARC_SLOTS`` digraphs (n > 5),
-    whatever the budget; so does the enumeration.  These searches check
-    their budget before they allocate anything.  The
+    realization search and the two sweeps over the 4^N quad partitions,
+    on a degree sequence and on a digraph, as well as the digraph
+    enumeration of ``tests/helpers.py``.  Both sweeps also refuse more than
+    2^``MAX_ARC_SLOTS`` partitions (N > 10), whatever the budget, and the
+    enumeration more than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).  These
+    searches check their budget before they allocate anything.  The
     realization search, whose length the vertex count does not bound, gives
     up during the search, after 2^``MAX_ARC_SLOTS`` placements.
     """
@@ -43,10 +46,9 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 
-# Digraphs on n vertices are the subsets of their n(n-1) arc slots; a search
-# over all of them stops at 2^20 (one byte each in the edit search's table),
-# and so do the sweep over the 4^N = 2^(2N) quad partitions and the
-# realization search's placements.
+# The sweeps over the 4^N = 2^(2N) quad partitions stop at 2^20 partitions,
+# and so do the realization search's placements and the enumeration of the
+# digraphs on n vertices, the subsets of their n(n-1) arc slots.
 MAX_ARC_SLOTS = 20
 
 
@@ -62,24 +64,6 @@ def _require(
             f"{search} over the 2^{bits} {things} on {n} vertices "
             f"exceeds 2^{MAX_ARC_SLOTS}"
         )
-
-
-def _arc_slots(n: int) -> list[Arc]:
-    return [(u, v) for u in range(n) for v in range(n) if u != v]
-
-
-def _pairs(sources: frozenset[int], targets: frozenset[int]) -> Iterator[Arc]:
-    """Every arc from ``sources`` into ``targets``, loops left out."""
-    return ((u, v) for u in sources for v in targets if u != v)
-
-
-def _slot_index(n: int) -> dict[Arc, int]:
-    return {arc: i for i, arc in enumerate(_arc_slots(n))}
-
-
-def _slot_mask(index: dict[Arc, int], arcs: Iterable[Arc]) -> int:
-    """The mask of the distinct ``arcs``: bit ``index[arc]`` for each."""
-    return sum(1 << index[arc] for arc in arcs)
 
 
 def _quad_partitions(n: int) -> Iterator[QuadPartition]:
@@ -176,51 +160,46 @@ def brute_realize(
         chosen.append(picked)
 
 
-@lru_cache(maxsize=4)
-def _split_membership(n: int) -> bytearray:
-    """Byte table over all arc masks: 1 when the digraph has a non-trivial
-    split partition, checked structurally against the two arc families.
-    Callers stay within ``MAX_ARC_SLOTS``, so a cached table is at most 1 MiB."""
-    index = _slot_index(n)
-    full = (1 << len(index)) - 1
-    table = bytearray(1 << len(index))
-    for part in _quad_partitions(n):
-        forced = _slot_mask(index, _pairs(part.pm | part.plus, part.pm | part.minus))
-        forbidden = _slot_mask(
-            index, _pairs(part.minus | part.zero, part.plus | part.zero)
+@lru_cache(maxsize=1)
+def _partition_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """For each non-trivial quad partition of n vertices, the masks of its
+    forced sender-to-receiver arcs and its forbidden silenced-to-protected
+    arcs, arc (u, v) at bit u * n + v, loops left out.  Callers stay within
+    ``MAX_ARC_SLOTS``; the cache holds one n, 8 MiB at n = 8."""
+    loops = sum(1 << (u * (n + 1)) for u in range(n))
+
+    def arcs(sources: frozenset[int], targets: frozenset[int]) -> int:
+        row = sum(1 << v for v in targets)
+        return sum(row << (u * n) for u in sources) & ~loops
+
+    return tuple(
+        (
+            arcs(part.pm | part.plus, part.pm | part.minus),
+            arcs(part.minus | part.zero, part.plus | part.zero),
         )
-        free = full & ~(forced | forbidden)
-        sub = free
-        while True:
-            table[forced | sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return table
+        for part in _quad_partitions(n)
+    )
 
 
 def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum arc-edit distance from ``g`` to any split digraph.
 
-    Iterative deepening over the edit count; at depth r every set of r arc
-    toggles is tried against a memoized structural split test.
+    A full sweep over the non-trivial quad partitions: making a partition
+    hold takes adding each forced arc ``g`` lacks and removing each
+    forbidden arc it has, and no fewer edits.  The graph on no vertices has
+    no non-trivial partition and is assigned 0.
 
     Raises:
-        BudgetExceededError: n exceeds ``budget.max_vertices`` or has more
-            than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).
+        BudgetExceededError: n exceeds ``budget.max_vertices``, or 10, above
+            which the sweep would pass 2^``MAX_ARC_SLOTS`` partitions.
     """
     n = g.n
-    _require(n, budget, "edit-distance search", n * (n - 1), "digraphs")
-    if n == 0:
-        return 0
-    table = _split_membership(n)
-    mask = _slot_mask(_slot_index(n), g.arcs)
-    if table[mask]:
-        return 0
-    slot_bits = [1 << i for i in range(n * (n - 1))]
-    for depth in range(1, len(slot_bits) + 1):
-        for combo in combinations(slot_bits, depth):
-            if table[mask ^ sum(combo)]:
-                return depth
-    raise RuntimeError("no split digraph reachable; this cannot happen")
-
+    _require(n, budget, "edit-distance sweep", 2 * n, "partitions")
+    arcs = sum(row << (u * n) for u, row in g.succ.items())
+    return min(
+        (
+            (forced & ~arcs).bit_count() + (forbidden & arcs).bit_count()
+            for forced, forbidden in _partition_masks(n)
+        ),
+        default=0,
+    )

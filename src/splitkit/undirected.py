@@ -59,7 +59,6 @@ def validate_degrees(d: Degrees) -> IntegerSequence:
             raise OutOfRangeError(
                 f"degree {i} = {deg} exceeds the simple-graph bound {bound}", i
             )
-    return seq
 
 
 def _durfee(ordered: tuple[int, ...]) -> int:

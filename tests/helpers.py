@@ -130,11 +130,67 @@ def enumerate_digraphs(
             call, before anything is yielded.
     """
     oracle._require(n, budget, "exhaustive enumeration", n * (n - 1), "digraphs")
-    slots = oracle._arc_slots(n)
+    slots = _arc_slots(n)
     return (
         Digraph(n, (slots[i] for i in range(len(slots)) if mask >> i & 1))
         for mask in range(1 << len(slots))
     )
+
+
+def _arc_slots(n: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(n) if u != v]
+
+
+@lru_cache(maxsize=1)
+def _split_membership(n: int) -> bytearray:
+    """Byte table over all arc masks, arc ``_arc_slots(n)[i]`` at bit i: 1
+    when the digraph has a non-trivial split partition, checked
+    structurally against the two arc families.  Callers stay within
+    ``oracle.MAX_ARC_SLOTS`` digraphs, so the table is at most 1 MiB."""
+    slots = _arc_slots(n)
+    table = bytearray(1 << len(slots))
+    for part in nontrivial_partitions(n):
+        senders, receivers = part.pm | part.plus, part.pm | part.minus
+        silenced, protected = part.minus | part.zero, part.plus | part.zero
+        forced = forbidden = 0
+        for i, (u, v) in enumerate(slots):
+            forced |= (u in senders and v in receivers) << i
+            forbidden |= (u in silenced and v in protected) << i
+        free = ((1 << len(slots)) - 1) & ~(forced | forbidden)
+        sub = free
+        while True:
+            table[forced | sub] = 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return table
+
+
+def splittance_by_edit_search(
+    g: Digraph, budget: oracle.EnumerationBudget = oracle.DEFAULT_BUDGET
+) -> int:
+    """Exact minimum arc-edit distance from ``g`` to any split digraph, the
+    literal way: iterative deepening over the edit count, where at depth r
+    every set of r arc toggles is looked up in a table of every digraph on
+    n vertices.  The reference for ``oracle.brute_splittance``.
+
+    Raises:
+        BudgetExceededError: n exceeds ``budget.max_vertices`` or has more
+            than 2^``oracle.MAX_ARC_SLOTS`` digraphs (n > 5).
+    """
+    n = g.n
+    oracle._require(n, budget, "edit-distance search", n * (n - 1), "digraphs")
+    if n == 0:
+        return 0
+    table = _split_membership(n)
+    slots = _arc_slots(n)
+    mask = sum(1 << i for i, arc in enumerate(slots) if arc in g.arcs)
+    slot_bits = [1 << i for i in range(len(slots))]
+    for depth in range(len(slot_bits) + 1):
+        for combo in combinations(slot_bits, depth):
+            if table[mask ^ sum(combo)]:
+                return depth
+    raise AssertionError("no split digraph reachable")
 
 
 def splittance_matrix_by_rows(seq: IntegerPairSequence) -> SplittanceMatrix:

@@ -23,6 +23,7 @@ from splitkit import (
     EnumerationBudget,
     IntegerPairSequence,
     degree_sequence,
+    digraph_splittance,
     fulkerson_slack,
     is_digraphic,
     is_split_sequence,
@@ -143,11 +144,17 @@ class TestParseDocument:
             "digraph 2\n1 1\n",
             "digraph 2\n1 2\n1 2\n",
             "digraph -1\n",
+            "seq 1\n1 1\n",
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(InputParseError):
             parse_document(text)
+
+    def test_seq_header_takes_no_fields(self):
+        with pytest.raises(InputParseError) as caught:
+            parse_document("seq 1\n1 1\n")
+        assert str(caught.value) == "malformed header 'seq 1': expected 'seq'"
 
 
 class TestBulkParser:
@@ -972,6 +979,18 @@ class TestParseMemory:
         assert n == 3
         assert peak < 2 << 20
 
+    def test_comment_lines_reserve_no_room_in_a_seq_file(self):
+        # Three pairs after 2 * 10^5 comment lines: a ``seq`` file's columns
+        # grow as they are read.  Sized up front for the text's line
+        # breaks, as a ``digraph`` file's are, they traced 4.6 MiB.
+        prelude = (
+            "from splitkit.cli import parse_document\n"
+            "text = 'seq\\n' + '# a comment line\\n' * 200_000 + '1 1\\n1 1\\n0 0\\n'\n"
+        )
+        [(n, peak)] = traced_peaks(prelude, ["parse_document(text).n"])
+        assert n == 3
+        assert peak < 1 << 20
+
     def test_parse_holds_little_beyond_its_columns(self):
         # The complete digraph on 500 vertices: 249 500 arcs, 1.9 MB of
         # text, made before the trace starts.  Its two integer columns take
@@ -1510,52 +1529,51 @@ class TestOracleFlag:
         assert captured.err.count("\n") == 1
 
     def test_help_states_the_oracle_caps(self, capsys):
-        # The help's three numbers are the oracle's: the default vertex cap,
-        # and the largest n whose 2^(2n) partitions, and whose 2^(n(n - 1))
-        # digraphs, stay within 2^MAX_ARC_SLOTS.
+        # The help's two numbers are the oracle's: the default vertex cap,
+        # and the largest n whose 2^(2n) partitions stay within
+        # 2^MAX_ARC_SLOTS, which bounds both partition sweeps.
         with pytest.raises(SystemExit) as done:
             run(["check", "--help"])
         assert done.value.code == 0
         slots = range(oracle.MAX_ARC_SLOTS + 1)
         sweep = max(n for n in slots if 2 * n <= oracle.MAX_ARC_SLOTS)
-        edits = max(n for n in slots if n * (n - 1) <= oracle.MAX_ARC_SLOTS)
         caps = (
             f"(default {oracle.DEFAULT_BUDGET.max_vertices}; at most {sweep} for the "
-            f"partition sweep and {edits} for the repair edit search)"
+            f"partition sweeps of check and of the repair edit search)"
         )
         assert caps in " ".join(capsys.readouterr().out.split())
 
     def test_huge_budget_env_var_is_capped(self, tmp_path, capsys, monkeypatch):
-        # The value becomes the one vertex cap as it is; the 2^20 digraph
-        # rule inside the oracle still stops the edit search at 5 vertices.
-        path = tmp_path / "cycle7.digraph"
-        path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
+        # The value becomes the one vertex cap as it is; the 2^20 partition
+        # rule inside the oracle still stops the edit search at 10 vertices.
+        path = tmp_path / "cycle11.digraph"
+        path.write_text("digraph 11\n" + "".join(f"{i} {i % 11 + 1}\n" for i in range(1, 12)))
         outputs = []
         for value in ("8", "1000000000"):
             monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", value)
             for argv in (["check", fixture("ex1.seq")], ["repair", str(path)]):
                 code = run([*argv, "--oracle"])
                 outputs.append((code, capsys.readouterr().err))
-        note = "oracle: edit search skipped (n=7 over budget)\n"
+        note = "oracle: edit search skipped (n=11 over budget)\n"
         assert outputs[:2] == outputs[2:] == [(0, ""), (1, note)]
         assert cli._oracle_budget() == EnumerationBudget(10**9)
 
-    def test_edit_search_capped_at_five_vertices(self, tmp_path, capsys, monkeypatch):
-        # 2^(7 * 6) table bytes would be needed at 7 vertices; the oracle
-        # must refuse before it builds the table.
-        def no_table(n):
-            raise AssertionError("edit search table built beyond the cap")
+    def test_edit_search_capped_at_the_vertex_cap(self, tmp_path, capsys, monkeypatch):
+        # 9 vertices pass the default cap of 8; the oracle must refuse
+        # before it builds the partitions' arc masks.
+        def no_masks(n):
+            raise AssertionError("edit search masks built beyond the cap")
 
-        path = tmp_path / "cycle7.digraph"
-        path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
+        path = tmp_path / "cycle9.digraph"
+        path.write_text("digraph 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10)))
         assert run(["repair", str(path)]) == 1
         fast = capsys.readouterr()
-        monkeypatch.setattr(oracle, "_split_membership", no_table)
-        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "7")
+        monkeypatch.setattr(oracle, "_partition_masks", no_masks)
+        monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
         assert run(["repair", str(path), "--oracle"]) == 1
         captured = capsys.readouterr()
         assert captured.out == fast.out
-        assert captured.err == "oracle: edit search skipped (n=7 over budget)\n"
+        assert captured.err == "oracle: edit search skipped (n=9 over budget)\n"
 
     @pytest.mark.parametrize(
         "name, argv, note",
@@ -1596,15 +1614,20 @@ class TestOracleFlag:
         "name, command, text, size",
         [
             ("brute_min_partition_measure", "check", "seq\n" + "1 1\n" * 8, 8),
-            ("brute_splittance", "repair", "digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n", 5),
+            (
+                "brute_splittance",
+                "repair",
+                "digraph 8\n" + "".join(f"{i} {i % 8 + 1}\n" for i in range(1, 9)),
+                8,
+            ),
         ],
         ids=["sweep", "edit search"],
     )
     def test_default_budget_runs_the_search(
         self, name, command, text, size, tmp_path, capsys, monkeypatch
     ):
-        # The partition sweep at N = 8 and the edit search at n = 5 fit the
-        # default cap of 8 vertices and the 2^20 digraph rule.
+        # Both partition sweeps at 8 vertices fit the default cap of 8
+        # vertices and the 2^20 partition rule.
         path = tmp_path / "input"
         path.write_text(text)
         sizes = []
@@ -1664,8 +1687,8 @@ class TestOracleFlag:
         assert captured.err == "oracle: partition sweep skipped (N=1200 over budget)\n"
 
     def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "cycle5.digraph"
-        path.write_text("digraph 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")
+        path = tmp_path / "cycle7.digraph"
+        path.write_text("digraph 7\n" + "".join(f"{i} {i % 7 + 1}\n" for i in range(1, 8)))
         monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "7")
         assert run(["repair", str(path), "--oracle"]) == 1
         assert capsys.readouterr().err == ""
@@ -1696,6 +1719,20 @@ class TestOracleFlag:
         code = run(["check", fixture("ex1.seq"), "--oracle"])
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
+
+    def test_partition_sweep_disagreement_exits_4(self, capsys, monkeypatch):
+        # The worked example is split: a sweep that finds one edit more than
+        # the matrix minimum is named with both counts.
+        monkeypatch.setattr(
+            cli,
+            "brute_min_partition_measure",
+            lambda seq, budget: digraph_splittance(seq) + 1,
+        )
+        assert run(["check", fixture("ex1.seq"), "--oracle"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "oracle disagreement: partition sweep gives 1, matrix minimum gives 0\n",
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -465,6 +465,12 @@ class TestEditSet:
             else:
                 assert edit_set(fixed, part).size == 0
 
+    def test_partition_of_another_vertex_count_raises(self):
+        g = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError) as caught:
+            edit_set(g, QuadPartition(3, pm={0}, zero={1, 2}))
+        assert str(caught.value) == "partition covers 3 vertices, digraph has 4"
+
 
 class TestRepair:
     def test_split_realization_needs_nothing(self, ex1_digraph):

@@ -19,15 +19,25 @@ from splitkit import (
     digraph_splittance,
     is_digraphic,
 )
-from splitkit import oracle, splittance
+from splitkit import oracle, repair, splittance
 from splitkit.sequences import validate
 
+import helpers
 from helpers import (
     enumerate_digraphs,
     nontrivial_partitions,
+    planted_split_digraph,
     random_balanced_pairs,
+    random_digraph,
+    splittance_by_edit_search,
     traced_peaks,
 )
+
+
+def flipped(rng: random.Random, g: Digraph, flips: int) -> Digraph:
+    """``g`` with ``flips`` distinct arc slots toggled."""
+    slots = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    return Digraph(g.n, g.arcs.symmetric_difference(rng.sample(slots, flips)))
 
 
 class TestEnumerateDigraphs:
@@ -145,12 +155,60 @@ class TestBruteSplittance:
             assert brute_splittance(g) == digraph_splittance(degree_sequence(g))
 
     def test_over_budget(self):
-        with pytest.raises(BudgetExceededError):
-            brute_splittance(Digraph(6))
+        with pytest.raises(BudgetExceededError, match="capped at 8 vertices"):
+            brute_splittance(Digraph(9))
+        with pytest.raises(BudgetExceededError, match=r"2\^22 partitions on 11 vertices"):
+            brute_splittance(Digraph(11), EnumerationBudget(max_vertices=16))
 
     def test_five_vertices_within_the_default_budget(self):
         cycle = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
         assert brute_splittance(cycle) == digraph_splittance(degree_sequence(cycle))
+
+    def test_matches_the_literal_edit_search(self):
+        # Every digraph on at most 4 vertices, then seeded ones on 5: sparse
+        # and dense, split and a few edits away from split.
+        count = 0
+        for n in range(5):
+            for g in enumerate_digraphs(n):
+                assert brute_splittance(g) == splittance_by_edit_search(g), sorted(g.arcs)
+                count += 1
+        assert count == 1 + 1 + 4 + 64 + 4096
+        rng = random.Random(75025)
+        for i in range(48):
+            if i % 3 == 0:
+                g = random_digraph(rng, 5, rng.random())
+            else:
+                g = flipped(rng, planted_split_digraph(rng, 5)[0], i % 3 * rng.randint(1, 2))
+            assert brute_splittance(g) == splittance_by_edit_search(g), sorted(g.arcs)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_repair_beyond_the_literal_search(self, n):
+        # The central claim on digraphs too large for a table of every
+        # digraph: the fewest edits to any split digraph is the splittance
+        # of the degree sequence, which ``repair`` reaches.
+        rng = random.Random(121393 + n)
+        graphs = [random_digraph(rng, n, p) for p in (0.2, 0.35, 0.5, 0.65, 0.8)]
+        planted = [planted_split_digraph(rng, n)[0] for _ in range(2)]
+        graphs += planted + [flipped(rng, g, flips) for g in planted for flips in (1, 3)]
+        for g in graphs:
+            assert brute_splittance(g) == repair(g)[0].size, sorted(g.arcs)
+        assert [brute_splittance(g) for g in planted] == [0, 0]
+
+    def test_masks_cached_for_one_vertex_count(self):
+        for n in (3, 4, 3):
+            brute_splittance(Digraph(n))
+            assert oracle._partition_masks.cache_info().currsize == 1
+
+    def test_eight_vertices_in_bounded_memory(self):
+        # 4^8 - 2 partitions, two arc masks each: 8 MiB traced.
+        prelude = (
+            "from splitkit import Digraph, brute_splittance\n"
+            "cycle = Digraph(8, [(i, (i + 1) % 8) for i in range(8)])\n"
+        )
+        [(edits, peak)] = traced_peaks(prelude, ["brute_splittance(cycle)"])
+        cycle = Digraph(8, [(i, (i + 1) % 8) for i in range(8)])
+        assert edits == digraph_splittance(degree_sequence(cycle))
+        assert peak < 16 << 20
 
 
 class TestBudget:
@@ -162,15 +220,24 @@ class TestBudget:
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_digraph_count_rule_refuses_before_allocating(self, n, monkeypatch):
-        # At 7 vertices the edit search's table would take 2^42 bytes.
+        # The 2^(n(n - 1)) digraphs bound the enumeration and the literal
+        # edit search, whose table would take 2^42 bytes at 7 vertices.  The
+        # edit-distance sweep is bound by the vertex cap alone here, and
+        # refuses above it before it builds any mask.
         def no_table(n):
             raise AssertionError("the digraph table was built")
 
-        monkeypatch.setattr(oracle, "_split_membership", no_table)
+        def no_masks(n):
+            raise AssertionError("the partition masks were built")
+
+        monkeypatch.setattr(helpers, "_split_membership", no_table)
+        monkeypatch.setattr(oracle, "_partition_masks", no_masks)
         budget = EnumerationBudget(max_vertices=8)
         cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
-        with pytest.raises(BudgetExceededError):
-            brute_splittance(cycle, budget)
+        with pytest.raises(BudgetExceededError, match=f"capped at {n - 1} vertices"):
+            brute_splittance(cycle, EnumerationBudget(max_vertices=n - 1))
+        with pytest.raises(BudgetExceededError, match=rf"2\^{n * (n - 1)} digraphs"):
+            splittance_by_edit_search(cycle, budget)
         with pytest.raises(BudgetExceededError):
             enumerate_digraphs(n, budget)
 
@@ -181,18 +248,24 @@ class TestBudget:
             raise AssertionError("the partition sweep started")
 
         monkeypatch.setattr(oracle, "_quad_partitions", no_sweep)
+        monkeypatch.setattr(oracle, "_partition_masks", no_sweep)
         budget = EnumerationBudget(max_vertices=16)
         for n in (11, 16):
             with pytest.raises(BudgetExceededError, match=rf"2\^{2 * n} partitions"):
                 brute_min_partition_measure(IntegerPairSequence([(0, 0)] * n), budget)
+            with pytest.raises(BudgetExceededError, match=rf"2\^{2 * n} partitions"):
+                brute_splittance(Digraph(n), budget)
 
     def test_partition_count_rule_admits_ten_vertices(self, monkeypatch):
         # 4^10 = 2^20 partitions is the largest sweep the rule allows.
         swept = []
         monkeypatch.setattr(oracle, "_quad_partitions", lambda n: swept.append(n) or ())
+        monkeypatch.setattr(oracle, "_partition_masks", lambda n: swept.append(n) or ())
         seq = IntegerPairSequence([(0, 0)] * 10)
-        assert brute_min_partition_measure(seq, EnumerationBudget(max_vertices=16)) == 0
-        assert swept == [10]
+        budget = EnumerationBudget(max_vertices=16)
+        assert brute_min_partition_measure(seq, budget) == 0
+        assert brute_splittance(Digraph(10), budget) == 0
+        assert swept == [10, 10]
 
     def test_sweep_streams_its_partitions(self):
         prelude = (
