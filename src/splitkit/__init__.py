@@ -2,7 +2,8 @@
 
 The top level holds the answer functions, the types they take and return,
 the errors they raise, and the oracles a caller checks them against.
-Orderings, partition measures and enumeration live in their modules.
+Orderings and partition measures live in their modules; digraph
+enumeration is test code, in ``tests/helpers.py``.
 """
 
 from .digraphs import Digraph, EditSet, degree_sequence, edit_set, repair, verify_split_partition

@@ -2,28 +2,26 @@
 
 Everything here trades time for certainty: partitions are enumerated
 exhaustively and realizations are found by backtracking.  Splittance is
-recomputed twice from the definition alone, by a sweep over every quad
-partition: on the degree sequence, and as an edit distance on the
-concrete digraph, where each partition costs the arcs that its two
-families want changed.  The package keeps these three searches because
-``--oracle`` runs them; the fast library paths are validated against them
-over every small instance.  Digraph enumeration, the literal edit search
-over every digraph that the edit-distance sweep is checked against, and
-the literal quadratic references for the fast paths are test code, in
-``tests/helpers.py``.
+recomputed twice from the definition alone, by a sweep that streams each
+quad partition as two vertex masks, its senders and its receivers: on the
+degree sequence, and as an edit distance on the concrete digraph, where a
+partition costs the arcs that its two families want changed.  The package
+keeps these three searches, which share no code with the paths they
+check, because ``--oracle`` runs them.  Digraph enumeration, the literal
+edit search over every digraph that the edit-distance sweep is checked
+against, and the literal quadratic references for the fast paths are test
+code, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, count, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .digraphs import Digraph
-from .errors import BudgetExceededError, OutOfRangeError
+from .errors import BudgetExceededError, OutOfRangeError, UnbalancedSequenceError
 from .sequences import IntegerPairSequence, validate
-from .splittance import QuadPartition, _measure
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,8 @@ class EnumerationBudget:
     enumeration of ``tests/helpers.py``.  Both sweeps also refuse more than
     2^``MAX_ARC_SLOTS`` partitions (N > 10), whatever the budget, and the
     enumeration more than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).  These
-    searches check their budget before they allocate anything.  The
+    searches check their budget before they allocate anything; the sweeps
+    then hold one partition and tables of 2^N subset sums at a time.  The
     realization search, whose length the vertex count does not bound, gives
     up during the search, after 2^``MAX_ARC_SLOTS`` placements.
     """
@@ -66,16 +65,23 @@ def _require(
         )
 
 
-def _quad_partitions(n: int) -> Iterator[QuadPartition]:
-    """Every non-trivial assignment of n vertices to the four blocks, one at
-    a time, so a sweep holds one partition in memory."""
-    for roles in product(range(4), repeat=n):
-        blocks: list[list[int]] = [[], [], [], []]
-        for vertex, role in enumerate(roles):
-            blocks[role].append(vertex)
-        part = QuadPartition(n, *blocks)
-        if part.non_trivial:
-            yield part
+def _quad_partitions(n: int) -> Iterator[tuple[int, int]]:
+    """Every non-trivial quad partition of n vertices as the n-bit masks of
+    its senders ``pm | plus`` and its receivers ``pm | minus``, one pair at
+    a time: all 4^n pairs but (full, 0), every vertex in ``plus``, and
+    (0, full), every vertex in ``minus``."""
+    full = (1 << n) - 1
+    trivial = (full, 0), (0, full)
+    return (pair for pair in product(range(full + 1), repeat=2) if pair not in trivial)
+
+
+def _subset_sums(values: Iterable[int]) -> list[int]:
+    """At index m, for each mask m over the n ``values``, the sum of the
+    values at the set bits of m, vertex v at bit v."""
+    sums = [0]
+    for value in values:
+        sums += [total + value for total in sums]
+    return sums
 
 
 def brute_min_partition_measure(
@@ -83,17 +89,30 @@ def brute_min_partition_measure(
 ) -> int:
     """Minimum measure over all non-trivial partitions, by full 4^N sweep.
 
-    The degenerate empty sequence has no non-trivial partitions and is
-    assigned 0, matching the convention of the fast path.
+    Senders S and receivers R, of sizes k and l, cost the matrix entry
+    ``k * l - |S & R| + in(outside R) - out(S)``.  The degenerate empty
+    sequence has no non-trivial partitions and is assigned 0, matching the
+    convention of the fast path.
 
     Raises:
         BudgetExceededError: N exceeds ``budget.max_vertices``, or 10, above
             which the sweep would pass 2^``MAX_ARC_SLOTS`` partitions.
+        UnbalancedSequenceError: total out- and in-degree differ.
     """
     _require(seq.n, budget, "partition sweep", 2 * seq.n, "partitions")
     validate(seq)
+    if not seq.is_balanced:
+        raise UnbalancedSequenceError(
+            f"the sequence has out-degree total {seq.sum_out} "
+            f"but in-degree total {seq.sum_in}"
+        )
+    full = (1 << seq.n) - 1
+    outs, ins = _subset_sums(seq.out_degrees), _subset_sums(seq.in_degrees)
     return min(
-        (_measure(seq, part) for part in _quad_partitions(seq.n)),
+        (
+            s.bit_count() * r.bit_count() - (s & r).bit_count() + ins[full ^ r] - outs[s]
+            for s, r in _quad_partitions(seq.n)
+        ),
         default=0,
     )
 
@@ -160,34 +179,14 @@ def brute_realize(
         chosen.append(picked)
 
 
-@lru_cache(maxsize=1)
-def _partition_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """For each non-trivial quad partition of n vertices, the masks of its
-    forced sender-to-receiver arcs and its forbidden silenced-to-protected
-    arcs, arc (u, v) at bit u * n + v, loops left out.  Callers stay within
-    ``MAX_ARC_SLOTS``; the cache holds one n, 8 MiB at n = 8."""
-    loops = sum(1 << (u * (n + 1)) for u in range(n))
-
-    def arcs(sources: frozenset[int], targets: frozenset[int]) -> int:
-        row = sum(1 << v for v in targets)
-        return sum(row << (u * n) for u in sources) & ~loops
-
-    return tuple(
-        (
-            arcs(part.pm | part.plus, part.pm | part.minus),
-            arcs(part.minus | part.zero, part.plus | part.zero),
-        )
-        for part in _quad_partitions(n)
-    )
-
-
 def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum arc-edit distance from ``g`` to any split digraph.
 
     A full sweep over the non-trivial quad partitions: making a partition
-    hold takes adding each forced arc ``g`` lacks and removing each
-    forbidden arc it has, and no fewer edits.  The graph on no vertices has
-    no non-trivial partition and is assigned 0.
+    hold takes adding each forced sender-to-receiver arc ``g`` lacks and
+    removing each forbidden arc it has, from outside the senders to outside
+    the receivers, and no fewer edits.  The graph on no vertices has no
+    non-trivial partition and is assigned 0.
 
     Raises:
         BudgetExceededError: n exceeds ``budget.max_vertices``, or 10, above
@@ -195,11 +194,17 @@ def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> 
     """
     n = g.n
     _require(n, budget, "edit-distance sweep", 2 * n, "partitions")
+    # Arc (u, v) at bit u * n + v: the slots out of each set of sources, and
+    # into each set of targets from other vertices.
+    rows = _subset_sums(((1 << n) - 1) << (u * n) for u in range(n))
+    cols = _subset_sums(sum(1 << (u * n + v) for u in range(n) if u != v) for v in range(n))
     arcs = sum(row << (u * n) for u, row in g.succ.items())
+    absent = ~arcs
     return min(
         (
-            (forced & ~arcs).bit_count() + (forbidden & arcs).bit_count()
-            for forced, forbidden in _partition_masks(n)
+            (rows[s] & cols[r] & absent).bit_count()
+            + (arcs & ~(rows[s] | cols[r])).bit_count()
+            for s, r in _quad_partitions(n)
         ),
         default=0,
     )

@@ -110,12 +110,6 @@ def partition_measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
     validate(seq)
     if part.n != seq.n:
         raise ValueError(f"partition covers {part.n} vertices, sequence has {seq.n}")
-    return _measure(seq, part)
-
-
-def _measure(seq: IntegerPairSequence, part: QuadPartition) -> int:
-    # partition_measure on a validated sequence and a partition of its N
-    # vertices, as the exhaustive sweep supplies them.
     if not seq.is_balanced:
         raise UnbalancedSequenceError(
             f"the sequence has out-degree total {seq.sum_out} "

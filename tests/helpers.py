@@ -115,8 +115,16 @@ def nontrivial_cells(matrix: SplittanceMatrix):
 
 
 def nontrivial_partitions(n: int) -> tuple[QuadPartition, ...]:
-    """Every non-trivial quad partition of n vertices."""
-    return tuple(oracle._quad_partitions(n))
+    """Every non-trivial quad partition of n vertices, built from the
+    senders and receivers masks that the oracle's sweeps stream."""
+
+    def members(mask: int) -> list[int]:
+        return [v for v in range(n) if mask >> v & 1]
+
+    return tuple(
+        QuadPartition(n, members(s & r), members(s & ~r), members(r & ~s), members(~(s | r)))
+        for s, r in oracle._quad_partitions(n)
+    )
 
 
 def enumerate_digraphs(

@@ -1560,15 +1560,15 @@ class TestOracleFlag:
 
     def test_edit_search_capped_at_the_vertex_cap(self, tmp_path, capsys, monkeypatch):
         # 9 vertices pass the default cap of 8; the oracle must refuse
-        # before it builds the partitions' arc masks.
-        def no_masks(n):
-            raise AssertionError("edit search masks built beyond the cap")
+        # before it builds its arc tables.
+        def no_tables(values):
+            raise AssertionError("edit search tables built beyond the cap")
 
         path = tmp_path / "cycle9.digraph"
         path.write_text("digraph 9\n" + "".join(f"{i} {i % 9 + 1}\n" for i in range(1, 10)))
         assert run(["repair", str(path)]) == 1
         fast = capsys.readouterr()
-        monkeypatch.setattr(oracle, "_partition_masks", no_masks)
+        monkeypatch.setattr(oracle, "_subset_sums", no_tables)
         monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
         assert run(["repair", str(path), "--oracle"]) == 1
         captured = capsys.readouterr()

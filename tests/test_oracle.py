@@ -12,6 +12,8 @@ from splitkit import (
     Digraph,
     EnumerationBudget,
     IntegerPairSequence,
+    NegativeDegreeError,
+    UnbalancedSequenceError,
     brute_min_partition_measure,
     brute_realize,
     brute_splittance,
@@ -115,6 +117,14 @@ class TestBruteMinPartitionMeasure:
         with pytest.raises(BudgetExceededError):
             brute_min_partition_measure(seq)
 
+    def test_unbalanced_sequence_refused_after_validation(self):
+        with pytest.raises(
+            UnbalancedSequenceError, match="out-degree total 1 but in-degree total 0"
+        ):
+            brute_min_partition_measure(IntegerPairSequence([(1, 0), (0, 0)]))
+        with pytest.raises(NegativeDegreeError):
+            brute_min_partition_measure(IntegerPairSequence([(1, -1), (0, 0)]))
+
     def test_validates_once_per_sweep(self, monkeypatch):
         seq = IntegerPairSequence([(1, 1), (1, 0), (0, 1)])
         expected = brute_min_partition_measure(seq)
@@ -181,26 +191,30 @@ class TestBruteSplittance:
                 g = flipped(rng, planted_split_digraph(rng, 5)[0], i % 3 * rng.randint(1, 2))
             assert brute_splittance(g) == splittance_by_edit_search(g), sorted(g.arcs)
 
-    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_matches_repair_beyond_the_literal_search(self, n):
         # The central claim on digraphs too large for a table of every
         # digraph: the fewest edits to any split digraph is the splittance
-        # of the degree sequence, which ``repair`` reaches.
+        # of the degree sequence, which ``repair`` reaches.  Up to the
+        # default cap, 11 seeded digraphs a size; at 9 and 10 vertices,
+        # under a cap of 10, a random one, a planted split one and that one
+        # with 3 arcs flipped.
+        if n <= 8:
+            densities, copies, flip_counts = (0.2, 0.35, 0.5, 0.65, 0.8), 2, (1, 3)
+        else:
+            densities, copies, flip_counts = (0.35,), 1, (3,)
         rng = random.Random(121393 + n)
-        graphs = [random_digraph(rng, n, p) for p in (0.2, 0.35, 0.5, 0.65, 0.8)]
-        planted = [planted_split_digraph(rng, n)[0] for _ in range(2)]
-        graphs += planted + [flipped(rng, g, flips) for g in planted for flips in (1, 3)]
-        for g in graphs:
-            assert brute_splittance(g) == repair(g)[0].size, sorted(g.arcs)
-        assert [brute_splittance(g) for g in planted] == [0, 0]
-
-    def test_masks_cached_for_one_vertex_count(self):
-        for n in (3, 4, 3):
-            brute_splittance(Digraph(n))
-            assert oracle._partition_masks.cache_info().currsize == 1
+        randoms = [random_digraph(rng, n, p) for p in densities]
+        planted = [planted_split_digraph(rng, n)[0] for _ in range(copies)]
+        graphs = planted + randoms
+        graphs += [flipped(rng, g, flips) for g in planted for flips in flip_counts]
+        budget = EnumerationBudget(max_vertices=10)
+        edits = [brute_splittance(g, budget) for g in graphs]
+        assert edits == [repair(g)[0].size for g in graphs]
+        assert edits[: len(planted)] == [0] * len(planted)
 
     def test_eight_vertices_in_bounded_memory(self):
-        # 4^8 - 2 partitions, two arc masks each: 8 MiB traced.
+        # 4^8 - 2 partitions streamed as mask pairs against 2^8-entry tables.
         prelude = (
             "from splitkit import Digraph, brute_splittance\n"
             "cycle = Digraph(8, [(i, (i + 1) % 8) for i in range(8)])\n"
@@ -208,7 +222,7 @@ class TestBruteSplittance:
         [(edits, peak)] = traced_peaks(prelude, ["brute_splittance(cycle)"])
         cycle = Digraph(8, [(i, (i + 1) % 8) for i in range(8)])
         assert edits == digraph_splittance(degree_sequence(cycle))
-        assert peak < 16 << 20
+        assert peak < 1 << 20
 
 
 class TestBudget:
@@ -223,15 +237,15 @@ class TestBudget:
         # The 2^(n(n - 1)) digraphs bound the enumeration and the literal
         # edit search, whose table would take 2^42 bytes at 7 vertices.  The
         # edit-distance sweep is bound by the vertex cap alone here, and
-        # refuses above it before it builds any mask.
+        # refuses above it before it builds any table.
         def no_table(n):
             raise AssertionError("the digraph table was built")
 
-        def no_masks(n):
-            raise AssertionError("the partition masks were built")
+        def no_sums(values):
+            raise AssertionError("the sweep's subset sums were built")
 
         monkeypatch.setattr(helpers, "_split_membership", no_table)
-        monkeypatch.setattr(oracle, "_partition_masks", no_masks)
+        monkeypatch.setattr(oracle, "_subset_sums", no_sums)
         budget = EnumerationBudget(max_vertices=8)
         cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
         with pytest.raises(BudgetExceededError, match=f"capped at {n - 1} vertices"):
@@ -242,13 +256,16 @@ class TestBudget:
             enumerate_digraphs(n, budget)
 
     def test_partition_count_rule_refuses_before_sweeping(self, monkeypatch):
-        # 4^11 = 2^22 partitions; at 16 vertices the sweep would run for
-        # hours.  The rule holds whatever the vertex cap.
+        # 4^11 = 2^22 partitions; at 16 vertices the sweep would take 4 096
+        # times as long as at 10.  The rule holds whatever the vertex cap.
         def no_sweep(n):
             raise AssertionError("the partition sweep started")
 
+        def no_sums(values):
+            raise AssertionError("the sweep's subset sums were built")
+
         monkeypatch.setattr(oracle, "_quad_partitions", no_sweep)
-        monkeypatch.setattr(oracle, "_partition_masks", no_sweep)
+        monkeypatch.setattr(oracle, "_subset_sums", no_sums)
         budget = EnumerationBudget(max_vertices=16)
         for n in (11, 16):
             with pytest.raises(BudgetExceededError, match=rf"2\^{2 * n} partitions"):
@@ -257,15 +274,22 @@ class TestBudget:
                 brute_splittance(Digraph(n), budget)
 
     def test_partition_count_rule_admits_ten_vertices(self, monkeypatch):
-        # 4^10 = 2^20 partitions is the largest sweep the rule allows.
-        swept = []
+        # 4^10 = 2^20 partitions is the largest sweep the rule allows; each
+        # sweep builds two tables of 2^10 subset sums.
+        swept, tables = [], []
+
+        def recorded(values, _sums=oracle._subset_sums):
+            tables.append(_sums(values))
+            return tables[-1]
+
         monkeypatch.setattr(oracle, "_quad_partitions", lambda n: swept.append(n) or ())
-        monkeypatch.setattr(oracle, "_partition_masks", lambda n: swept.append(n) or ())
+        monkeypatch.setattr(oracle, "_subset_sums", recorded)
         seq = IntegerPairSequence([(0, 0)] * 10)
         budget = EnumerationBudget(max_vertices=16)
         assert brute_min_partition_measure(seq, budget) == 0
         assert brute_splittance(Digraph(10), budget) == 0
         assert swept == [10, 10]
+        assert [len(table) for table in tables] == [1 << 10] * 4
 
     def test_sweep_streams_its_partitions(self):
         prelude = (
@@ -281,7 +305,9 @@ class TestPartitionEnumeration:
     def test_counts_exclude_exactly_two_trivial(self):
         # 4^n assignments minus the all-plus and all-minus ones.
         for n in range(1, 5):
-            assert len(nontrivial_partitions(n)) == 4**n - 2
+            parts = nontrivial_partitions(n)
+            assert len(parts) == len(set(parts)) == 4**n - 2
+            assert all(part.non_trivial for part in parts)
 
     def test_zero_vertices_has_no_nontrivial(self):
         assert nontrivial_partitions(0) == ()
