@@ -40,12 +40,12 @@ default ``SIGPIPE`` action where the platform has one, so a reader that
 closes its end of stdout early ends the command silently, with status 141
 in a shell, as it ends ``cat``.
 
-``SPLITKIT_ORACLE_MAX_N`` sets the one vertex cap of ``--oracle`` (8 when
-unset), the largest input any brute-force check takes; whatever the cap,
-the partition sweeps of ``check --oracle`` and of the edit search of
-``repair --oracle`` also stop at 10 vertices (2^20 partitions), and the
-realization search gives up after 2^20 placements.  The oracle decides:
-a check it refuses is skipped with an ``oracle: ... skipped`` note.
+``SPLITKIT_ORACLE_MAX_N`` sets the vertex cap of the partition sweeps of
+``check --oracle`` and of the edit search of ``repair --oracle`` (8 when
+unset), which also stop at 10 vertices (2^20 partitions) whatever the
+cap.  The realization check is a flow that runs up to 1024 vertices
+whatever the cap.  The oracle decides: a check it refuses is skipped
+with an ``oracle: ... skipped`` note, and none gives up once started.
 Every command computes its answer, picks its exit code and runs the
 ``--oracle`` cross-check before it writes anything, so a failing oracle
 leaves stdout empty; an entry beyond N - 1 ends ``matrix`` and
@@ -343,7 +343,7 @@ def _oracle_check_sequence(
     seq = a.seq
     skipped, failures = [], []
     try:
-        realization = brute_realize(seq, budget)
+        realization = brute_realize(seq)
     except BudgetExceededError:
         skipped.append(f"oracle: realization check skipped (N={seq.n} over budget)")
     else:
@@ -449,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle",
             action="store_true",
-            help="cross-validate against the brute-force oracle, which skips "
-            "inputs of more than SPLITKIT_ORACLE_MAX_N vertices (default "
-            f"{DEFAULT_BUDGET.max_vertices}; at most 10 for the partition sweeps "
-            "of check and of the repair edit search)",
+            help="cross-validate against the oracle: the realization flow takes "
+            "up to 1024 vertices, and the partition sweeps of check and of the "
+            "repair edit search up to SPLITKIT_ORACLE_MAX_N (default "
+            f"{DEFAULT_BUDGET.max_vertices}; at most 10); a larger input skips the check",
         )
 
     add_common(sub.add_parser("check", help="digraphic? split? splittance value"))

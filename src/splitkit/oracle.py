@@ -1,22 +1,21 @@
-"""Brute-force ground truth for desk-scale instances.
+"""Ground truth that ``--oracle`` checks the fast paths against.
 
-Everything here trades time for certainty: partitions are enumerated
-exhaustively and realizations are found by backtracking.  Splittance is
-recomputed twice from the definition alone, by a sweep that streams each
-quad partition as two vertex masks, its senders and its receivers: on the
-degree sequence, and as an edit distance on the concrete digraph, where a
-partition costs the arcs that its two families want changed.  The package
-keeps these three searches, which share no code with the paths they
-check, because ``--oracle`` runs them.  Digraph enumeration, the literal
-edit search over every digraph that the edit-distance sweep is checked
-against, and the literal quadratic references for the fast paths are test
-code, in ``tests/helpers.py``.
+Splittance is recomputed twice from the definition alone, by a sweep
+that streams each quad partition as two vertex masks, its senders and
+its receivers: on the degree sequence, and as an edit distance on the
+concrete digraph, where a partition costs the arcs that its two families
+want changed.  A realization is a maximum flow, with no ordering and no
+slack.  The package keeps these three searches, which share no code with
+the paths they check, because ``--oracle`` runs them.  Digraph
+enumeration, the literal edit search over every digraph that the
+edit-distance sweep is checked against, and the literal quadratic
+references for the fast paths are test code, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, product
+from itertools import product
 from typing import Iterable, Iterator
 
 from .digraphs import Digraph
@@ -28,16 +27,14 @@ from .sequences import IntegerPairSequence, validate
 class EnumerationBudget:
     """The largest vertex count any exhaustive search takes.
 
-    It caps the three searches ``--oracle`` runs alike: the backtracking
-    realization search and the two sweeps over the 4^N quad partitions,
-    on a degree sequence and on a digraph, as well as the digraph
+    It caps the two sweeps over the 4^N quad partitions that ``--oracle``
+    runs, on a degree sequence and on a digraph, and the digraph
     enumeration of ``tests/helpers.py``.  Both sweeps also refuse more than
     2^``MAX_ARC_SLOTS`` partitions (N > 10), whatever the budget, and the
     enumeration more than 2^``MAX_ARC_SLOTS`` digraphs (n > 5).  These
     searches check their budget before they allocate anything; the sweeps
     then hold one partition and tables of 2^N subset sums at a time.  The
-    realization search, whose length the vertex count does not bound, gives
-    up during the search, after 2^``MAX_ARC_SLOTS`` placements.
+    realization flow is polynomial and takes no budget.
     """
 
     max_vertices: int = 8
@@ -46,14 +43,12 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 # The sweeps over the 4^N = 2^(2N) quad partitions stop at 2^20 partitions,
-# and so do the realization search's placements and the enumeration of the
-# digraphs on n vertices, the subsets of their n(n-1) arc slots.
+# the enumeration of the digraphs on n vertices at 2^20 subsets of their
+# n(n-1) arc slots, and the realization flow at 2^20 arc slots.
 MAX_ARC_SLOTS = 20
 
 
-def _require(
-    n: int, budget: EnumerationBudget, search: str, bits: int = 0, things: str = ""
-) -> None:
+def _require(n: int, budget: EnumerationBudget, search: str, bits: int, things: str) -> None:
     """Raise ``BudgetExceededError`` unless ``search`` may run on n vertices
     and its 2^``bits`` ``things`` are at most 2^``MAX_ARC_SLOTS``."""
     if n > budget.max_vertices:
@@ -117,66 +112,70 @@ def brute_min_partition_measure(
     )
 
 
-def brute_realize(
-    seq: IntegerPairSequence, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> Digraph | None:
+def brute_realize(seq: IntegerPairSequence) -> Digraph | None:
     """Find any simple loopless digraph with the given degree sequence.
 
-    Backtracking over out-neighborhoods, one vertex at a time, pruned by
-    remaining in-capacity.  Returns None when no realization exists,
-    including for entries beyond N - 1.
+    A maximum flow from a source to each u_out (capacity the out-degree of
+    u), along unit arcs u_out -> v_in for u != v, and from each v_in
+    (capacity the in-degree of v) to a sink: the unit arcs of a flow that
+    saturates the source are a realization.  Returns None when no
+    realization exists, including for entries beyond N - 1.
 
     Raises:
-        BudgetExceededError: N exceeds ``budget.max_vertices``, or the search
-            passes 2^``MAX_ARC_SLOTS`` placements (combinations tried).
+        BudgetExceededError: the N(N - 1) unit arcs exceed 2^``MAX_ARC_SLOTS``
+            (N > 1024), checked before anything else.
     """
     n = seq.n
-    _require(n, budget, "realization search")
+    if n * (n - 1) > 1 << MAX_ARC_SLOTS:
+        raise BudgetExceededError(
+            f"realization flow over {n * (n - 1)} arcs on {n} vertices exceeds 2^{MAX_ARC_SLOTS}"
+        )
     try:
         validate(seq)
     except OutOfRangeError:
         return None
-    if seq.sum_out != seq.sum_in:
+    if not seq.is_balanced:
         return None
-
-    # Place high out-degree vertices first; their target choices are tightest.
-    order = sorted(range(n), key=lambda i: (-seq.pairs[i][0], i))
-    outs, in_cap = seq.out_degrees, list(seq.in_degrees)
-    placements = count()
-    # An explicit stack, which the recursion limit does not bound: for each
-    # placed vertex order[i], the target sets it has yet to try and the one
-    # it is trying.
-    untried: list[Iterator[tuple[int, ...]]] = []
-    chosen: list[tuple[int, ...]] = []
-    while True:
-        # A vertex can still receive at most one arc from each unplaced
-        # source other than itself, so none once every vertex is placed.
-        placed = len(untried)
-        if all(in_cap[v] <= n - placed - (i >= placed) for i, v in enumerate(order)):
-            if placed == n:
-                return Digraph(n, ((u, v) for u, t in zip(order, chosen) for v in t))
-            u = order[placed]
-            candidates = [v for v in range(n) if v != u and in_cap[v] > 0]
-            untried.append(combinations(candidates, outs[u]))
-        # The innermost vertex takes back the set it is trying and tries
-        # its next; a vertex with none left is unplaced for its parent.
-        while untried:
-            if len(chosen) == len(untried):
-                for v in chosen.pop():
-                    in_cap[v] += 1
-            if (picked := next(untried[-1], None)) is not None:
-                break
-            untried.pop()
-        else:
-            return None
-        if next(placements) == 1 << MAX_ARC_SLOTS:
-            raise BudgetExceededError(
-                f"realization search on {n} vertices "
-                f"passed 2^{MAX_ARC_SLOTS} placements"
-            )
-        for v in picked:
-            in_cap[v] -= 1
-        chosen.append(picked)
+    # A unit on u_out -> v_in puts v in succ[u] and u in pred[v], the sets
+    # sharing one int per vertex.  Each u in turn first sends its units to
+    # the v with the most room left to the sink.
+    room, succ, pred = list(seq.in_degrees), [set() for _ in range(n)], [set() for _ in range(n)]
+    vertices = list(range(n))
+    for u, d in enumerate(seq.out_degrees):
+        others = [v for v in vertices if v != u and room[v]]
+        for v in sorted(others, key=room.__getitem__, reverse=True)[:d]:
+            room[v] -= 1
+            succ[u].add(v)
+            pred[v].add(u)
+    for u, d in enumerate(seq.out_degrees):
+        for _ in range(d - len(succ[u])):
+            # Augment breadth first, the queue growing as it is read: v_in is
+            # reached by an unused arc from parent[v], w_out by a used one from entry[w].
+            fresh, parent, entry, queue = set(vertices), {}, {u: None}, [u]
+            for w in queue:
+                reached = fresh - succ[w] - {w}
+                fresh -= reached
+                parent.update(dict.fromkeys(reached, w))
+                if ends := [v for v in reached if room[v]]:
+                    break
+                for v in reached:
+                    behind = pred[v].difference(entry)
+                    entry.update(dict.fromkeys(behind, v))
+                    queue += behind
+            else:
+                return None  # what u reaches bounds a cut that no flow saturates
+            v = ends[0]
+            room[v] -= 1
+            while v is not None:
+                w = parent[v]
+                succ[w].add(v)
+                pred[v].add(w)
+                v = entry[w]
+                if v is not None:
+                    succ[w].remove(v)
+                    pred[v].remove(w)
+    sources = [u for u, targets in enumerate(succ) for _ in targets]
+    return Digraph.from_lists(n, sources, [v for targets in succ for v in targets])
 
 
 def brute_splittance(g: Digraph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:

@@ -1529,17 +1529,22 @@ class TestOracleFlag:
         assert captured.err.count("\n") == 1
 
     def test_help_states_the_oracle_caps(self, capsys):
-        # The help's two numbers are the oracle's: the default vertex cap,
-        # and the largest n whose 2^(2n) partitions stay within
-        # 2^MAX_ARC_SLOTS, which bounds both partition sweeps.
+        # The help's three numbers are the oracle's: the largest n whose
+        # n(n - 1) unit arcs stay within 2^MAX_ARC_SLOTS, which bounds the
+        # realization flow, the default vertex cap, and the largest n whose
+        # 2^(2n) partitions stay within 2^MAX_ARC_SLOTS, which bounds both
+        # partition sweeps.
         with pytest.raises(SystemExit) as done:
             run(["check", "--help"])
         assert done.value.code == 0
         slots = range(oracle.MAX_ARC_SLOTS + 1)
         sweep = max(n for n in slots if 2 * n <= oracle.MAX_ARC_SLOTS)
+        vertices = range(1 << (oracle.MAX_ARC_SLOTS // 2 + 1))
+        flow = max(n for n in vertices if n * (n - 1) <= 1 << oracle.MAX_ARC_SLOTS)
         caps = (
-            f"(default {oracle.DEFAULT_BUDGET.max_vertices}; at most {sweep} for the "
-            f"partition sweeps of check and of the repair edit search)"
+            f"the realization flow takes up to {flow} vertices, and the partition "
+            f"sweeps of check and of the repair edit search up to SPLITKIT_ORACLE_MAX_N "
+            f"(default {oracle.DEFAULT_BUDGET.max_vertices}; at most {sweep})"
         )
         assert caps in " ".join(capsys.readouterr().out.split())
 
@@ -1652,8 +1657,8 @@ class TestOracleFlag:
 
         realized = []
 
-        def recorded(seq, budget, _search=cli.brute_realize):
-            realized.append(_search(seq, budget))
+        def recorded(seq, _search=cli.brute_realize):
+            realized.append(_search(seq))
             return realized[-1]
 
         g, _ = planted_split_digraph(random.Random(0), 11)
@@ -1674,17 +1679,29 @@ class TestOracleFlag:
     def test_realization_search_deeper_than_the_recursion_limit(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The search places one vertex per level, 1 200 levels here; the
-        # partition sweep still stops at its own 2^20 bound, with its note.
-        path = tmp_path / "empty1200.seq"
-        path.write_text("seq\n" + "0 0\n" * 1200)
-        assert run(["check", str(path)]) == 0
-        fast = capsys.readouterr()
-        monkeypatch.setenv("SPLITKIT_ORACLE_MAX_N", "5000")
-        assert run(["check", "--oracle", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == fast.out
-        assert captured.err == "oracle: partition sweep skipped (N=1200 over budget)\n"
+        # The realization flow runs on 1 024 vertices, more than the
+        # interpreter allows nested calls and the most its 2^20 arc slots
+        # admit, whatever the vertex cap; the partition sweep still stops at
+        # its own 2^20 bound, with its note.  At 1 025 vertices both refuse.
+        cases = [
+            (1024, "0 0\n" * 1024),
+            (1024, "1 1\n" * 1024),
+            (1024, "1 0\n" * 512 + "0 1\n" * 512),
+            (1025, "0 0\n" * 1025),
+        ]
+        path = tmp_path / "input.seq"
+        monkeypatch.delenv("SPLITKIT_ORACLE_MAX_N", raising=False)
+        for n, body in cases:
+            path.write_text("seq\n" + body)
+            code = run(["check", str(path)])
+            fast = capsys.readouterr()
+            assert run(["check", "--oracle", str(path)]) == code
+            captured = capsys.readouterr()
+            assert captured.out == fast.out
+            notes = [f"oracle: partition sweep skipped (N={n} over budget)\n"]
+            if n > 1024:
+                notes.insert(0, f"oracle: realization check skipped (N={n} over budget)\n")
+            assert captured.err == "".join(notes)
 
     def test_edit_search_runs_up_to_the_cap(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle7.digraph"
@@ -1699,9 +1716,9 @@ class TestOracleFlag:
         assert capsys.readouterr().out == read_fixture("ex1_check.kv")
 
     def test_realization_search_gives_up_with_a_note(self, tmp_path, capsys, monkeypatch):
-        # A non-digraphic sequence that takes more than 2^2 placements to
-        # refute: past 2^MAX_ARC_SLOTS the search gives up, and the CLI
-        # notes it like any check the oracle refuses.
+        # A non-digraphic sequence on 6 vertices, whose 30 unit arcs pass
+        # 2^MAX_ARC_SLOTS once that is 2^2: the flow refuses before it
+        # starts, and the CLI notes it like any check the oracle refuses.
         path = tmp_path / "nondigraphic6.seq"
         path.write_text("seq\n0 1\n1 1\n3 3\n3 1\n4 5\n2 2\n")
         assert run(["check", str(path)]) == 3
@@ -1715,7 +1732,7 @@ class TestOracleFlag:
 
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # Force the oracle to lie so the loud-failure path is exercised.
-        monkeypatch.setattr(cli, "brute_realize", lambda seq, budget: None)
+        monkeypatch.setattr(cli, "brute_realize", lambda seq: None)
         code = run(["check", fixture("ex1.seq"), "--oracle"])
         assert code == 4
         assert "disagreement" in capsys.readouterr().err
@@ -1751,7 +1768,7 @@ class TestOracleFlag:
         (tmp_path / "unbalanced.seq").write_text("seq\n1 0\n0 0\n")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(
-            cli, "brute_realize", lambda seq, budget: None if is_digraphic(seq) else ()
+            cli, "brute_realize", lambda seq: None if is_digraphic(seq) else ()
         )
         monkeypatch.setattr(cli, "brute_splittance", lambda g, budget: -1)
         assert run([*argv, "--oracle"]) == 4

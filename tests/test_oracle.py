@@ -69,29 +69,37 @@ class TestBruteRealize:
         assert brute_realize(IntegerPairSequence([(1, 0)])) is None
 
     def test_over_budget(self):
-        seq = IntegerPairSequence([(0, 0)] * 9)
+        seq = IntegerPairSequence([(0, 0)] * 1025)
         with pytest.raises(BudgetExceededError):
             brute_realize(seq)
 
-    def test_gives_up_after_the_placement_bound(self, ex1, monkeypatch):
-        # The worked example takes more than 2^2 and at most 2^3 placements;
-        # its 5 vertices are well within the vertex cap.
-        monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 2)
-        with pytest.raises(BudgetExceededError, match="passed 2\\^2 placements"):
-            brute_realize(ex1)
-        monkeypatch.setattr(oracle, "MAX_ARC_SLOTS", 3)
-        assert degree_sequence(brute_realize(ex1)) == ex1
+    def test_arc_slot_rule_refuses_before_validating(self, monkeypatch):
+        # 1025 * 1024 unit arcs pass 2^MAX_ARC_SLOTS: the flow refuses before
+        # it validates, and so before it fills any table.  The 1024 * 1023
+        # arcs on 1024 vertices are within the rule.
+        def no_flow(seq):
+            raise AssertionError("the flow started")
+
+        monkeypatch.setattr(oracle, "validate", no_flow)
+        with pytest.raises(BudgetExceededError, match=r"1049600 arcs on 1025 vertices exceeds 2\^20"):
+            brute_realize(IntegerPairSequence([(1, 1)] * 1025))
+        validated = []
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "validate", lambda seq: validated.append(seq) or validate(seq))
+        seq = IntegerPairSequence([(1, 1)] * 1024)
+        assert degree_sequence(brute_realize(seq)) == seq
+        assert validated == [seq]
 
     @pytest.mark.parametrize(
         "pairs",
-        [[(0, 0)] * 1100, [(1, 1)] * 1100, [(1, 0)] * 600 + [(0, 1)] * 600],
+        [[(0, 0)] * 1024, [(1, 1)] * 1024, [(1, 0)] * 512 + [(0, 1)] * 512],
     )
     def test_searches_deeper_than_the_recursion_limit(self, pairs):
-        # One search level per vertex, more levels than the interpreter
-        # allows nested calls.
+        # More vertices than the interpreter allows nested calls, and the
+        # most the arc-slot rule admits, with no budget to raise.
         seq = IntegerPairSequence(pairs)
         assert seq.n > sys.getrecursionlimit()
-        g = brute_realize(seq, EnumerationBudget(seq.n))
+        g = brute_realize(seq)
         assert g is not None and degree_sequence(g) == seq
 
     def test_matches_inequality_test_exhaustively_small(self):
@@ -104,6 +112,30 @@ class TestBruteRealize:
                 if found is not None:
                     assert degree_sequence(found).pairs == seq.pairs
 
+
+    def test_agrees_with_the_inequality_test_at_scale(self):
+        # A planted split digraph's degree sequence meets a Fulkerson
+        # inequality with equality, so one unit more on the largest out- and
+        # the largest in-degree below N - 1 makes it non-digraphic.  Its
+        # converse (o, i) -> (i, o) and its complement (N-1-o, N-1-i), dense
+        # where the digraph is sparse, have the same verdict.
+        rng = random.Random(31)
+        for n in sorted(rng.randrange(50, 301) for _ in range(12)):
+            seq = degree_sequence(planted_split_digraph(rng, n)[0])
+            outs, ins = list(seq.out_degrees), list(seq.in_degrees)
+            outs[max((v for v in range(n) if outs[v] < n - 1), key=outs.__getitem__)] += 1
+            ins[max((v for v in range(n) if ins[v] < n - 1), key=ins.__getitem__)] += 1
+            moved = IntegerPairSequence(zip(outs, ins))
+            for base, digraphic in ((seq, True), (moved, False)):
+                for related in (
+                    base,
+                    IntegerPairSequence((i, o) for o, i in base.pairs),
+                    IntegerPairSequence((n - 1 - o, n - 1 - i) for o, i in base.pairs),
+                ):
+                    assert is_digraphic(related) == digraphic
+                    found = brute_realize(related)
+                    assert (found is not None) == digraphic
+                    assert found is None or degree_sequence(found) == related
 
 class TestBruteMinPartitionMeasure:
     def test_worked_example(self, ex1):
